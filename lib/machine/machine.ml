@@ -63,6 +63,7 @@ type t = {
                         (spawns, latches), shard 1+k belongs to cpu k *)
   cache : Coherence.t;
   root_rng : Rng.t;
+  jit : Rng.cell;  (* [work]'s jitter hand-off: an unboxed draw *)
   cycle_ns : float;
   quantum_cycles : float;
   cpus : cpu array;
@@ -108,30 +109,38 @@ and mutex = {
   mm : t;
   heap_lock : bool;  (* allocator heap lock, for the aggregated
                         contended-vs-uncontended metrics split *)
-  mutable owner : thread option;
+  mutable owner : thread option;  (* the owner's [tsome], never a fresh [Some] *)
   waiters : thread Queue.t;
-  mutable spinners : spinner list;  (* suspended spin-wait registrations,
-                                       in spin-entry order; the release
-                                       sites drive their wake-ups *)
+  mutable spinners : spinner array;  (* [0, nspinners): the suspended
+                                        spin-wait registrations, in
+                                        spin-entry order; the release
+                                        sites drive their wake-ups *)
+  mutable nspinners : int;
   mutable contentions : int;
   mutable acquisitions : int;
 }
 
-(* One registration per spinner suspended in [spin_on]'s poller branch.
-   [sbase] is the simulated time of the last probe boundary already
-   accounted; [srem] the spin cycles still budgeted past it. Probe
+(* A thread's spin-wait registration, built at its first spin in
+   [spin_on]'s poller branch and reused by every later one. [srem] is
+   the spin cycles still budgeted past the last probe boundary already
+   accounted; that boundary's time is [sth.hot.spin_base]. Probe
    boundaries are materialized lazily — see the big comment at
-   [spin_on]. *)
+   [spin_on]. The wake, expiry and register closures are built once
+   with the registration, so a spin allocates none. *)
 and spinner = {
   sth : thread;
-  smu : mutex;
-  mutable sbase : float;
+  mutable smu : mutex;  (* the mutex of the current (or last) spin *)
   mutable srem : int;
   mutable salive : bool;
   mutable swake : bool;  (* a wake event is already queued at the next
                             boundary, so release sites must not queue a
                             second one *)
-  mutable sresume : unit -> unit;
+  mutable spins : int;  (* spins registered so far *)
+  mutable expiries : int;  (* expiry events fired so far *)
+  mutable sresume : unit -> unit;  (* the engine's per-process resume *)
+  mutable wake_ev : unit -> unit;
+  mutable expire_ev : unit -> unit;
+  mutable register : (unit -> unit) -> unit;
 }
 
 and proc = {
@@ -156,6 +165,7 @@ and thread_hot = {
   mutable finish_ns : float;
   mutable cpu_cycles : float;
   mutable run_start_ns : float;  (* dispatch time of the current CPU tenure *)
+  mutable spin_base : float;  (* the spinner's last accounted probe boundary *)
 }
 
 and thread = {
@@ -163,6 +173,10 @@ and thread = {
   mutable tname : string;  (* "" until someone asks; see [thread_name] *)
   tproc : proc;
   trng : Rng.t;
+  mutable tsome : thread option;  (* [Some] of this thread, built once at
+                                     spawn: mutex owners and CPU slots
+                                     store it instead of allocating *)
+  mutable tspin : spinner option;  (* set at the thread's first spin *)
   mutable state : thread_state;
   mutable resume : unit -> unit;  (* == no_resume while not parked *)
   mutable park_register : (unit -> unit) -> unit;
@@ -201,6 +215,11 @@ let thread_stack_bytes = 16 * 1024
 let create ?(seed = 42) ?obs ?check ?fault ?domains (config : config) =
   if config.cpus <= 0 then invalid_arg "Machine.create: cpus <= 0";
   if config.mhz <= 0. then invalid_arg "Machine.create: mhz <= 0";
+  if not (Float.is_finite config.mhz) then invalid_arg "Machine.create: mhz not finite";
+  (* A zero quantum never lets [consume] make progress, a negative one
+     schedules into the past, and a NaN one poisons the clock. *)
+  if not (config.quantum_us > 0. && Float.is_finite config.quantum_us) then
+    invalid_arg "Machine.create: quantum_us must be positive and finite";
   let cycle_ns = 1000. /. config.mhz in
   let obs = match obs with Some r -> r | None -> Mb_obs.Ctl.recorder () in
   let check = match check with Some c -> c | None -> Mb_check.Ctl.checker () in
@@ -267,6 +286,7 @@ let create ?(seed = 42) ?obs ?check ?fault ?domains (config : config) =
     eng_shards;
     cache = Coherence.create config.cache ~cpus:config.cpus;
     root_rng = Rng.create ~seed;
+    jit = Rng.cell ();
     cycle_ns;
     quantum_cycles = config.quantum_us *. 1000. /. cycle_ns;
     cpus = Array.init config.cpus (fun cpu_id -> { cpu_id; current = None });
@@ -440,7 +460,7 @@ let dispatch m cpu =
   | None ->
       if not (Queue.is_empty m.ready) then begin
         let th = Queue.take m.ready in
-        cpu.current <- Some th;
+        cpu.current <- th.tsome;
         th.state <- Running;
         th.on_cpu <- cpu.cpu_id;
         (* The first timer tick after a switch lands at a random phase of
@@ -501,30 +521,35 @@ let preempt m th =
   release_cpu m th;
   park_for_cpu th
 
-(* Consume CPU cycles, honoring quantum-based round-robin preemption.
+(* Charge [c] cycles that fit in the running quantum ([0 < c <= q], [q]
+   the quantum left): one delay through the engine's unboxed cell, the
+   cycle accounting, and a refresh or preemption when the quantum ran
+   out exactly. This runs for every simulated work item, lock operation
+   and memory access. Inlined into each caller, so [c] and [q] stay
+   local unboxed floats: passed to a real call, each would be boxed. *)
+let[@inline] charge th m c q =
+  m.dcell.Mb_sim.Pqueue.cell_time <- c *. m.cycle_ns;
+  Engine.delay_pending m.engine;
+  th.hot.cpu_cycles <- th.hot.cpu_cycles +. c;
+  m.mh.busy <- m.mh.busy +. c;
+  let q' = q -. c in
+  th.hot.quantum_left <- q';
+  if q' <= 0. then begin
+    if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+    else preempt m th
+  end
 
-   This runs for every simulated work item, lock operation and memory
-   access, so the common case — the quantum does not expire — is kept
-   to a single [Engine.delay] with all float arithmetic local (local
-   float temporaries stay unboxed; only the delay's payload is boxed).
-   The recursive quantum-boundary path is rare: a handful of context
-   switches per million cycles. *)
+(* Consume CPU cycles, honoring quantum-based round-robin preemption.
+   Being recursive, [consume] is never inlined, so its float argument is
+   boxed at every call: the per-operation callers below test the common
+   case — the cycles fit in the quantum — themselves and [charge]
+   directly, calling here only for the rare quantum-boundary path (a
+   handful of context switches per million cycles). *)
 let rec consume th cycles =
   if cycles > 0. then begin
     let m = th.tproc.pm in
     let q = th.hot.quantum_left in
-    if cycles <= q then begin
-      m.dcell.Mb_sim.Pqueue.cell_time <- cycles *. m.cycle_ns;
-      Engine.delay_pending m.engine;
-      th.hot.cpu_cycles <- th.hot.cpu_cycles +. cycles;
-      m.mh.busy <- m.mh.busy +. cycles;
-      let q' = q -. cycles in
-      th.hot.quantum_left <- q';
-      if q' <= 0. then begin
-        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
-        else preempt m th
-      end
-    end
+    if cycles <= q then charge th m cycles q
     else begin
       m.dcell.Mb_sim.Pqueue.cell_time <- q *. m.cycle_ns;
       Engine.delay_pending m.engine;
@@ -552,7 +577,7 @@ let find_idle_cpu m =
 let acquire_cpu_initial m th =
   match find_idle_cpu m with
   | Some cpu ->
-      cpu.current <- Some th;
+      cpu.current <- th.tsome;
       th.state <- Running;
       th.on_cpu <- cpu.cpu_id;
       th.hot.run_start_ns <- Engine.now m.engine;
@@ -570,27 +595,12 @@ let acquire_cpu_initial m th =
       park_for_cpu th
 
 (* Integer-cycle entry point for the fixed-cost callers (lock ops,
-   cache penalties, syscalls, faults). Duplicates [consume]'s common
-   case so the cycle count never crosses a call boundary as a [float]
-   (which would box it); the quantum-boundary path falls back. *)
+   cache penalties, syscalls, faults). *)
 let work_exact_cycles th cycles =
   if cycles > 0 then begin
     let fc = float_of_int cycles in
     let q = th.hot.quantum_left in
-    if fc <= q then begin
-      let m = th.tproc.pm in
-      m.dcell.Mb_sim.Pqueue.cell_time <- fc *. m.cycle_ns;
-      Engine.delay_pending m.engine;
-      th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
-      m.mh.busy <- m.mh.busy +. fc;
-      let q' = q -. fc in
-      th.hot.quantum_left <- q';
-      if q' <= 0. then begin
-        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
-        else preempt m th
-      end
-    end
-    else consume th fc
+    if fc <= q then charge th th.tproc.pm fc q else consume th fc
   end
 
 (* --- mutex mechanics (shared by Mutex and the kernel lock) ---------- *)
@@ -606,7 +616,8 @@ let mutex_make ?(heap = false) mm mname =
       heap_lock = heap;
       owner = None;
       waiters = Queue.create ();
-      spinners = [];
+      spinners = [||];
+      nspinners = 0;
       contentions = 0;
       acquisitions = 0;
     }
@@ -629,7 +640,7 @@ let mutex_try_lock mu th =
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
   | None ->
-      mu.owner <- Some th;
+      mu.owner <- th.tsome;
       mu.acquisitions <- mu.acquisitions + 1;
       note_acquired mu th;
       true
@@ -681,9 +692,26 @@ let rec spin_on_steps mu th budget =
    entry guard keeps the quantum strictly positive through every probe,
    so the fast branch is exact (no preempt, no quantum refresh); the
    rare spin that straddles a quantum boundary takes the step loop,
-   which handles preemption. *)
+   which handles preemption.
 
-let spin_step_account th m fc =
+   A thread reuses one registration for all its spins, so a finished
+   spin's leftover events must not act on the next one:
+   - A spin that ends early leaves its expiry queued, often past the
+     start of the thread's next spin. Every spin queues exactly one
+     expiry, and a thread's expiries fire in spin order: every spin has
+     the machine's budget, so a later spin's exhaustion boundary is never
+     earlier (float addition is monotone), and ties fire FIFO. So the
+     n-th expiry to fire belongs to the n-th spin, and only that one
+     acts.
+   - A spin that expires with a wake queued at its final boundary leaves
+     that wake behind. It fires before the thread can spin again: it was
+     queued before the expiry re-entered the thread, and whatever resumes
+     the thread later is queued after it. Within the expiry's own event
+     the thread takes a free lock, blocks on a held one, or pays a
+     lock op before retrying. It finds the spin retired and only clears
+     [swake]. *)
+
+let[@inline] spin_step_account th m fc =
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
   m.mh.busy <- m.mh.busy +. fc;
   th.hot.quantum_left <- th.hot.quantum_left -. fc
@@ -693,39 +721,47 @@ let spin_step_account th m fc =
    advance the phase. A boundary exactly at [t_lim] stays pending — a
    release at that time is observed *by* that probe (see above). *)
 let spin_advance m sp t_lim =
+  let th = sp.sth in
   let continue_ = ref true in
   while !continue_ && sp.srem > 0 do
     let step = if sp.srem < 8 then sp.srem else 8 in
     let fc = float_of_int step in
-    let nxt = sp.sbase +. (fc *. m.cycle_ns) in
+    let nxt = th.hot.spin_base +. (fc *. m.cycle_ns) in
     if nxt < t_lim then begin
-      spin_step_account sp.sth m fc;
-      sp.sbase <- nxt;
+      spin_step_account th m fc;
+      th.hot.spin_base <- nxt;
       sp.srem <- sp.srem - step
     end
     else continue_ := false
   done
 
+(* Retire the current spin: unregister it, keeping the other spinners
+   in entry order, and re-enter the thread. *)
 let spin_finish sp =
   sp.salive <- false;
   let mu = sp.smu in
-  mu.spinners <- List.filter (fun s -> s != sp) mu.spinners;
-  let resume = sp.sresume in
-  sp.sresume <- no_resume;
-  resume ()
+  let a = mu.spinners and n = mu.nspinners in
+  let i = ref 0 in
+  while a.(!i) != sp do
+    incr i
+  done;
+  Array.blit a (!i + 1) a !i (n - !i - 1);
+  mu.nspinners <- n - 1;
+  sp.sresume ()
 
 (* Wake event at one probe boundary: account this probe's step, then
    decide exactly as the chain's probe did — keep spinning (silently:
    the next release or the exhaustion event drives the next wake),
    or re-enter the thread. *)
-let spin_wake sp () =
+let spin_wake sp =
+  sp.swake <- false;
   if sp.salive then begin
-    sp.swake <- false;
     let mu = sp.smu in
     let m = mu.mm in
+    let th = sp.sth in
     let step = if sp.srem < 8 then sp.srem else 8 in
-    spin_step_account sp.sth m (float_of_int step);
-    sp.sbase <- Engine.now m.engine;
+    spin_step_account th m (float_of_int step);
+    th.hot.spin_base <- Engine.now m.engine;
     sp.srem <- sp.srem - step;
     if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
     then ()
@@ -735,13 +771,15 @@ let spin_wake sp () =
 (* Up-front event at the final probe boundary: if no release resumed
    the spinner first, materialize the remaining no-op probes and
    re-enter the thread with the budget exhausted. *)
-let spin_expire sp () =
-  if sp.salive then begin
+let spin_expire sp =
+  sp.expiries <- sp.expiries + 1;
+  if sp.expiries = sp.spins && sp.salive then begin
     let m = sp.smu.mm in
+    let th = sp.sth in
     let t_end = Engine.now m.engine in
     spin_advance m sp t_end;
-    spin_step_account sp.sth m (float_of_int sp.srem);
-    sp.sbase <- t_end;
+    spin_step_account th m (float_of_int sp.srem);
+    th.hot.spin_base <- t_end;
     sp.srem <- 0;
     spin_finish sp
   end
@@ -755,45 +793,75 @@ let spin_expire sp () =
 let wake_spinners mu =
   let m = mu.mm in
   let now = Engine.now m.engine in
-  List.iter
-    (fun sp ->
-      if sp.salive then begin
-        spin_advance m sp now;
-        if (not sp.swake) && sp.srem > 0 then begin
-          sp.swake <- true;
-          let step = if sp.srem < 8 then sp.srem else 8 in
-          let t_w = sp.sbase +. (float_of_int step *. m.cycle_ns) in
-          Engine.at m.engine t_w (spin_wake sp)
-        end
-      end)
-    mu.spinners
+  for i = 0 to mu.nspinners - 1 do
+    let sp = mu.spinners.(i) in
+    spin_advance m sp now;
+    if (not sp.swake) && sp.srem > 0 then begin
+      sp.swake <- true;
+      let step = if sp.srem < 8 then sp.srem else 8 in
+      let t_w = sp.sth.hot.spin_base +. (float_of_int step *. m.cycle_ns) in
+      Engine.at m.engine t_w sp.wake_ev
+    end
+  done
 
-let spin_on mu th budget =
+let spinner_of th mu =
+  match th.tspin with
+  | Some sp -> sp
+  | None ->
+      let sp =
+        { sth = th;
+          smu = mu;
+          srem = 0;
+          salive = false;
+          swake = false;
+          spins = 0;
+          expiries = 0;
+          sresume = no_resume;
+          wake_ev = no_resume;
+          expire_ev = no_resume;
+          register = no_register;
+        }
+      in
+      sp.wake_ev <- (fun () -> spin_wake sp);
+      sp.expire_ev <- (fun () -> spin_expire sp);
+      sp.register <- (fun resume -> sp.sresume <- resume);
+      th.tspin <- Some sp;
+      sp
+
+(* Spin on a held mutex for the machine's spin budget. *)
+let spin_on mu th =
+  let m = mu.mm in
+  let budget = m.config.spin_cycles in
   if budget > 0 && (match mu.owner with Some _ -> true | None -> false) then begin
-    let m = th.tproc.pm in
     if float_of_int (budget + 64) >= th.hot.quantum_left then spin_on_steps mu th budget
-    else
-      Engine.suspend m.engine (fun resume ->
-          let sp =
-            { sth = th;
-              smu = mu;
-              sbase = Engine.now m.engine;
-              srem = budget;
-              salive = true;
-              swake = false;
-              sresume = resume;
-            }
-          in
-          mu.spinners <- mu.spinners @ [ sp ];
-          (* Budget-exhaustion boundary, by the same iterated float
-             arithmetic the probe chain accumulates. *)
-          let t_end = ref sp.sbase and b = ref budget in
-          while !b > 0 do
-            let step = if !b < 8 then !b else 8 in
-            t_end := !t_end +. (float_of_int step *. m.cycle_ns);
-            b := !b - step
-          done;
-          Engine.at m.engine !t_end (spin_expire sp))
+    else begin
+      let sp = spinner_of th mu in
+      (* No leftover wake from the previous spin is still queued. *)
+      assert (not sp.swake);
+      sp.smu <- mu;
+      sp.srem <- budget;
+      sp.salive <- true;
+      sp.spins <- sp.spins + 1;
+      th.hot.spin_base <- Engine.now m.engine;
+      let n = mu.nspinners in
+      if n = Array.length mu.spinners then begin
+        let a = Array.make (max 4 (2 * n)) sp in
+        Array.blit mu.spinners 0 a 0 n;
+        mu.spinners <- a
+      end;
+      mu.spinners.(n) <- sp;
+      mu.nspinners <- n + 1;
+      (* Budget-exhaustion boundary, by the same iterated float
+         arithmetic the probe chain accumulates. *)
+      let t_end = ref th.hot.spin_base and b = ref budget in
+      while !b > 0 do
+        let step = if !b < 8 then !b else 8 in
+        t_end := !t_end +. (float_of_int step *. m.cycle_ns);
+        b := !b - step
+      done;
+      Engine.at m.engine !t_end sp.expire_ev;
+      Engine.suspend m.engine sp.register
+    end
   end
 
 (* Contended path: spin (on SMP, if configured), then either race a CAS
@@ -803,13 +871,13 @@ let spin_on mu th budget =
 let rec mutex_lock_slow mu th =
   let m = mu.mm in
   if m.config.spin_cycles > 0 && m.config.cpus > 1 then
-    spin_on mu th m.config.spin_cycles;
+    spin_on mu th;
   match mu.owner with
   | None -> begin
       work_exact_cycles th (lock_op_cost th);
       match mu.owner with
       | None ->
-          mu.owner <- Some th;
+          mu.owner <- th.tsome;
           th.spin_wins <- th.spin_wins + 1;
           mu.acquisitions <- mu.acquisitions + 1;
           note_acquired mu th
@@ -838,7 +906,7 @@ let rec mutex_lock_slow mu th =
         work_exact_cycles th (lock_op_cost th);
         match mu.owner with
         | None ->
-            mu.owner <- Some th;
+            mu.owner <- th.tsome;
             mu.acquisitions <- mu.acquisitions + 1;
             note_acquired mu th
         | Some _ -> mutex_lock_slow mu th
@@ -857,7 +925,7 @@ let mutex_lock mu th =
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
   | None ->
-      mu.owner <- Some th;
+      mu.owner <- th.tsome;
       mu.acquisitions <- mu.acquisitions + 1;
       note_acquired mu th
   | Some _ ->
@@ -876,25 +944,27 @@ let mutex_unlock mu th =
   end;
   note_released mu th;
   work_exact_cycles th (lock_op_cost th);
-  match Queue.take_opt mu.waiters with
-  | Some w ->
-      if mu.mm.config.mutex_handoff then begin
-        (* Direct handoff: the waiter owns the lock before it even runs,
-           which is what produces lock convoys under heavy contention. *)
-        mu.owner <- Some w;
-        work_exact_cycles th mu.mm.config.wake_cycles;
-        make_ready mu.mm w
-      end
-      else begin
-        (* Barging: free the lock, wake the waiter, let it re-compete. *)
-        mu.owner <- None;
-        if mu.spinners <> [] then wake_spinners mu;
-        work_exact_cycles th mu.mm.config.wake_cycles;
-        make_ready mu.mm w
-      end
-  | None ->
+  if Queue.is_empty mu.waiters then begin
+    mu.owner <- None;
+    if mu.nspinners > 0 then wake_spinners mu
+  end
+  else begin
+    let w = Queue.take mu.waiters in
+    if mu.mm.config.mutex_handoff then begin
+      (* Direct handoff: the waiter owns the lock before it even runs,
+         which is what produces lock convoys under heavy contention. *)
+      mu.owner <- w.tsome;
+      work_exact_cycles th mu.mm.config.wake_cycles;
+      make_ready mu.mm w
+    end
+    else begin
+      (* Barging: free the lock, wake the waiter, let it re-compete. *)
       mu.owner <- None;
-      if mu.spinners <> [] then wake_spinners mu
+      if mu.nspinners > 0 then wake_spinners mu;
+      work_exact_cycles th mu.mm.config.wake_cycles;
+      make_ready mu.mm w
+    end
+  end
 
 (* The 2.2-era kernel serialized VM syscalls behind the big kernel lock
    (the paper patched sbrk to avoid it, mm/mmap.c in 2.3.5-2.3.7). *)
@@ -961,10 +1031,15 @@ let page_in th addr ~len =
 
 let work_exact = work_exact_cycles
 
+(* Jittered work: the draw comes through the machine's unboxed cell and
+   the common case is charged inline, so a call allocates nothing. *)
 let work th cycles =
   if cycles > 0 then begin
-    let j = Rng.jitter th.trng th.tproc.pm.config.op_jitter in
-    consume th (float_of_int cycles *. j)
+    let m = th.tproc.pm in
+    Rng.jitter_into th.trng m.config.op_jitter m.jit;
+    let c = float_of_int cycles *. m.jit.Rng.draw in
+    let q = th.hot.quantum_left in
+    if c > 0. && c <= q then charge th m c q else consume th c
   end
 
 (* Reserve a thread stack, riding the fault layer's retry policy: a
@@ -1000,6 +1075,8 @@ let spawn p ?name body =
       tname = (match name with Some n -> n | None -> "");
       tproc = p;
       trng = Rng.split p.prng;
+      tsome = None;
+      tspin = None;
       state = Starting;
       resume = no_resume;
       park_register = no_register;
@@ -1010,6 +1087,7 @@ let spawn p ?name body =
           finish_ns = nan;
           cpu_cycles = 0.;
           run_start_ns = 0.;
+          spin_base = 0.;
         };
       switches = 0;
       blocks = 0;
@@ -1021,6 +1099,7 @@ let spawn p ?name body =
       lane = 0;
     }
   in
+  th.tsome <- Some th;
   th.park_register <- (fun r -> th.resume <- r);
   p.live_threads <- p.live_threads + 1;
   if p.live_threads >= 2 then p.ever_multi <- true;
@@ -1257,12 +1336,13 @@ module Waitq = struct
     park_for_cpu th
 
   let wake_one q th =
-    match Queue.take_opt q.waiters with
-    | None -> false
-    | Some w ->
-        work_exact_cycles th q.qm.config.wake_cycles;
-        make_ready q.qm w;
-        true
+    if Queue.is_empty q.waiters then false
+    else begin
+      let w = Queue.take q.waiters in
+      work_exact_cycles th q.qm.config.wake_cycles;
+      make_ready q.qm w;
+      true
+    end
 
   let wake_all q th =
     let n = Queue.length q.waiters in

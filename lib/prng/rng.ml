@@ -78,8 +78,9 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 (* [1.0 -. pct +. float t (2.0 *. pct)] with the draw inlined so the
    only allocation left is boxing the returned float. The float
    arithmetic reproduces [float]'s exact operation order, so the result
-   is bit-identical to the composed version. *)
-let jitter (t : t) pct =
+   is bit-identical to the composed version. Inlined into [jitter_into],
+   where the result lands in an all-float cell and is never boxed. *)
+let[@inline] jitter (t : t) pct =
   if pct <= 0. then 1.0
   else begin
     let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
@@ -90,6 +91,12 @@ let jitter (t : t) pct =
     let bits = Int64.to_int (Int64.shift_right_logical z 11) in
     1.0 -. pct +. (float_of_int bits *. scale_53 *. (2.0 *. pct))
   end
+
+type cell = { mutable draw : float }
+
+let cell () = { draw = 0. }
+
+let jitter_into t pct c = c.draw <- jitter t pct
 
 let exponential t ~mean =
   let u = float t 1.0 in

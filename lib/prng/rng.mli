@@ -39,6 +39,20 @@ val jitter : t -> float -> float
     [\[1 -. pct, 1 +. pct\]]; used to perturb per-operation costs so that
     different seeds explore different event interleavings. *)
 
+type cell = { mutable draw : float }
+(** A one-float hand-off cell. All-float, so storing and loading
+    [draw] move a raw double. *)
+
+val cell : unit -> cell
+(** A fresh cell holding [0.]. *)
+
+val jitter_into : t -> float -> cell -> unit
+(** [jitter_into t pct c] stores [jitter t pct] in [c.draw]: the same
+    draw, bit for bit, without boxing it. A [float] returned across a
+    module boundary is boxed unless the call is inlined, and the dev
+    build compiles with [-opaque], which inlines nothing across modules;
+    per-operation callers take the draw through a cell they keep. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean; used by the
     server workload's inter-arrival times. *)

@@ -77,6 +77,9 @@ type t = {
 
 let no_register : (unit -> unit) -> unit = fun _ -> ()
 
+(* "No suspended continuation", compared physically. *)
+let no_cont = Obj.repr 0
+
 type waiter = {
   wpid : pid;
   wname : string;
@@ -271,16 +274,6 @@ let suspend t register =
   t.pending_register <- register;
   Effect.perform Suspend
 
-(* [at] relative to now, with the duration taken from the scratch cell:
-   the caller stores it there (an unboxed float write) so none crosses
-   the call boundary boxed. Built for self-re-arming poller thunks (see
-   [suspend]); the duration must be non-negative — pollers step time
-   forward by construction, so no past check on this path. *)
-let after_pending t thunk =
-  t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. t.scratch.Pqueue.cell_time;
-  let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  Shard.push t.queue ~shard:t.cur_shard t.scratch ~v:((slot lsl 1) lor 1)
-
 let yield () = delay 0.
 
 let set_parked t pid =
@@ -362,6 +355,17 @@ let start t pid body =
         in
         register resume)
   in
+  (* Suspend hands out one resume per process, built here: the pending
+     continuation waits in [suspended] ([no_cont] when none), so a
+     suspend allocates nothing beyond the runtime's continuation. *)
+  let suspended = ref no_cont in
+  let resume_suspended () =
+    let k = !suspended in
+    if k == no_cont then
+      invalid_arg (Printf.sprintf "Engine: process %s resumed twice" (name_of t pid));
+    suspended := no_cont;
+    Effect.Deep.continue (Obj.obj k : (unit, unit) continuation) ()
+  in
   let on_suspend : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
@@ -370,7 +374,8 @@ let start t pid body =
            stall/trace machinery never needs to know. *)
         let register = t.pending_register in
         t.pending_register <- no_register;
-        register (fun () -> Effect.Deep.continue k ()))
+        suspended := Obj.repr k;
+        register resume_suspended)
   in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     fun eff ->

@@ -152,18 +152,14 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** Low-overhead {!park} for engine-level pollers: no parked-process
     bookkeeping, no trace instants, and the resume function re-enters
     the process with a direct continue instead of re-queueing it — so
-    it must be called {e exactly once}, from a queued-thunk context
-    (e.g. a callback scheduled with {!after_pending}), and the caller
-    must keep at least one pending event alive until then (the stall
-    detector does not know about suspended-but-unparked processes).
-    The machine layer's lock spinner is the intended client. *)
-
-val after_pending : t -> (unit -> unit) -> unit
-(** {!at} relative to now, with the duration taken from the engine's
-    {!delay_cell} — the unboxed hand-off twin of {!at} for hot poller
-    re-arms: [(delay_cell e).cell_time <- ns; after_pending e thunk].
-    The duration must be non-negative (not checked on this path). The
-    event files on the current event's shard. *)
+    it must be called {e exactly once} per suspend, from a queued-thunk
+    context (a callback scheduled with {!at}), and the caller must keep
+    at least one pending event alive until then (the stall detector
+    does not know about suspended-but-unparked processes). The resume
+    handed to [register] is the same closure on every suspend of one
+    process, so a caller may keep it; calling it while the process is
+    not suspended raises [Invalid_argument]. The machine layer's lock
+    spinner is the intended client. *)
 
 val yield : unit -> unit
 (** Re-enter the event queue at the current time: lets other processes

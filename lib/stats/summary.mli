@@ -25,6 +25,13 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], by linear interpolation
     between closest ranks. Does not modify the input. *)
 
+val sorted : float array -> float array
+(** An ascending sorted copy, in [compare]'s order. *)
+
+val percentile_sorted : float array -> float -> float
+(** {!percentile} of a sample already sorted by {!sorted}: sort once,
+    then read several percentiles. *)
+
 val coefficient_of_variation : t -> float
 (** stddev / mean; 0 when the mean is 0. *)
 

@@ -149,7 +149,8 @@ let finish_probe probe ~window_basis_ns =
 let finish_requests ~completed ~dropped ~churned ~offered_rps ~last_completion_ns ~lat ~lat_n
     ~class_counts =
   let samples = Array.sub lat 0 lat_n in
-  let pct p = if lat_n = 0 then 0. else Summary.percentile samples p in
+  let ranked = Summary.sorted samples in
+  let pct p = if lat_n = 0 then 0. else Summary.percentile_sorted ranked p in
   let mean_ns = if lat_n = 0 then 0. else (Summary.of_array samples).Summary.mean in
   let max_ns = Array.fold_left Float.max 0. samples in
   let hist = Histogram.create ~lo:0. ~hi:(if max_ns > 0. then max_ns *. 1.0001 else 1.) ~bins:64 in

@@ -1,0 +1,71 @@
+(* Absolute ceilings on the simulator's host allocation. A boxing
+   regression on a per-operation path multiplies minor GC words without
+   changing any simulated result, so only a fixed figure catches it: a
+   gate relative to a baseline passes whenever the same change
+   regenerates the baseline. The ceilings hold with room to spare in the
+   dev build, which inlines nothing across modules. *)
+
+module M = Core.Machine
+module B2 = Core.Bench2
+
+(* Host minor words of [f ()]'s second run: the first grows tables. *)
+let minor_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The fig8 kernel at seed 1: benchmark 2, 7 threads contending for
+   ptmalloc arenas on 4 CPUs. It allocates about 0.47M words; boxing a
+   float per spin probe and per work item takes it to 3.59M. *)
+let test_fig8_ceiling () =
+  let words =
+    minor_words (fun () ->
+        ignore
+          (B2.run
+             { B2.default with
+               B2.machine = Core.Configs.quad_xeon;
+               seed = 1;
+               threads = 7;
+               rounds = 4;
+               objects_per_thread = 400;
+               replacements_per_round = 150;
+             }
+            : B2.result))
+  in
+  if words > 1.0e6 then Alcotest.failf "fig8 allocated %.0f minor words (ceiling 1.0M)" words
+
+(* Two threads on separate CPUs share one mutex and hold it across a
+   little work, so most acquisitions spin on it. About 17 words per
+   lock/unlock; a spin path that allocates its registration, closures
+   and float boxes costs 158. *)
+let test_contended_lock_ceiling () =
+  let ops = 10_000 in
+  let words =
+    minor_words (fun () ->
+        let m = M.create ~seed:1 Core.Configs.quad_xeon in
+        let p = M.create_proc m () in
+        let mu = M.Mutex.create m () in
+        for _ = 1 to 2 do
+          ignore
+            (M.spawn p (fun ctx ->
+                 for _ = 1 to ops / 2 do
+                   M.Mutex.lock mu ctx;
+                   M.work ctx 200;
+                   M.Mutex.unlock mu ctx;
+                   M.work ctx 50
+                 done)
+              : M.thread)
+        done;
+        M.run m;
+        if M.Mutex.contentions mu < ops / 4 then
+          Alcotest.failf "only %d of %d acquisitions contended" (M.Mutex.contentions mu) ops)
+  in
+  let per_op = words /. float_of_int ops in
+  if per_op > 40. then
+    Alcotest.failf "contended lock/unlock allocated %.1f minor words (ceiling 40)" per_op
+
+let suite =
+  [ Alcotest.test_case "fig8 kernel under 1.0M words" `Quick test_fig8_ceiling;
+    Alcotest.test_case "contended lock under 40 words/op" `Quick test_contended_lock_ceiling;
+  ]

@@ -363,6 +363,129 @@ let prop_deterministic_replay =
       in
       run () = run ())
 
+(* A zero quantum would hang [consume], a negative one would fail later
+   with an unrelated engine error, and a NaN quantum or clock rate would
+   run to completion on a NaN clock: [create] rejects them all. *)
+let test_create_rejects_bad_clock () =
+  let rejects what config =
+    match M.create config with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "quantum_us = 0" { M.default_config with M.quantum_us = 0. };
+  rejects "quantum_us = -1" { M.default_config with M.quantum_us = -1. };
+  rejects "quantum_us = nan" { M.default_config with M.quantum_us = nan };
+  rejects "quantum_us = infinity" { M.default_config with M.quantum_us = infinity };
+  rejects "mhz = nan" { M.default_config with M.mhz = nan };
+  rejects "mhz = infinity" { M.default_config with M.mhz = infinity };
+  ignore (M.create { M.default_config with M.quantum_us = 0.5 } : M.t)
+
+(* One contended-mutex run rendered exactly: simulated end time, busy
+   cycles, lock counts, and each thread's elapsed time and counters,
+   floats in %h. Thread [i] holds the lock for [h0 + h1 * ((i + k) mod 4)]
+   cycles in its [k]-th round and works [g0 + g1 * (i mod 3)] outside. *)
+let spin_run ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1) ~gap:(g0, g1) =
+  let cfg = { M.default_config with M.cpus; spin_cycles = budget; quantum_us; op_jitter } in
+  let m = M.create ~seed cfg in
+  let p = M.create_proc m ~name:"pin" () in
+  let mu = M.Mutex.create m ~name:"pin" () in
+  let ths =
+    List.init threads (fun i ->
+        M.spawn p ~name:(string_of_int i) (fun ctx ->
+            for k = 1 to 40 do
+              M.Mutex.lock mu ctx;
+              M.work ctx (h0 + (h1 * ((i + k) mod 4)));
+              M.Mutex.unlock mu ctx;
+              M.work ctx (g0 + (g1 * (i mod 3)))
+            done))
+  in
+  M.run m;
+  let b = Buffer.create 512 in
+  Printf.bprintf b "now=%h busy=%h acq=%d cont=%d" (M.now_ns m) (M.busy_cycles m)
+    (M.Mutex.acquisitions mu) (M.Mutex.contentions mu);
+  List.iter
+    (fun th ->
+      let s = M.thread_stats th in
+      Printf.bprintf b "\n%h cpu=%h ctx=%d blocks=%d spins=%d faults=%d" (M.elapsed_ns th)
+        s.M.cpu_cycles s.ctx_switches s.blocks s.spins s.page_faults)
+    ths;
+  (Buffer.contents b, ths)
+
+(* Seeds 1-3, 3/5/7 threads, a long (2000 us) and a short (25 us)
+   quantum, jittered work. *)
+let jittered_runs ~cpus ~budget () =
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun threads ->
+          List.map
+            (fun quantum_us ->
+              spin_run ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter:0.02 ~hold:(40, 30)
+                ~gap:(20, 10))
+            [ 2000.; 25. ])
+        [ 3; 5; 7 ])
+    [ 1; 2; 3 ]
+
+(* Without jitter every time is a whole number of cycles, so times tie
+   exactly: seed 1, 4 cpus, a long quantum. *)
+let exact_runs ~budget ~hold ~gap ~threads () =
+  List.map
+    (fun threads ->
+      spin_run ~seed:1 ~threads ~cpus:4 ~budget ~quantum_us:2000. ~op_jitter:0. ~hold ~gap)
+    threads
+
+(* The spin path's schedule, pinned across commits: one digest per group
+   of runs, over every run's rendering. Budgets 20 and 404 end in a
+   partial probe step, 64 and 400 do not; the short budgets mostly
+   expire, and a finished spin's expiry often fires during the thread's
+   next spin. The digests were recorded before spin registrations were
+   reused; a change to them is a change to simulated behaviour. *)
+let spin_pins =
+  List.map
+    (fun (cpus, budget, digest) ->
+      (Printf.sprintf "%d cpus, budget %d" cpus budget, jittered_runs ~cpus ~budget, digest))
+    [ (2, 20, "77754900a07c405b89b549f5de415e6f");
+      (2, 64, "5881ae310a9e7c01b0d84cd76a6fef67");
+      (2, 400, "8094b65776445f9e5334b21ccd988e5e");
+      (2, 404, "8e4bc8ee9d9c86ba59870b99319b213c");
+      (4, 20, "67bee7e865eb290c494be9f066f3a078");
+      (4, 64, "002a2452b7a5c024630b468ac7c8a6fb");
+      (4, 400, "a7c6351f27aff3342e314f2848c3b886");
+      (4, 404, "90e33cbc00b52d982f4e36285ba81001");
+    ]
+  @ [ (* Some thread starts a spin exactly at the final probe boundary
+         of its previous spin, where that spin's leftover expiry fires. *)
+      ( "exact, 4 cpus, budget 404",
+        exact_runs ~budget:404 ~hold:(100, 50) ~gap:(30, 20) ~threads:[ 5; 7 ],
+        "dfaa7d9b31a259c26c2803080585a59a" );
+      (* Spinners on the same probe phase wake at the same boundary,
+         where the first registered must win. *)
+      ( "exact, 4 cpus, budget 64",
+        exact_runs ~budget:64 ~hold:(8, 8) ~gap:(8, 8) ~threads:[ 4; 6 ],
+        "21b08dbafc52078127ce57ef9730627b" );
+    ]
+
+let test_spin_schedule_pinned () =
+  let spins = ref 0 and blocks = ref 0 in
+  List.iter
+    (fun (label, runs, expected) ->
+      let runs = runs () in
+      List.iter
+        (fun (_, ths) ->
+          List.iter
+            (fun th ->
+              let st = M.thread_stats th in
+              spins := !spins + st.M.spins;
+              blocks := !blocks + st.M.blocks)
+            ths)
+        runs;
+      Alcotest.(check string) label expected
+        (Digest.to_hex (Digest.string (String.concat "\n--\n" (List.map fst runs)))))
+    spin_pins;
+  (* Both ends of a spin occur: a win, and an expiry then a block. *)
+  Alcotest.(check bool) "spins won" true (!spins > 0);
+  Alcotest.(check bool) "spins expired into blocks" true (!blocks > 0)
+
 let suite =
   [ Alcotest.test_case "single thread work time" `Quick test_single_thread_work_time;
     QCheck_alcotest.to_alcotest prop_conservation;
@@ -387,4 +510,6 @@ let suite =
     Alcotest.test_case "touch_range counts" `Quick test_touch_range_counts;
     Alcotest.test_case "elapsed requires finish" `Quick test_elapsed_requires_finish;
     Alcotest.test_case "exit hooks" `Quick test_exit_hook_runs;
+    Alcotest.test_case "create rejects bad clock" `Quick test_create_rejects_bad_clock;
+    Alcotest.test_case "spin schedule pinned" `Quick test_spin_schedule_pinned;
   ]

@@ -11,6 +11,7 @@ let () =
       ("vm", Test_vm.suite);
       ("cache", Test_cache.suite);
       ("machine", Test_machine.suite);
+      ("host_alloc", Test_host_alloc.suite);
       ("dlheap", Test_dlheap.suite);
       ("dlheap_props", Test_dlheap_props.suite);
       ("allocators", Test_allocators.suite);

@@ -175,6 +175,27 @@ let prop_percentile_monotone =
       let lo = min p1 p2 and hi = max p1 p2 in
       Summary.percentile a (float_of_int lo) <= Summary.percentile a (float_of_int hi) +. 1e-9)
 
+(* The float-specialized sort and loops against the polymorphic stdlib
+   code they replace, bit for bit; [xs @ xs] puts ties in every case. *)
+let prop_summary_matches_stdlib =
+  QCheck.Test.make ~name:"sorted and of_array match the stdlib folds and sort" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 60) (float_range (-1000.) 1000.))
+    (fun xs ->
+      let a = Array.of_list (xs @ xs) in
+      let reference = Array.copy a in
+      Array.sort compare reference;
+      let bits = Array.map Int64.bits_of_float in
+      let s = Summary.of_array a in
+      let n = float_of_int (Array.length a) in
+      let sum = Array.fold_left ( +. ) 0. a in
+      let mean = sum /. n in
+      let sq = Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. a in
+      bits (Summary.sorted a) = bits reference
+      && bits [| s.Summary.sum; s.mean; s.stddev; s.min; s.max |]
+         = bits
+             [| sum; mean; sqrt (sq /. (n -. 1.)); Array.fold_left min a.(0) a;
+                Array.fold_left max a.(0) a |])
+
 let prop_regression_recovers_line =
   QCheck.Test.make ~name:"regression recovers exact lines" ~count:200
     QCheck.(pair (float_range (-5.) 5.) (float_range (-5.) 5.))
@@ -208,5 +229,6 @@ let suite =
     Alcotest.test_case "series of summaries" `Quick test_series_of_summaries;
     QCheck_alcotest.to_alcotest prop_summary_bounds;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
+    QCheck_alcotest.to_alcotest prop_summary_matches_stdlib;
     QCheck_alcotest.to_alcotest prop_regression_recovers_line;
   ]
