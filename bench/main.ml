@@ -78,21 +78,6 @@ module Kernels = struct
                };
          })
 
-  (* Run a kernel with MALLOC_REPRO_DOMAINS set, so its machines use
-     the conservative parallel executor at the given width. The domain
-     sweep exists to price the window protocol: the schedule (and so
-     the simulated result) is byte-identical at every width, only the
-     wall-clock differs. *)
-  let with_domains d kernel () =
-    let prev = Sys.getenv_opt "MALLOC_REPRO_DOMAINS" in
-    Unix.putenv "MALLOC_REPRO_DOMAINS" (string_of_int d);
-    Fun.protect
-      ~finally:(fun () ->
-        (* no unsetenv in Unix; width 1 is the documented default *)
-        Unix.putenv "MALLOC_REPRO_DOMAINS"
-          (match prev with Some v -> v | None -> "1"))
-      kernel
-
   (* One kernel per paper artifact. *)
   let all =
     let ppro = Core.Configs.dual_pentium_pro in
@@ -114,8 +99,6 @@ module Kernels = struct
       ("fig6", bench2 ~machine:k6 ~threads:3 ~rounds:4);
       ("fig7", bench2 ~machine:k6 ~threads:7 ~rounds:2);
       ("fig8", bench2 ~machine:xeon ~threads:7 ~rounds:4);
-      ("fig8-domains2", with_domains 2 (bench2 ~machine:xeon ~threads:7 ~rounds:4));
-      ("fig8-domains4", with_domains 4 (bench2 ~machine:xeon ~threads:7 ~rounds:4));
       ("fig9", bench3 ~threads:2 ~aligned:false);
       ("fig10", bench3 ~threads:3 ~aligned:false);
       ("fig11", bench3 ~threads:4 ~aligned:false);
@@ -253,20 +236,14 @@ let host_cpu_model () =
   | Some model -> model
   | None | (exception Sys_error _) -> "unknown"
 
-let host_domains () =
-  match Sys.getenv_opt "MALLOC_REPRO_DOMAINS" with
-  | Some v -> ( match int_of_string_opt v with Some d when d > 0 -> d | _ -> 1)
-  | None -> 1
-
 let write_json path ~jobs ~experiments_wall_s ~bechamel_wall_s ~total_wall_s ~counters ~gc
     kernels =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema\": 3,\n";
-  Printf.fprintf oc "  \"host\": {\"cores\": %d, \"cpu_model\": \"%s\", \"domains\": %d},\n"
+  Printf.fprintf oc "  \"host\": {\"cores\": %d, \"cpu_model\": \"%s\"},\n"
     (Domain.recommended_domain_count ())
-    (json_escape (host_cpu_model ()))
-    (host_domains ());
+    (json_escape (host_cpu_model ()));
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
   Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
   Printf.fprintf oc "  \"experiments_wall_s\": %.3f,\n" experiments_wall_s;

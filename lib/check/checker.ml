@@ -206,14 +206,3 @@ let enter_runtime t ~tid =
 let exit_runtime t ~tid =
   if t.on then
     T.set t.depth tid (max 0 ((match T.find_exn t.depth tid with d -> d | exception Not_found -> 0) - 1))
-
-(* Pre-grow the shadow tables while the simulation is quiescent (the
-   conservative executor calls this from its drain phases): the next
-   window's inserts then never pay a rehash mid-execution. Headroom is
-   a quarter of the current population — the organic growth rate of a
-   steadily allocating workload — plus a floor for cold tables. *)
-let preflight t =
-  if t.on then begin
-    T.reserve t.shadows ((T.length t.shadows / 4) + 64);
-    T.reserve t.blocks ((T.length t.blocks / 4) + 64)
-  end

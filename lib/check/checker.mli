@@ -122,12 +122,3 @@ val findings : t -> finding list
 val finding_count : t -> int
 (** Number of findings recorded, including any beyond the retention
     cap. *)
-
-val preflight : t -> unit
-(** Pre-size the per-address shadow tables for the next burst of
-    tracked accesses. Purely mechanical (no state machine transitions,
-    no findings) and therefore invisible to results; intended to run
-    during the conservative parallel executor's drain phases, when no
-    simulation code executes and the checker is quiescent. Safe to call
-    from a crew domain in that window — the tables are touched by
-    nothing else until the next execute phase. *)

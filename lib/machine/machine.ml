@@ -55,12 +55,10 @@ type machine_hot = { mutable busy : float }
 type t = {
   config : config;
   engine : Engine.t;
-  dcell : Mb_sim.Pqueue.cell;
+  dcell : Engine.cell;
       (* engine's delay hand-off cell, cached so the hot path is
          [m.dcell.cell_time <- ns; Engine.delay_pending m.engine] — an
          unboxed store plus an allocation-free constant effect *)
-  eng_shards : int;  (* event shards in the engine: shard 0 is "main"
-                        (spawns, latches), shard 1+k belongs to cpu k *)
   cache : Coherence.t;
   root_rng : Rng.t;
   jit : Rng.cell;  (* [work]'s jitter hand-off: an unboxed draw *)
@@ -91,11 +89,6 @@ type t = {
   mutable sbrk_calls : int;
   mutable mmap_calls : int;
   mutable munmap_calls : int;
-  domains : int;  (* conservative-executor crew width (1 = serial run) *)
-  window_batch : int;  (* lookahead windows per merge barrier *)
-  lookahead_ns : float;  (* conservative window floor: the cheapest
-                            cross-CPU scheduling edge, in simulated ns *)
-  mutable domain_stats : Mb_parallel.Conservative.stats option;
 }
 
 and cpu = { cpu_id : int; mutable current : thread option }
@@ -212,7 +205,7 @@ let no_register : (unit -> unit) -> unit = fun _ -> ()
 
 let thread_stack_bytes = 16 * 1024
 
-let create ?(seed = 42) ?obs ?check ?fault ?domains (config : config) =
+let create ?(seed = 42) ?obs ?check ?fault (config : config) =
   if config.cpus <= 0 then invalid_arg "Machine.create: cpus <= 0";
   if config.mhz <= 0. then invalid_arg "Machine.create: mhz <= 0";
   if not (Float.is_finite config.mhz) then invalid_arg "Machine.create: mhz not finite";
@@ -224,66 +217,10 @@ let create ?(seed = 42) ?obs ?check ?fault ?domains (config : config) =
   let obs = match obs with Some r -> r | None -> Mb_obs.Ctl.recorder () in
   let check = match check with Some c -> c | None -> Mb_check.Ctl.checker () in
   let fault = match fault with Some f -> f | None -> Mb_fault.Ctl.injector () in
-  (* One event shard per simulated CPU plus one for machine-level
-     events (spawns, latch wakeups). The schedule is identical for any
-     shard count — the engine merges shards by global (time, seq) — so
-     MALLOC_REPRO_SHARDS exists purely to let tests and CI prove that. *)
-  let eng_shards =
-    match Sys.getenv_opt "MALLOC_REPRO_SHARDS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> invalid_arg "MALLOC_REPRO_SHARDS: expected a positive integer")
-    | None -> config.cpus + 1
-  in
-  (* Crew width for the conservative parallel executor. 1 (the default)
-     runs the serial engine exactly as before; higher counts drain the
-     shard wheels on that many domains, with the schedule guaranteed
-     byte-identical (see Mb_parallel.Conservative and PARALLELISM.md),
-     so MALLOC_REPRO_DOMAINS — like MALLOC_REPRO_SHARDS — is something
-     tests and CI can vary freely and diff against. *)
-  let domains =
-    match domains with
-    | Some d -> if d >= 1 then d else invalid_arg "Machine.create: domains < 1"
-    | None -> (
-        match Sys.getenv_opt "MALLOC_REPRO_DOMAINS" with
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some n when n >= 1 -> n
-            | _ -> invalid_arg "MALLOC_REPRO_DOMAINS: expected a positive integer")
-        | None -> 1)
-  in
-  (* Lookahead windows per merge barrier (see Conservative.run ?batch):
-     purely a mechanics knob, the schedule is identical at any value. *)
-  let window_batch =
-    match Sys.getenv_opt "MALLOC_REPRO_WINDOW_BATCH" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> invalid_arg "MALLOC_REPRO_WINDOW_BATCH: expected a positive integer")
-    | None -> Mb_parallel.Conservative.default_batch
-  in
-  (* Conservative lookahead: no event scheduled by running code lands
-     sooner after "now" than the machine's cheapest scheduling edge — a
-     stub lock's uncontended acquire is the shortest delay any path
-     performs — so a window at least that wide can always be drained
-     without the executor ever having to look ahead of what is queued.
-     Each cost is clamped to >= 1 cycle; the adaptive window in
-     [Conservative.run] widens from this floor toward a useful batch. *)
-  let lookahead_ns =
-    let edge = max 1 (min (min config.ctx_switch_cycles config.wake_cycles)
-                        (min config.atomic_cycles config.stub_lock_cycles)) in
-    float_of_int edge *. cycle_ns
-  in
-  let engine = Engine.create ~obs ~shards:eng_shards () in
-  Engine.name_shard engine 0 "main";
-  for k = 1 to eng_shards - 1 do
-    Engine.name_shard engine k ("cpu" ^ string_of_int (k - 1))
-  done;
+  let engine = Engine.create ~obs () in
   { config;
     engine;
     dcell = Engine.delay_cell engine;
-    eng_shards;
     cache = Coherence.create config.cache ~cpus:config.cpus;
     root_rng = Rng.create ~seed;
     jit = Rng.cell ();
@@ -306,17 +243,9 @@ let create ?(seed = 42) ?obs ?check ?fault ?domains (config : config) =
     sbrk_calls = 0;
     mmap_calls = 0;
     munmap_calls = 0;
-    domains;
-    window_batch;
-    lookahead_ns;
-    domain_stats = None;
   }
 
 let config t = t.config
-
-let domains t = t.domains
-
-let domain_stats t = t.domain_stats
 
 let engine t = t.engine
 
@@ -370,63 +299,12 @@ let flush_observations t =
           end
         end)
       t.mutexes;
-    Hashtbl.iter (fun key v -> Obs.set t.obs key v) acc;
-    (match t.domain_stats with
-     | None -> ()
-     | Some (st : Mb_parallel.Conservative.stats) ->
-         (* Every counter except the per-domain split (and the
-            barrier count, which scales with the crew size) is
-            domain-count-invariant — see Conservative. *)
-         Obs.set t.obs "sched.domains" st.domains;
-         Obs.set t.obs "sched.domain.horizon_advances" st.windows;
-         Obs.set t.obs "sched.domain.window_batch" st.batch;
-         Obs.set t.obs "sched.domain.drained" st.drained;
-         Obs.set t.obs "sched.domain.sync_stalls" st.residue;
-         Obs.set t.obs "sched.domain.barrier_waits" st.barrier_waits;
-         (* Host wall-clock split between the serial execute phase and
-            the parallel drain phase — the two sides of Amdahl's law
-            for this executor. Wall-clock, hence host-dependent: the
-            only sched.* counters that are not run-deterministic. *)
-         Obs.set t.obs "sched.domain.exec_ns" (int_of_float st.exec_ns);
-         Obs.set t.obs "sched.domain.drain_ns" (int_of_float st.drain_ns);
-         Array.iteri
-           (fun i n ->
-             Obs.set t.obs
-               ("sched.domain." ^ string_of_int i ^ ".drained") n)
-           st.per_domain_drained)
+    Hashtbl.iter (fun key v -> Obs.set t.obs key v) acc
   end;
   Engine.flush_observations t.engine
 
 let run t =
-  if t.domains = 1 then Engine.run t.engine
-  else begin
-    (* Mechanical side work for the crew's drain phases, one job per
-       barrier, round-robin over whatever is enabled: serialize the
-       trace events recorded so far (their JSON rendering otherwise
-       lands on the flush path), or pre-grow the checker's shadow
-       tables (the rehash otherwise lands mid-execute). Both jobs are
-       observable-behaviour-free by contract, so the schedule and all
-       outputs stay byte-identical to the serial run. *)
-    let side_flip = ref false in
-    let side () =
-      side_flip := not !side_flip;
-      let stage_trace =
-        Obs.tracing t.obs
-        && (!side_flip || not t.check_on)
-        && Obs.has_pending t.obs
-      in
-      if stage_trace then begin
-        let evs = Obs.take_events t.obs in
-        Some (fun () -> Mb_obs.Trace_json.stage_events t.obs evs)
-      end
-      else if t.check_on then Some (fun () -> Check.preflight t.check)
-      else None
-    in
-    t.domain_stats <-
-      Some (Mb_parallel.Conservative.run t.engine ~domains:t.domains
-              ~batch:t.window_batch ~side
-              ~lookahead_ns:t.lookahead_ns)
-  end;
+  Engine.run t.engine;
   flush_observations t
 
 let now_ns t = Engine.now t.engine
@@ -476,14 +354,7 @@ let dispatch m cpu =
           invalid_arg "Machine: dispatching a thread that never parked";
         th.resume <- no_resume;
         th.hot.run_start_ns <- Engine.now m.engine;
-        (* The post-switch resume is this CPU's wakeup: route it to the
-           CPU's own shard. When the waking event ran elsewhere (a
-           remote unlock, the spawner's CPU) this is the cross-shard
-           mailbox push the sched.shard.cross_wakeups counter sees. *)
-        Engine.at m.engine
-          ~shard:((cpu.cpu_id + 1) mod m.eng_shards)
-          (Engine.now m.engine +. cycles_to_ns m switch)
-          resume
+        Engine.at m.engine (Engine.now m.engine +. cycles_to_ns m switch) resume
       end
 
 let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
@@ -528,7 +399,7 @@ let preempt m th =
    and memory access. Inlined into each caller, so [c] and [q] stay
    local unboxed floats: passed to a real call, each would be boxed. *)
 let[@inline] charge th m c q =
-  m.dcell.Mb_sim.Pqueue.cell_time <- c *. m.cycle_ns;
+  m.dcell.Engine.cell_time <- c *. m.cycle_ns;
   Engine.delay_pending m.engine;
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. c;
   m.mh.busy <- m.mh.busy +. c;
@@ -551,7 +422,7 @@ let rec consume th cycles =
     let q = th.hot.quantum_left in
     if cycles <= q then charge th m cycles q
     else begin
-      m.dcell.Mb_sim.Pqueue.cell_time <- q *. m.cycle_ns;
+      m.dcell.Engine.cell_time <- q *. m.cycle_ns;
       Engine.delay_pending m.engine;
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
       m.mh.busy <- m.mh.busy +. q;

@@ -56,7 +56,6 @@ val create :
   ?obs:Mb_obs.Recorder.t ->
   ?check:Mb_check.Checker.t ->
   ?fault:Mb_fault.Injector.t ->
-  ?domains:int ->
   config ->
   t
 (** Fresh machine. Equal seeds and programs give identical runs.
@@ -69,13 +68,7 @@ val create :
     [fault] is the machine's fault injector, defaulting to
     {!Mb_fault.Ctl.injector}[ ()] ({!Mb_fault.Injector.null} unless a
     [--faults] plan is armed); when disarmed every injection site is a
-    dead branch and output is byte-identical to a faultless build.
-    [domains] (default: [MALLOC_REPRO_DOMAINS] if set, else 1) is the
-    crew width for {!run}: 1 drains the event queue serially, exactly
-    as before; higher counts execute the per-CPU event shards across
-    that many OCaml domains via {!Mb_parallel.Conservative}, with a
-    schedule that is byte-identical at every domain count (see
-    PARALLELISM.md). *)
+    dead branch and output is byte-identical to a faultless build. *)
 
 val config : t -> config
 
@@ -106,19 +99,9 @@ val fault : t -> Mb_fault.Injector.t
 val cycles_to_ns : t -> float -> float
 
 val run : t -> unit
-(** Run the simulation until every spawned thread has finished: on the
-    serial engine when the machine's domain count is 1, otherwise under
-    the conservative parallel executor — same schedule either way.
+(** Run the simulation until every spawned thread has finished, then
+    snapshot the run's counters into the {!observer}.
     @raise Mb_sim.Engine.Stalled on deadlock. *)
-
-val domains : t -> int
-(** Crew width {!run} will use (from [?domains] or
-    [MALLOC_REPRO_DOMAINS]; 1 means a plain serial run). *)
-
-val domain_stats : t -> Mb_parallel.Conservative.stats option
-(** Window statistics of the conservative executor, available after
-    {!run} on a machine with [domains > 1] ([None] on serial runs).
-    Also published as the [sched.domain.*] observations. *)
 
 val now_ns : t -> float
 

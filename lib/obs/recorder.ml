@@ -6,22 +6,12 @@ type event = {
   args : (string * string) list;
 }
 
-(* A trace event whose JSON rendering has been precomputed (by
-   {!Trace_json.stage_events}, typically on a crew domain during a
-   conservative drain phase). The line is split around the process id,
-   which is only known at flush time: the full line is
-   [g_pre ^ ",\"pid\":" ^ pid ^ g_post]. (lane, ts) are kept for the
-   flush-time per-lane sort. *)
-type staged = { g_lane : int; g_ts : float; g_pre : string; g_post : string }
-
 type t = {
   trace : bool;
   metrics : bool;
   counters : (string, int ref) Hashtbl.t;
-  mutable events : event list;  (* reversed; not yet staged *)
+  mutable events : event list;  (* reversed *)
   mutable n_events : int;
-  mutable staged_chunks : staged list list;  (* reversed chunk list,
-                                                each chunk chronological *)
   lane_names : (int, string) Hashtbl.t;
 }
 
@@ -31,7 +21,6 @@ let make ~trace ~metrics =
     counters = Hashtbl.create (if metrics then 32 else 1);
     events = [];
     n_events = 0;
-    staged_chunks = [];
     lane_names = Hashtbl.create (if trace then 16 else 1);
   }
 
@@ -82,21 +71,6 @@ let instant t ~lane ~name ~ts_ns ?(args = []) () =
 let set_lane t lane name = if t.trace then Hashtbl.replace t.lane_names lane name
 
 let events t = List.rev t.events
-
-(* Hand the pending (unstaged) events to a staging pass and clear them;
-   [n_events] stays cumulative. Call from the domain that owns the
-   recorder — the conservative executor does this at a window boundary,
-   then renders the batch on a crew domain via Trace_json.stage_events. *)
-let has_pending t = t.events <> []
-
-let take_events t =
-  let evs = List.rev t.events in
-  t.events <- [];
-  evs
-
-let add_staged t chunk = t.staged_chunks <- chunk :: t.staged_chunks
-
-let staged t = List.concat (List.rev t.staged_chunks)
 
 let lanes t =
   Hashtbl.fold (fun lane name acc -> (lane, name) :: acc) t.lane_names []

@@ -85,48 +85,13 @@ val set_lane : t -> int -> string -> unit
     in trace viewers). Last writer wins. No-op when tracing is off. *)
 
 val events : t -> event list
-(** All recorded events not yet handed to a staging pass, in emission
-    order. *)
+(** All recorded events, in emission order. *)
 
 val lanes : t -> (int * string) list
 (** Lane names, sorted by lane id. *)
 
 val event_count : t -> int
-(** Number of recorded events, staged ones included (cheaper than
-    [List.length (events t)]). *)
-
-(** {1 Staged events}
-
-    The conservative parallel executor serializes trace events to their
-    JSON lines {e during} its drain phases, on a crew domain, instead
-    of at flush time: the owner calls {!take_events} at a window
-    boundary, a crew task renders the batch
-    ({!Trace_json.stage_events}) and files the result back with
-    {!add_staged}. {!Trace_json.to_string} merges staged lines with any
-    remaining unstaged events, producing byte-identical output whether
-    or not staging ran. *)
-
-type staged = { g_lane : int; g_ts : float; g_pre : string; g_post : string }
-(** A pre-rendered event line, split where the flush-time process id is
-    spliced in: the full line is [g_pre ^ ",\"pid\":" ^ pid ^ g_post].
-    [g_lane]/[g_ts] feed the flush-time per-lane sort. *)
-
-val has_pending : t -> bool
-(** [true] iff some recorded events have not been staged yet. O(1). *)
-
-val take_events : t -> event list
-(** Remove and return the pending (unstaged) events, in emission order.
-    Must be called from the domain that owns the recorder, with no
-    concurrent emission (the conservative executor's window boundaries
-    satisfy both). {!event_count} is unaffected. *)
-
-val add_staged : t -> staged list -> unit
-(** File one rendered chunk (in emission order). Chunks must be filed
-    in the order their events were taken; the executor's one-side-task-
-    per-barrier discipline guarantees that. *)
-
-val staged : t -> staged list
-(** All staged lines filed so far, in emission order. *)
+(** Number of recorded events (cheaper than [List.length (events t)]). *)
 
 (** {1 Aggregation} *)
 

@@ -35,33 +35,18 @@ let meta_line ~pid ?tid ~name ~value () =
   Printf.bprintf b ",\"args\":{\"name\":\"%s\"}}" (escape value);
   Buffer.contents b
 
-(* Render one event into the pid-agnostic split form (Recorder.staged):
-   the pid is only known at flush time, so the line is cut where
-   [",\"pid\":<pid>"] belongs. Concatenating the three pieces yields
-   exactly the line this module always wrote — which is what makes the
-   staged (crew-domain) and flush-time render paths byte-identical. *)
-let render (ev : Recorder.event) =
-  let pre = Buffer.create 96 in
+let render ~pid (ev : Recorder.event) =
+  let b = Buffer.create 128 in
   if ev.Recorder.dur_ns < 0. then
-    Printf.bprintf pre "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f"
+    Printf.bprintf b "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f"
       (escape ev.Recorder.name) (us_of_ns ev.Recorder.ts_ns)
   else
-    Printf.bprintf pre "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f"
+    Printf.bprintf b "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f"
       (escape ev.Recorder.name) (us_of_ns ev.Recorder.ts_ns) (us_of_ns ev.Recorder.dur_ns);
-  let post = Buffer.create 32 in
-  Printf.bprintf post ",\"tid\":%d" ev.Recorder.lane;
-  if ev.Recorder.args <> [] then add_args post ev.Recorder.args;
-  Buffer.add_char post '}';
-  { Recorder.g_lane = ev.Recorder.lane;
-    g_ts = ev.Recorder.ts_ns;
-    g_pre = Buffer.contents pre;
-    g_post = Buffer.contents post;
-  }
-
-let stage_events r evs = Recorder.add_staged r (List.map render evs)
-
-let staged_line ~pid (g : Recorder.staged) =
-  Printf.sprintf "%s,\"pid\":%d%s" g.Recorder.g_pre pid g.Recorder.g_post
+  Printf.bprintf b ",\"pid\":%d,\"tid\":%d" pid ev.Recorder.lane;
+  if ev.Recorder.args <> [] then add_args b ev.Recorder.args;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let to_string runs =
   let b = Buffer.create 4096 in
@@ -73,21 +58,16 @@ let to_string runs =
       List.iter
         (fun (lane, name) -> emit b ~sep (meta_line ~pid ~tid:lane ~name:"thread_name" ~value:name ()))
         (Recorder.lanes r);
-      (* Staged lines come first — staging always takes a chronological
-         prefix of the stream — then whatever was never staged, rendered
-         here. Stable sort by (lane, start time) on the combined list:
-         per-lane monotonicity in file order, and equal-time events keep
-         emission order, exactly as when nothing was staged. *)
-      let lines = Recorder.staged r @ List.map render (Recorder.events r) in
-      let lines =
+      (* Stable sort by (lane, start time): per-lane monotonicity in
+         file order, and equal-time events keep emission order. *)
+      let evs =
         List.stable_sort
-          (fun (a : Recorder.staged) (b : Recorder.staged) ->
-            if a.Recorder.g_lane <> b.Recorder.g_lane then
-              compare a.Recorder.g_lane b.Recorder.g_lane
-            else compare a.Recorder.g_ts b.Recorder.g_ts)
-          lines
+          (fun (a : Recorder.event) (b : Recorder.event) ->
+            if a.Recorder.lane <> b.Recorder.lane then compare a.Recorder.lane b.Recorder.lane
+            else compare a.Recorder.ts_ns b.Recorder.ts_ns)
+          (Recorder.events r)
       in
-      List.iter (fun g -> emit b ~sep (staged_line ~pid g)) lines)
+      List.iter (fun ev -> emit b ~sep (render ~pid ev)) evs)
     runs;
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ns\"}\n";
   Buffer.contents b

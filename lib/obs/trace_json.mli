@@ -13,17 +13,7 @@
 
 val to_string : (string * Recorder.t) list -> string
 (** Render labeled recorders (as returned by {!Collect.drain}) to a
-    complete JSON document. Events pre-rendered by {!stage_events} and
-    events still pending in the recorder produce byte-identical
-    documents. *)
-
-val stage_events : Recorder.t -> Recorder.event list -> unit
-(** [stage_events r evs] renders [evs] (a batch obtained from
-    {!Recorder.take_events}) to their JSON lines and files them back
-    into [r] via {!Recorder.add_staged}. Pure rendering plus one list
-    cons onto state nothing reads until flush: safe to run on a crew
-    domain during a conservative drain phase, which is the point — the
-    serialization cost leaves the serial execute path. *)
+    complete JSON document. *)
 
 val write_file : string -> (string * Recorder.t) list -> unit
 (** [write_file path runs] writes {!to_string}[ runs] to [path]. *)

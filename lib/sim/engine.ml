@@ -1,12 +1,17 @@
 module Obs = Mb_obs.Recorder
+module Tw = Timing_wheel
 
 type pid = int
 
-(* Pending events live in per-CPU {!Shard} queues merged by a
-   deterministic (time, seq) frontier; see shard.ml. The engine stores
-   each event's payload — a bare continuation for a suspended process,
-   a thunk for [at]/[spawn] — in its own arena and files only a small
-   integer with the queue:
+(* Caller-visible cell for passing times across module boundaries
+   without boxing a float argument or return: an all-float record field
+   is stored unboxed, and writing one allocates nothing. *)
+type cell = { mutable cell_time : float }
+
+(* Pending events live in one {!Timing_wheel}, ordered by (time, seq).
+   The engine stores each event's payload — a bare continuation for a
+   suspended process, a thunk for [at]/[spawn] — in its own arena and
+   files only a small integer with the wheel:
 
        v = (arena slot lsl 1) lor tag      tag 1 = thunk, 0 = continuation
 
@@ -16,38 +21,28 @@ type pid = int
    the payload in its slot. The tag bit keeps the decode honest — it is
    the single source of truth for what each slot holds, and the only
    two writers ([at]/[spawn] vs the Delay/Park handlers) each stamp
-   their own kind. *)
+   their own kind.
 
-(* 2^slot_bits bounds the number of *pending* events. slot_bits + 1
-   (the tag) must stay <= Shard.vbits. *)
+   The wheel's tie-break is [pk = (seq lsl vbits) lor v]: sequence
+   numbers are unique, so comparing pks compares seqs and the payload
+   value rides along for free. seq gets 63 - vbits = 42 bits — engine
+   lifetimes are nowhere near that. *)
+
+(* 2^slot_bits bounds the number of *pending* events; vbits adds the
+   tag bit. *)
 let slot_bits = 20
 let max_slots = 1 lsl slot_bits
+let vbits = slot_bits + 1
+let v_mask = (1 lsl vbits) - 1
 
 type t = {
-  clock : Pqueue.cell;  (* all-float cell: advancing the clock never boxes *)
-  scratch : Pqueue.cell;  (* resume-time scratch for the Delay hot path *)
-  queue : Shard.t;
-  (* Shard of the event being executed: pushes without an explicit
-     [~shard] inherit it, so a process's delays stay on the CPU shard
-     that dispatched it and migrate naturally with the dispatch. *)
-  mutable cur_shard : int;
-  shard_names : string array;
-  mutable cross_wakeups : int;  (* explicit pushes onto a foreign shard *)
-  (* Head of the *drained plan* while a conservative window executes
-     (see Mb_parallel.Conservative): events the executor has pulled out
-     of the shard queues but not yet run. The delay fast path must
-     treat them as still queued — [max_int] outside a window, so the
-     serial engine pays one predictable compare. *)
-  mutable plan_min_key : int;
-  mutable plan_min_pk : int;
-  (* Domain count a conservative run will use; > 1 makes park/unpark
-     trace instants carry the owning domain alongside the shard. *)
-  mutable domains : int;
-  mutable domain_names : string array;  (* per *shard*: name of its domain *)
-  (* Event payload arena + free-list stack (same discipline the old
-     Pqueue arena used: popped slots are not cleared — the write costs
-     more than the bounded retention it avoids — and are reused by the
-     next push). *)
+  clock : cell;  (* all-float cell: advancing the clock never boxes *)
+  scratch : cell;  (* resume-time scratch for the Delay hot path *)
+  wheel : Tw.t;
+  mutable next_seq : int;  (* stamps every push; also the push count *)
+  (* Event payload arena + free-list stack: popped slots are not
+     cleared — the write costs more than the bounded retention it
+     avoids — and are reused by the next push. *)
   mutable slots : Obj.t array;
   mutable free : int array;
   mutable free_top : int;
@@ -132,17 +127,11 @@ type _ Effect.t += Tick : unit Effect.t
    be called exactly once, from an event context (a queued thunk). *)
 type _ Effect.t += Suspend : unit Effect.t
 
-let create ?(obs = Obs.null) ?(shards = 1) () =
-  { clock = Pqueue.make_cell ();
-    scratch = Pqueue.make_cell ();
-    queue = Shard.create ~shards;
-    cur_shard = 0;
-    shard_names = Array.init shards string_of_int;
-    cross_wakeups = 0;
-    plan_min_key = max_int;
-    plan_min_pk = max_int;
-    domains = 1;
-    domain_names = [||];
+let create ?(obs = Obs.null) () =
+  { clock = { cell_time = 0. };
+    scratch = { cell_time = 0. };
+    wheel = Tw.create ();
+    next_seq = 0;
     slots = [||];
     free = [||];
     free_top = 0;
@@ -159,31 +148,7 @@ let create ?(obs = Obs.null) ?(shards = 1) () =
 
 let observer t = t.obs
 
-let now t = t.clock.Pqueue.cell_time
-
-let shards t = Shard.shards t.queue
-
-let name_shard t i name = t.shard_names.(i) <- name
-
-(* Record the domain count of the conservative run that will drive this
-   engine: shard [i] belongs to domain [i mod domains], and park/unpark
-   trace instants gain a "domain" argument so trace lanes carry domain
-   ids. Purely observational — the schedule never depends on it. *)
-let set_domains t domains =
-  if domains < 1 then invalid_arg "Engine.set_domains: domains < 1";
-  t.domains <- domains;
-  t.domain_names <-
-    (if domains > 1 then
-       Array.init (Array.length t.shard_names) (fun i -> string_of_int (i mod domains))
-     else [||])
-
-let domains t = t.domains
-
-let shard_args t =
-  if t.domains > 1 then
-    [ ("shard", t.shard_names.(t.cur_shard));
-      ("domain", t.domain_names.(t.cur_shard)) ]
-  else [ ("shard", t.shard_names.(t.cur_shard)) ]
+let now t = t.clock.cell_time
 
 let name_of t pid =
   let n = t.names.(pid) in
@@ -216,26 +181,51 @@ let alloc_slot t payload =
   Array.unsafe_set t.slots slot payload;
   slot
 
+(* --- the event queue ---------------------------------------------------- *)
+
+(* One push per simulated event. The wheel's record is exposed so the
+   ring fast-path test and the bookkeeping are direct field accesses,
+   with a single call into {!Timing_wheel} to do the actual insert —
+   [Timing_wheel.push] would add a real call per event under dune's
+   [-opaque]. *)
+let push_key t key v =
+  let w = t.wheel in
+  let pk = (t.next_seq lsl vbits) lor v in
+  t.next_seq <- t.next_seq + 1;
+  w.Tw.size <- w.Tw.size + 1;
+  if key < w.Tw.gate
+     || (w.Tw.rsize = w.Tw.size - 1 && w.Tw.rsize < Tw.ring_target) then begin
+    w.Tw.ring_hits <- w.Tw.ring_hits + 1;
+    Tw.ring_insert w key pk
+  end
+  else begin
+    Tw.push_overflow w key pk;
+    if w.Tw.rsize = 0 then Tw.advance w
+  end
+
+(* The key conversion is spelled out rather than calling
+   {!Timing_wheel.key_of_time}: a float crossing a non-inlined call
+   boundary is boxed, and this is one push per simulated event. *)
+let[@inline] push_cell t (c : cell) v =
+  push_key t (Int64.to_int (Int64.bits_of_float c.cell_time) lxor min_int) v
+
 (* --- scheduling entry points ------------------------------------------ *)
 
-let push_thunk t sh time thunk =
-  if time < t.clock.Pqueue.cell_time then invalid_arg "Engine.at: time in the past";
-  if sh <> t.cur_shard then t.cross_wakeups <- t.cross_wakeups + 1;
+(* Written as [not (time >= now)] so a NaN time fails the guard too: a
+   NaN would otherwise sort after every real time and poison the
+   clock when it fires. *)
+let at t time thunk =
+  if not (time >= t.clock.cell_time) then invalid_arg "Engine.at: time in the past";
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  Shard.push_at t.queue ~shard:sh ~time ~v:((slot lsl 1) lor 1)
-
-let at t ?shard time thunk =
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh time thunk
+  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) ((slot lsl 1) lor 1)
 
 (* Cancellation is lazy: the event stays queued and checks its armed
    flag when it fires, so cancelling is O(1) and the queue never
    learns about removal. The closure pair costs two small allocations —
    cancellable timers are cold compared to delays. *)
-let at_cancel t ?shard time thunk =
+let at_cancel t time thunk =
   let armed = ref true in
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh time (fun () -> if !armed then thunk ());
+  at t time (fun () -> if !armed then thunk ());
   fun () -> armed := false
 
 let delay d = Effect.perform (Delay d)
@@ -254,17 +244,18 @@ let delay_cell t = t.scratch
    skips the effect perform and the runtime's continuation capture, by
    far the most expensive parts of a simulated delay.
 
-   The comparison runs on integer time keys: the key image of floats
-   is strictly monotone (see Pqueue), [Shard.min_key] is already a
-   key, and [max_int] — the empty sentinel — is above every real key,
-   so one branchless int compare covers the empty-queue case too. *)
+   The comparison runs on integer time keys: the key image of
+   non-negative floats is strictly monotone (see Timing_wheel), and the
+   ring head is the queue's minimum whenever the queue is not empty.
+   The guard is [not (nt >= clock)] so a NaN duration fails it too. *)
 let delay_pending t =
-  let clock = t.clock.Pqueue.cell_time in
-  let nt = clock +. t.scratch.Pqueue.cell_time in
+  let clock = t.clock.cell_time in
+  let nt = clock +. t.scratch.cell_time in
   let key = Int64.to_int (Int64.bits_of_float nt) lxor min_int in
-  if key < Shard.min_key t.queue && key < t.plan_min_key then begin
-    if nt < clock then invalid_arg "Engine.delay: negative delay";
-    t.clock.Pqueue.cell_time <- nt
+  let w = t.wheel in
+  if w.Tw.rsize = 0 || key < Array.unsafe_get w.Tw.rkeys w.Tw.rhead then begin
+    if not (nt >= clock) then invalid_arg "Engine.delay: negative delay";
+    t.clock.cell_time <- nt
   end
   else Effect.perform Tick
 
@@ -315,17 +306,18 @@ let start t pid body =
     t.live <- t.live - 1;
     clear_parked t pid;
     if Obs.tracing t.obs then
-      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.Pqueue.cell_time ()
+      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.cell_time ()
   in
   let on_delay : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        (* scratch already holds clock + d (written by effc below). *)
-        if t.scratch.Pqueue.cell_time < t.clock.Pqueue.cell_time then
+        (* scratch already holds clock + d (written by effc below);
+           [not (>=)] rejects a NaN as well as a negative d. *)
+        if not (t.scratch.cell_time >= t.clock.cell_time) then
           discontinue k (Invalid_argument "Engine.delay: negative delay")
         else begin
           let slot = alloc_slot t (Obj.repr k) in
-          Shard.push t.queue ~shard:t.cur_shard t.scratch ~v:(slot lsl 1)
+          push_cell t t.scratch (slot lsl 1)
         end)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
@@ -335,23 +327,17 @@ let start t pid body =
         t.pending_register <- no_register;
         set_parked t pid;
         if Obs.tracing t.obs then
-          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.Pqueue.cell_time
-            ~args:(shard_args t) ();
+          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.cell_time ();
         let resumed = ref false in
         let resume () =
           if !resumed then
             invalid_arg (Printf.sprintf "Engine: process %s resumed twice" (name_of t pid));
           resumed := true;
           clear_parked t pid;
-          (* The continuation re-queues on the *waker's* shard: a
-             cross-CPU wakeup thus lands in the mailbox of the CPU
-             that issued it, and the frontier replays the global
-             order. *)
           if Obs.tracing t.obs then
-            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.Pqueue.cell_time
-              ~args:(shard_args t) ();
+            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.cell_time ();
           let slot = alloc_slot t (Obj.repr k) in
-          Shard.push t.queue ~shard:t.cur_shard t.clock ~v:(slot lsl 1)
+          push_cell t t.clock (slot lsl 1)
         in
         register resume)
   in
@@ -382,10 +368,10 @@ let start t pid body =
      match eff with
      | Tick ->
          (* scratch holds the duration, written by the performer. *)
-         t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. t.scratch.Pqueue.cell_time;
+         t.scratch.cell_time <- t.clock.cell_time +. t.scratch.cell_time;
          on_delay
      | Delay d ->
-         t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. d;
+         t.scratch.cell_time <- t.clock.cell_time +. d;
          on_delay
      | Park register ->
          t.pending_register <- register;
@@ -407,7 +393,7 @@ let start t pid body =
       effc
     }
 
-let spawn t ?name ?shard body =
+let spawn t ?name body =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let cap = Array.length t.parked in
@@ -430,10 +416,9 @@ let spawn t ?name ?shard body =
   t.live <- t.live + 1;
   if Obs.tracing t.obs then begin
     Obs.set_lane t.obs pid (name_of t pid);
-    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.Pqueue.cell_time ()
+    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.cell_time ()
   end;
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh t.clock.Pqueue.cell_time (fun () -> start t pid body);
+  at t t.clock.cell_time (fun () -> start t pid body);
   pid
 
 (* Build the structured stall report: every parked process with its
@@ -499,46 +484,28 @@ let[@inline] exec_event t v =
     Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj payload : unit -> unit) ()
 
-(* Pop and run the frontier event. Pop writes the event time straight
-   into the clock cell. *)
-let step_queue t =
-  let v = Shard.pop t.queue t.clock in
-  t.cur_shard <- Shard.popped_shard t.queue;
-  exec_event t v
-
+(* Pop the queue's minimum and run it, until the queue drains. The
+   ring pop is inlined: the head of a non-empty wheel always sits in
+   the ring ([Timing_wheel.advance] restores that invariant whenever
+   the ring drains), so retiring it is plain field/array accesses, and
+   the event time goes straight into the clock cell (an unboxed store;
+   a float returned from a helper call would be boxed first). *)
 let run t =
-  let rec loop () =
-    if Shard.is_empty t.queue then begin
-      if t.parked_count > 0 then raise (Stalled (stall_report t))
-    end
-    else begin
-      step_queue t;
-      loop ()
-    end
-  in
-  loop ()
-
-(* --- conservative-window entry points (Mb_parallel.Conservative) ----- *)
-
-let queue t = t.queue
-
-let check_stall t = if t.parked_count > 0 then raise (Stalled (stall_report t))
-
-let set_plan_min t ~key ~pk =
-  t.plan_min_key <- key;
-  t.plan_min_pk <- pk
-
-let plan_min_key t = t.plan_min_key
-
-(* Run an event the conservative executor drained out of the shard
-   queues: restore the clock from its key, restore the shard it was
-   filed on (pushes without an explicit shard inherit it, exactly as a
-   popped event's would), and decode the payload value from the low
-   bits of the packed tie-break. *)
-let execute_planned t ~key ~pk ~shard =
-  t.clock.Pqueue.cell_time <- Timing_wheel.time_of_key key;
-  t.cur_shard <- shard;
-  exec_event t (pk land ((1 lsl Shard.vbits) - 1))
+  let w = t.wheel in
+  while w.Tw.size > 0 do
+    let h = w.Tw.rhead in
+    let key = Array.unsafe_get w.Tw.rkeys h in
+    let pk = Array.unsafe_get w.Tw.rpks h in
+    t.clock.cell_time <-
+      Int64.float_of_bits (Int64.logand (Int64.of_int (key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL);
+    let rsize = w.Tw.rsize - 1 in
+    w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);
+    w.Tw.rsize <- rsize;
+    w.Tw.size <- w.Tw.size - 1;
+    if rsize = 0 && w.Tw.size > 0 then Tw.advance w;
+    exec_event t (pk land v_mask)
+  done;
+  if t.parked_count > 0 then raise (Stalled (stall_report t))
 
 let live t = t.live
 
@@ -548,17 +515,8 @@ let live t = t.live
    so metering adds no hot-path cost. *)
 let flush_observations t =
   if Obs.metering t.obs then begin
-    let n = Shard.shards t.queue in
-    Obs.set t.obs "sched.shards" n;
-    let total = ref 0 in
-    for i = 0 to n - 1 do
-      let p = Shard.shard_pushes t.queue i in
-      total := !total + p;
-      Obs.set t.obs (Printf.sprintf "sched.shard.%s.pushes" t.shard_names.(i)) p
-    done;
-    Obs.set t.obs "sched.shard.pushes" !total;
-    Obs.set t.obs "sched.shard.ring_hits" (Shard.ring_hits t.queue);
-    Obs.set t.obs "sched.shard.wheel_hits" (Shard.wheel_hits t.queue);
-    Obs.set t.obs "sched.shard.heap_spills" (Shard.heap_spills t.queue);
-    Obs.set t.obs "sched.shard.cross_wakeups" t.cross_wakeups
+    Obs.set t.obs "sched.shard.pushes" t.next_seq;
+    Obs.set t.obs "sched.shard.ring_hits" (Tw.ring_hits t.wheel);
+    Obs.set t.obs "sched.shard.wheel_hits" (Tw.wheel_hits t.wheel);
+    Obs.set t.obs "sched.shard.heap_spills" (Tw.heap_spills t.wheel)
   end

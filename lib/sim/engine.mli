@@ -21,6 +21,11 @@ type t
 type pid = int
 (** Process identifier, unique within an engine. *)
 
+type cell = { mutable cell_time : float }
+(** An all-float record for handing a time across a module boundary
+    without boxing it: writing the field is an unboxed store. See
+    {!delay_cell}. *)
+
 type waiter = {
   wpid : pid;            (** the parked process *)
   wname : string;        (** its display name *)
@@ -49,13 +54,9 @@ val stall_message : stall -> string
 (** Multi-line human-readable rendering of a stall report: a summary
     line, one line per waiter, and the deadlock cycle if one exists. *)
 
-val create : ?obs:Mb_obs.Recorder.t -> ?shards:int -> unit -> t
+val create : ?obs:Mb_obs.Recorder.t -> unit -> t
 (** [create ()] makes an idle engine at time 0. [obs] (default
-    {!Mb_obs.Recorder.null}) receives the engine's trace events.
-    [shards] (default 1) is the number of per-CPU event queues; the
-    schedule is *identical* for every shard count (events are merged
-    by a global (time, seq) frontier — see {!Shard}), so sharding only
-    affects locality and the [sched.shard.*] counters. *)
+    {!Mb_obs.Recorder.null}) receives the engine's trace events. *)
 
 val observer : t -> Mb_obs.Recorder.t
 (** The recorder this engine traces into. *)
@@ -63,43 +64,20 @@ val observer : t -> Mb_obs.Recorder.t
 val now : t -> float
 (** Current simulated time. *)
 
-val shards : t -> int
-(** Number of event shards this engine was created with. *)
-
-val name_shard : t -> int -> string -> unit
-(** [name_shard t i name] labels shard [i] in counters and trace
-    arguments (the machine layer names them ["main"], ["cpu0"], ...).
-    Defaults to the decimal index. *)
-
-val set_domains : t -> int -> unit
-(** [set_domains t d] records that a conservative run will execute this
-    engine's shards across [d] domains (shard [i] belongs to domain
-    [i mod d]). Purely observational: when [d > 1], park/unpark trace
-    instants carry a ["domain"] argument next to ["shard"], so trace
-    lanes show which domain owned the event. The schedule itself never
-    depends on [d] — see [Mb_parallel.Conservative] and
-    PARALLELISM.md. *)
-
-val domains : t -> int
-(** Domain count recorded by {!set_domains} (default 1). *)
-
-val spawn : t -> ?name:string -> ?shard:int -> (unit -> unit) -> pid
+val spawn : t -> ?name:string -> (unit -> unit) -> pid
 (** [spawn t f] registers [f] as a process starting at the current time.
     May be called before {!run} or from within a running process. If [f]
     raises, the exception propagates out of {!run}. [name] labels the
     process in traces and error messages; when omitted, the default
     ["proc-<pid>"] is only materialized if something actually needs it,
-    so unobserved runs never pay for the formatting. [shard] files the
-    start event on a specific shard (default: the shard of the event
-    that is spawning). *)
+    so unobserved runs never pay for the formatting. *)
 
-val at : t -> ?shard:int -> float -> (unit -> unit) -> unit
+val at : t -> float -> (unit -> unit) -> unit
 (** [at t time thunk] schedules a bare callback (not a process: it must not
-    perform {!delay} or {!park}) at absolute [time]. [shard] routes the
-    event to a specific per-CPU queue (default: the current event's
-    shard); an explicit foreign shard counts as a cross-shard wakeup. *)
+    perform {!delay} or {!park}) at absolute [time].
+    @raise Invalid_argument if [time] is earlier than {!now} or NaN. *)
 
-val at_cancel : t -> ?shard:int -> float -> (unit -> unit) -> (unit -> unit)
+val at_cancel : t -> float -> (unit -> unit) -> (unit -> unit)
 (** Like {!at}, but returns a cancel function. Cancellation is lazy:
     the event stays queued and is skipped when it fires, so cancelling
     costs O(1) and never perturbs the schedule of other events. Safe to
@@ -114,9 +92,10 @@ val live : t -> int
 
 val delay : float -> unit
 (** Advance this process's simulated time. Only valid inside a process
-    spawned on some engine; raises [Effect.Unhandled] elsewhere. *)
+    spawned on some engine; raises [Effect.Unhandled] elsewhere, and
+    [Invalid_argument] for a negative or NaN duration. *)
 
-val delay_cell : t -> Pqueue.cell
+val delay_cell : t -> cell
 (** The engine's delay hand-off cell, for the {!delay_pending} fast
     path. Fetch it once per engine and cache it. *)
 
@@ -166,49 +145,10 @@ val yield : unit -> unit
     scheduled for "now" run first. Equivalent to [delay 0.] but conveys
     intent. *)
 
-(** {1 Conservative-window entry points}
-
-    Building blocks for [Mb_parallel.Conservative], which executes the
-    shard queues across domains in horizon-bounded windows: worker
-    domains {!Shard.drain_shard} their shards in parallel, then the
-    coordinating domain executes the merged plan here, one event at a
-    time, interleaving any newly pushed event that sorts before the
-    remaining plan. Everything below runs on the coordinating domain
-    only. *)
-
-val queue : t -> Shard.t
-(** The engine's sharded event queue. Exposed for the conservative
-    executor; everyone else schedules through {!at}/{!spawn}/{!delay}. *)
-
-val step_queue : t -> unit
-(** Pop the frontier event off the shard queues and run it — one
-    iteration of {!run}'s loop. Precondition: the queue is not empty. *)
-
-val execute_planned : t -> key:int -> pk:int -> shard:int -> unit
-(** [execute_planned t ~key ~pk ~shard] runs one event that
-    {!Shard.drain_shard} handed out: restores the clock from [key], the
-    current shard to [shard] (the shard the event was filed on), and
-    runs the payload decoded from [pk]. Events must be fed back in
-    exact global (key, pk) order, interleaved with {!step_queue} for
-    any queued event that sorts earlier. *)
-
-val set_plan_min : t -> key:int -> pk:int -> unit
-(** Tell the delay fast path the (key, pk) of the earliest
-    still-unexecuted planned event, so a delay never skips past it —
-    drained events are morally still queued. Reset to
-    [(max_int, max_int)] when no plan is outstanding. *)
-
-val plan_min_key : t -> int
-(** Current plan head key ([max_int] when no plan is outstanding). *)
-
-val check_stall : t -> unit
-(** Raise {!Stalled} if any process is parked — the conservative
-    executor's equivalent of {!run}'s drained-queue check. Call when
-    the queue and the plan are both exhausted. *)
-
 val flush_observations : t -> unit
-(** Snapshot scheduler counters ([sched.shards], [sched.shard.pushes],
-    [sched.shard.<name>.pushes], [sched.shard.ring_hits],
-    [sched.shard.wheel_hits], [sched.shard.heap_spills],
-    [sched.shard.cross_wakeups]) into the recorder. No-op unless
-    metering is on; call once at end of run (the machine layer does). *)
+(** Snapshot the event queue's counters into the recorder:
+    [sched.shard.pushes] (every event pushed) and the
+    {!Timing_wheel} destinations [sched.shard.ring_hits],
+    [sched.shard.wheel_hits] and [sched.shard.heap_spills]. No-op
+    unless metering is on; call once at end of run (the machine layer
+    does). *)

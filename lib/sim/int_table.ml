@@ -155,12 +155,3 @@ let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   Array.fill t.vals 0 (Array.length t.vals) (dummy ());
   t.size <- 0
-
-(* Pre-grow so [extra] more bindings fit without tripping [set]'s load
-   check: the rehash happens here, on the caller's schedule, instead of
-   in the middle of a hot insert burst. Semantically a no-op — growth
-   only changes slot layout, never the bindings. *)
-let reserve t extra =
-  while 4 * (t.size + extra) > 3 * Array.length t.keys do
-    grow t
-  done

@@ -56,11 +56,3 @@ val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
 val clear : 'a t -> unit
 (** Drop every binding, keeping the current capacity. *)
-
-val reserve : 'a t -> int -> unit
-(** [reserve t extra] grows the table until [extra] additional bindings
-    fit under the load-factor ceiling, so the next [extra] inserts pay
-    no rehash. Observable behaviour is unchanged (growth never affects
-    which keys are bound); use it to move rehash work to a convenient
-    moment — e.g. the conservative executor's drain phases, when the
-    simulation is quiescent. *)

@@ -1,7 +1,8 @@
-(* Hierarchical timing wheel over (key, pk) pairs — one per event shard.
-   [key] is the event time as the order-preserving integer used by
-   {!Pqueue} (IEEE-754 bits with the sign bit flipped); [pk] carries the
-   sequence number in its high bits, so comparing [(key, pk)] pairs
+(* Hierarchical timing wheel over (key, pk) pairs — the engine's event
+   queue. [key] is the event time as an order-preserving integer: the
+   IEEE-754 bits of the (non-negative) double with the top bit flipped,
+   so plain signed [<] gives float order, ties included. [pk] carries
+   the sequence number in its high bits, so comparing [(key, pk)] pairs
    lexicographically is exactly the engine's (time, seq) total order.
 
    Layout, nearest first:
@@ -10,7 +11,7 @@
      read its head — O(1), two array loads. Most pushes binary-search
      into it (the simulated machines keep only a handful of events
      pending, so the ring usually holds the whole queue and a push
-     shifts a couple of words — measured ~4x cheaper than the 4-ary
+     shifts a couple of words — measured ~4x cheaper than a 4-ary
      heap's sift on the same workload).
    - Two wheel levels catch items beyond the ring's gate: L1 buckets
      [bucket_ns] wide and L2 buckets [bucket_ns * wheel_size] wide,
@@ -129,8 +130,7 @@ let create () =
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* max_int sentinels when empty let the shard merge frontier compare
-   heads without an emptiness branch. *)
+(* max_int sentinels when empty: no real time encodes to max_int. *)
 let peek_key t = if t.rsize = 0 then max_int else Array.unsafe_get t.rkeys t.rhead
 let peek_pk t = if t.rsize = 0 then max_int else Array.unsafe_get t.rpks t.rhead
 
@@ -456,8 +456,8 @@ let rec advance t =
 (* --- public push/pop -------------------------------------------------- *)
 
 (* Overflow filing for callers that already handled the ring fast path
-   themselves (Shard does, with direct field access): key >= gate and
-   the wheels/heap hold something. Does not touch [size]. *)
+   themselves (the engine does, with direct field access): key >= gate
+   and the wheels/heap hold something. Does not touch [size]. *)
 let push_overflow t key pk =
   if key >= far_key then begin
     t.heap_spills <- t.heap_spills + 1;
@@ -492,49 +492,3 @@ let pop t =
 let ring_hits t = t.ring_hits
 let wheel_hits t = t.wheel_hits
 let heap_spills t = t.heap_spills
-
-(* --- drain-phase presorting ------------------------------------------- *)
-
-(* Binary-insertion sort of one bucket's parallel (key, pk) arrays.
-   Buckets are small (a handful of items between two harvests), so a
-   quadratic-move sort beats allocating a scratch array. *)
-let sort_bucket ks ps n =
-  for i = 1 to n - 1 do
-    let key = Array.unsafe_get ks i and pk = Array.unsafe_get ps i in
-    let lo = ref 0 and hi = ref i in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let mk = Array.unsafe_get ks mid in
-      if mk < key || (mk = key && Array.unsafe_get ps mid < pk) then lo := mid + 1 else hi := mid
-    done;
-    let j = ref i in
-    while !j > !lo do
-      Array.unsafe_set ks !j (Array.unsafe_get ks (!j - 1));
-      Array.unsafe_set ps !j (Array.unsafe_get ps (!j - 1));
-      decr j
-    done;
-    Array.unsafe_set ks !lo key;
-    Array.unsafe_set ps !lo pk
-  done
-
-(* Sort the next [buckets] occupied L1 slots in place, so the coming
-   harvests feed [ring_insert] an ascending stream (appends instead of
-   mid-ring shifts). Ordering-invisible: harvesting filters a bucket by
-   epoch (order-preserving) and sorted-inserts every kept item, so the
-   bucket's internal order never reaches an observable surface — this
-   only relocates the sort work, e.g. into a conservative drain phase
-   where a crew domain owns the wheel exclusively. *)
-let presort_l1 t ~buckets =
-  if t.l1_count > 0 then begin
-    let c = ref t.c1 and left = ref buckets in
-    while !left > 0 && !c < t.c1 + wheel_size do
-      let abs = next_occupied t.l1occ !c in
-      if abs = max_int || abs >= t.c1 + wheel_size then left := 0
-      else begin
-        let slot = abs land wheel_mask in
-        sort_bucket t.l1k.(slot) t.l1p.(slot) t.l1n.(slot);
-        decr left;
-        c := abs + 1
-      end
-    done
-  end

@@ -1,8 +1,8 @@
-(** Hierarchical timing wheel over [(key, pk)] pairs — the per-shard
-    event store behind {!Shard}.
+(** Hierarchical timing wheel over [(key, pk)] pairs — the event queue
+    behind {!Engine}.
 
     [key] is a simulated time encoded with {!key_of_time} (an
-    order-preserving integer image of the float, as in {!Pqueue});
+    order-preserving integer image of the float);
     [pk] is an opaque tie-break whose integer order must encode the
     engine's sequence order. Pops deliver pairs in exact lexicographic
     [(key, pk)] order — identical to a sorted list, which is what the
@@ -41,10 +41,10 @@ type t = {
   mutable wheel_hits : int;
   mutable heap_spills : int;
 }
-(** The representation is exposed for {!Shard}'s hot path: one push and
+(** The representation is exposed for {!Engine}'s hot path: one push and
     one pop per simulated event cannot afford call boundaries, so the
-    shard frontier reads the ring head and retires ring items with
-    direct field access, calling into this module only to sort-insert
+    engine reads the ring head and retires ring items with direct field
+    access, calling into this module only to sort-insert
     ({!ring_insert}), to file past the gate ({!push_overflow}) and to
     refill an empty ring ({!advance}). Everyone else should treat the
     type as abstract and use {!push}/{!peek_key}/{!pop}. *)
@@ -80,9 +80,8 @@ val advance : t -> unit
     [size > 0]. Postcondition: [rsize > 0]. *)
 
 val peek_key : t -> int
-(** Key of the minimum item, or [max_int] when empty — the sentinel
-    lets a merge frontier compare shard heads without an emptiness
-    branch ([max_int] never encodes a real time: it would be a NaN). *)
+(** Key of the minimum item, or [max_int] when empty ([max_int] never
+    encodes a real time: it would be a NaN). *)
 
 val peek_pk : t -> int
 (** Tie-break of the minimum item, or [max_int] when empty. *)
@@ -102,12 +101,3 @@ val wheel_hits : t -> int
 
 val heap_spills : t -> int
 (** Pushes that fell through to the far-future heap. *)
-
-val presort_l1 : t -> buckets:int -> unit
-(** [presort_l1 t ~buckets] sorts the next [buckets] occupied L1 slots
-    in place by (key, pk). Harvesting preserves a bucket's internal
-    order only among items it keeps and sorted-inserts the rest, so
-    presorting cannot change any observable order — it just makes the
-    upcoming harvests feed the ring an ascending (append-cheap) stream.
-    Intended for the conservative executor's drain phases, where the
-    draining domain owns the wheel exclusively. *)

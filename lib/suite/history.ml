@@ -1,6 +1,6 @@
 let schema = 1
 
-type host = { cores : int; cpu_model : string; domains : int }
+type host = { cores : int; cpu_model : string }
 
 type cell_data = {
   ok : bool;
@@ -46,14 +46,9 @@ let host_cpu_model () =
 let current_host () =
   { cores = Domain.recommended_domain_count ();
     cpu_model = host_cpu_model ();
-    domains =
-      (match Sys.getenv_opt "MALLOC_REPRO_DOMAINS" with
-      | Some v -> ( match int_of_string_opt v with Some d when d > 0 -> d | _ -> 1)
-      | None -> 1);
   }
 
-let host_to_string h =
-  Printf.sprintf "{cores %d, domains %d, \"%s\"}" h.cores h.domains h.cpu_model
+let host_to_string h = Printf.sprintf "{cores %d, \"%s\"}" h.cores h.cpu_model
 
 (* --- JSON mapping ------------------------------------------------------- *)
 
@@ -61,7 +56,6 @@ let json_of_host h =
   Json.Obj
     [ ("cores", Json.Num (float_of_int h.cores));
       ("cpu_model", Json.Str h.cpu_model);
-      ("domains", Json.Num (float_of_int h.domains));
     ]
 
 let json_of_cell c =
@@ -100,11 +94,13 @@ let field what name conv j =
 
 let ( let* ) = Result.bind
 
+(* Older sessions' host blocks also carry a "domains" field (the width
+   of an executor that no longer exists); it is ignored, so they keep
+   loading and gating against today's sessions. *)
 let host_of_json j =
   let* cores = field "host" "cores" Json.to_int j in
   let* cpu_model = field "host" "cpu_model" Json.to_str j in
-  let* domains = field "host" "domains" Json.to_int j in
-  Ok { cores; cpu_model; domains }
+  Ok { cores; cpu_model }
 
 let assoc_of_json what conv j =
   match j with

@@ -13,15 +13,14 @@ val schema : int
 (** Current history schema (1). {!load} rejects files from the
     future; older schemas would be migrated here. *)
 
-type host = { cores : int; cpu_model : string; domains : int }
+type host = { cores : int; cpu_model : string }
 (** Provenance of a session's wall-clock numbers. ns/run values are
     only comparable between sessions whose host blocks match — the
     gate filters its baseline set on exactly this record. *)
 
 val current_host : unit -> host
-(** Cores from [Domain.recommended_domain_count], the cpu model from
-    [/proc/cpuinfo] (["unknown"] where that fails), domains from
-    [MALLOC_REPRO_DOMAINS] (default 1). *)
+(** Cores from [Domain.recommended_domain_count] and the cpu model
+    from [/proc/cpuinfo] (["unknown"] where that fails). *)
 
 val host_to_string : host -> string
 (** One-line canonical rendering for reports and warnings. *)

@@ -59,7 +59,7 @@ let render ?(last = 8) (history : History.t) =
 let to_csv ?(last = 8) (history : History.t) =
   let sessions = last_n last history.History.sessions in
   let header =
-    [ "session"; "time_s"; "suite"; "host_cores"; "host_domains"; "cell"; "ok";
+    [ "session"; "time_s"; "suite"; "host_cores"; "cell"; "ok";
       "ns_per_run"; "minor_words_per_run"; "p50_ns"; "p95_ns"; "p99_ns" ]
   in
   let pct c name =
@@ -76,7 +76,6 @@ let to_csv ?(last = 8) (history : History.t) =
               Printf.sprintf "%.0f" s.History.time_s;
               s.History.suite;
               string_of_int s.History.host.History.cores;
-              string_of_int s.History.host.History.domains;
               key;
               (if c.History.ok then "1" else "0");
               Printf.sprintf "%.1f" c.History.ns_per_run;

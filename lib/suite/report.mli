@@ -11,6 +11,6 @@ val render : ?last:int -> History.t -> string
 (** Text trend tables over the last [last] sessions (default 8). *)
 
 val to_csv : ?last:int -> History.t -> string
-(** [session,time_s,suite,host_cores,host_domains,cell,ok,ns_per_run,
+(** [session,time_s,suite,host_cores,cell,ok,ns_per_run,
     minor_words_per_run,p50_ns,p95_ns,p99_ns] — percentile fields are
     empty for cells that don't record them. *)

@@ -19,50 +19,20 @@ let headline_counters =
     "vm.mmap_calls"
   ]
 
-(* --- env knobs ---------------------------------------------------------- *)
-
-(* Unix has no unsetenv, so "restore" means: previous value if there was
-   one, the engine's documented default otherwise. MALLOC_REPRO_SHARDS
-   has no constant default (cpus + 1 per machine) — it stays set, which
-   is observationally harmless because schedules are byte-identical at
-   every shard count (determinism invariant 5). Restoring "" would be
-   worse: Machine.create rejects malformed values with Invalid_argument. *)
-let with_knob name value ~default f =
-  match value with
+(* Fault arming is process-global, so a faulted cell gets the whole
+   context to itself (the serial path below). *)
+let with_cell_ctx (cell : Spec.cell) f =
+  match cell.Spec.fault with
   | None -> f ()
-  | Some v ->
-      let prev = Sys.getenv_opt name in
-      Unix.putenv name (string_of_int v);
+  | Some _ as plan ->
+      Mb_fault.Ctl.arm plan;
       Fun.protect
         ~finally:(fun () ->
-          match (prev, default) with
-          | Some p, _ -> Unix.putenv name p
-          | None, Some d -> Unix.putenv name d
-          | None, None -> ())
+          Mb_fault.Ctl.arm None;
+          (* the storm's injectors are this cell's private business;
+             don't leak them into the caller's fault report *)
+          ignore (Mb_fault.Collect.drain ()))
         f
-
-let with_env (env : Spec.env) f =
-  with_knob "MALLOC_REPRO_SHARDS" env.Spec.shards ~default:None (fun () ->
-      with_knob "MALLOC_REPRO_DOMAINS" env.Spec.domains ~default:(Some "1") (fun () ->
-          with_knob "MALLOC_REPRO_WINDOW_BATCH" env.Spec.window_batch
-            ~default:(Some (string_of_int Mb_parallel.Conservative.default_batch))
-            f))
-
-(* Fault plans and env knobs are process-global, so a cell that uses
-   either gets the whole context to itself (the serial path below). *)
-let with_cell_ctx (cell : Spec.cell) f =
-  with_env cell.Spec.env (fun () ->
-      match cell.Spec.fault with
-      | None -> f ()
-      | Some _ as plan ->
-          Mb_fault.Ctl.arm plan;
-          Fun.protect
-            ~finally:(fun () ->
-              Mb_fault.Ctl.arm None;
-              (* the storm's injectors are this cell's private business;
-                 don't leak them into the caller's fault report *)
-              ignore (Mb_fault.Collect.drain ()))
-            f)
 
 (* --- one compiled cell -------------------------------------------------- *)
 
@@ -228,10 +198,7 @@ let compile ~registry ~quick (cell : Spec.cell) =
 
 (* --- the run ------------------------------------------------------------ *)
 
-let pure (cells : Spec.cell list) =
-  List.for_all
-    (fun c -> c.Spec.fault = None && c.Spec.env = Spec.default_env)
-    cells
+let pure (cells : Spec.cell list) = List.for_all (fun c -> c.Spec.fault = None) cells
 
 let rec compile_all ~registry ~quick = function
   | [] -> Ok []

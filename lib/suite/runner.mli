@@ -5,32 +5,20 @@
 
     {b Phase A — execute and print.} Every cell runs once and prints
     its result block. When the suite is {e pure} — every fault plan is
-    [none] and every env entry is [default] — cells are fanned out
-    over {!Mb_parallel.Pool} exactly like the experiment registry
-    (tasks print nothing; the joining domain prints in expansion
-    order), so a suite whose cells are the registry produces output
-    byte-identical to a direct registry run at any pool width. Fault
-    arming and the [MALLOC_REPRO_*] env knobs are process-global, so
-    a suite that uses either runs its phase-A cells serially, each
-    under its own settings.
+    [none] — cells are fanned out over {!Mb_parallel.Pool} exactly
+    like the experiment registry (tasks print nothing; the joining
+    domain prints in expansion order), so a suite whose cells are the
+    registry produces output byte-identical to a direct registry run
+    at any pool width. Fault arming is process-global, so a suite that
+    arms faults runs its phase-A cells serially, each under its own
+    plan.
 
     {b Phase B — meter.} Always serial, in expansion order: each cell
     re-runs [repeats] times under wall-clock and [Gc.minor_words]
     deltas, then once more with metrics observation armed to collect
     the headline simulation counters. Open-loop server cells also
     record their request-latency percentiles. Nothing prints; the
-    results become the session's {!History.cell_data}.
-
-    Note on env knobs: [MALLOC_REPRO_SHARDS] has no constant default
-    (a machine defaults to [cpus + 1] shards), and the Unix
-    environment cannot portably unset a variable, so after a cell that
-    sets it the previous value is restored when there was one and the
-    variable otherwise stays set. This is observationally harmless —
-    schedules are byte-identical at any shard count (determinism
-    invariant 5) — but a process that cares should set the variable
-    explicitly. [MALLOC_REPRO_DOMAINS] and
-    [MALLOC_REPRO_WINDOW_BATCH] restore to their documented defaults
-    (1 and {!Mb_parallel.Conservative.default_batch}). *)
+    results become the session's {!History.cell_data}. *)
 
 type exp_result = {
   print : unit -> unit;  (** prints the outcome block, e.g. [Outcome.print] *)

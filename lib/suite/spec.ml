@@ -1,7 +1,3 @@
-type env = { shards : int option; domains : int option; window_batch : int option }
-
-let default_env = { shards = None; domains = None; window_batch = None }
-
 type workload = Exp of string | Exp_all | Bench1 | Bench2 | Bench3 | Server_open
 
 type t = {
@@ -12,7 +8,6 @@ type t = {
   allocators : string list;
   workloads : workload list;
   faults : (Mb_fault.Plan.t * int) option list;
-  envs : env list;
   repeats : int;
 }
 
@@ -26,14 +21,6 @@ let workload_to_string = function
   | Bench3 -> "bench3"
   | Server_open -> "server"
 
-let env_to_string e =
-  let parts =
-    List.filter_map
-      (fun (k, v) -> Option.map (Printf.sprintf "%s=%d" k) v)
-      [ ("shards", e.shards); ("domains", e.domains); ("window-batch", e.window_batch) ]
-  in
-  if parts = [] then "default" else String.concat "," parts
-
 let to_string t =
   let line k vs = Printf.sprintf "%s %s" k (String.concat " " vs) in
   String.concat "\n"
@@ -44,7 +31,6 @@ let to_string t =
       line "allocators" t.allocators;
       line "workloads" (List.map workload_to_string t.workloads);
       line "faults" (List.map Mb_fault.Plan.to_string t.faults);
-      line "env" (List.map env_to_string t.envs);
       line "repeats" [ string_of_int t.repeats ];
     ]
   ^ "\n"
@@ -67,27 +53,6 @@ let parse_workload lineno = function
   | s ->
       failf lineno
         "unknown workload %S (try: exp:*, exp:ID, bench1, bench2, bench3, server)" s
-
-let parse_env lineno s =
-  if s = "default" then default_env
-  else
-    List.fold_left
-      (fun acc part ->
-        match String.split_on_char '=' part with
-        | [ k; v ] -> (
-            let v =
-              match int_of_string_opt v with
-              | Some n when n >= 1 -> n
-              | Some _ | None -> failf lineno "env knob %s needs a positive integer, got %S" k v
-            in
-            match k with
-            | "shards" -> { acc with shards = Some v }
-            | "domains" -> { acc with domains = Some v }
-            | "window-batch" -> { acc with window_batch = Some v }
-            | _ -> failf lineno "unknown env knob %S (try: shards, domains, window-batch)" k)
-        | _ -> failf lineno "malformed env entry %S (expected knob=N[,knob=N...] or default)" s)
-      default_env
-      (String.split_on_char ',' s)
 
 let parse_fault lineno s =
   match Mb_fault.Plan.parse s with
@@ -148,7 +113,7 @@ let of_string text =
           not
             (List.mem k
                [ "suite"; "mode"; "seed"; "machines"; "allocators"; "workloads"; "faults";
-                 "env"; "repeats" ])
+                 "repeats" ])
         then failf lineno "unknown directive %S" k;
         if Hashtbl.mem seen k then failf lineno "duplicate directive %S" k;
         Hashtbl.add seen k ())
@@ -212,8 +177,7 @@ let of_string text =
             (List.map (parse_workload lineno) values)
     in
     let faults = axis "faults" ~default:[ None ] ~parse:parse_fault ~to_str:Mb_fault.Plan.to_string in
-    let envs = axis "env" ~default:[ default_env ] ~parse:parse_env ~to_str:env_to_string in
-    Ok { name; mode; seed; machines; allocators; workloads; faults; envs; repeats }
+    Ok { name; mode; seed; machines; allocators; workloads; faults; repeats }
   with Parse_error msg -> Error msg
 
 (* --- expansion ---------------------------------------------------------- *)
@@ -224,14 +188,12 @@ type cell = {
   machine : string option;
   allocator : string option;
   fault : (Mb_fault.Plan.t * int) option;
-  env : env;
   cell_seed : int;
 }
 
 (* The key doubles as the history-file identifier and the CSV row
-   label, so it avoids spaces and commas: suffixes are '+'-joined and
-   env knobs print as bare shardsN/domainsN/wbN. *)
-let cell_key ~workload ~machine ~allocator ~fault ~env =
+   label, so it avoids spaces and commas: suffixes are '+'-joined. *)
+let cell_key ~workload ~machine ~allocator ~fault =
   let b = Buffer.create 32 in
   Buffer.add_string b (workload_to_string workload);
   (match (machine, allocator) with
@@ -246,12 +208,6 @@ let cell_key ~workload ~machine ~allocator ~fault ~env =
   | Some _ ->
       Buffer.add_char b '+';
       Buffer.add_string b (Mb_fault.Plan.to_string fault));
-  List.iter
-    (fun (tag, v) ->
-      match v with
-      | None -> ()
-      | Some n -> Buffer.add_string b (Printf.sprintf "+%s%d" tag n))
-    [ ("shards", env.shards); ("domains", env.domains); ("wb", env.window_batch) ];
   Buffer.contents b
 
 let expand t ~exp_ids =
@@ -280,24 +236,20 @@ let expand t ~exp_ids =
                 (fun machine ->
                   List.concat_map
                     (fun allocator ->
-                      List.concat_map
+                      List.map
                         (fun fault ->
-                          List.map
-                            (fun env ->
-                              let k = !ordinal in
-                              incr ordinal;
-                              { key = cell_key ~workload:w ~machine ~allocator ~fault ~env;
-                                workload = w;
-                                machine;
-                                allocator;
-                                fault;
-                                env;
-                                cell_seed =
-                                  (match w with
-                                  | Exp _ -> t.seed
-                                  | _ -> t.seed + (101 * k));
-                              })
-                            t.envs)
+                          let k = !ordinal in
+                          incr ordinal;
+                          { key = cell_key ~workload:w ~machine ~allocator ~fault;
+                            workload = w;
+                            machine;
+                            allocator;
+                            fault;
+                            cell_seed =
+                              (match w with
+                              | Exp _ -> t.seed
+                              | _ -> t.seed + (101 * k));
+                          })
                         t.faults)
                     alloc_axis)
                 machine_axis)

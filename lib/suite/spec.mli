@@ -1,8 +1,8 @@
 (** Declarative benchmark-suite specs (LMBench-style orchestration).
 
     A suite file declares the cartesian product the runner should
-    expand — machines x allocators x workloads x fault plans x env
-    knobs — once, instead of hand-wiring it through CLI flags. The
+    expand — machines x allocators x workloads x fault plans — once,
+    instead of hand-wiring it through CLI flags. The
     format is line-based, one directive per line:
 
     {v
@@ -14,13 +14,12 @@
     allocators ptmalloc serial
     workloads exp:* bench2 server
     faults none oom-pressure:7
-    env default shards=2,domains=2
     repeats 1
     v}
 
     [suite] and [workloads] are required; every other directive has a
     default ([mode quick], [seed 1], [machines quad_xeon],
-    [allocators ptmalloc], [faults none], [env default], [repeats 1]).
+    [allocators ptmalloc], [faults none], [repeats 1]).
     Directives may appear in any order but at most once, and the
     entries of each axis must be distinct (duplicate entries would
     expand to colliding cell keys in the history file).
@@ -29,15 +28,6 @@
     of a spec yields the same spec, which is what lets a suite file be
     regenerated, diffed and property-tested. Parse errors carry the
     1-based line number of the offending directive. *)
-
-type env = {
-  shards : int option;        (** [MALLOC_REPRO_SHARDS] for the cell *)
-  domains : int option;       (** [MALLOC_REPRO_DOMAINS] *)
-  window_batch : int option;  (** [MALLOC_REPRO_WINDOW_BATCH] *)
-}
-
-val default_env : env
-(** All [None]: the engine's own defaults, printed as [default]. *)
 
 type workload =
   | Exp of string  (** one experiment-registry id, written [exp:ID] *)
@@ -55,7 +45,6 @@ type t = {
   allocators : string list;  (** {!Mb_workload.Factory} names *)
   workloads : workload list;
   faults : (Mb_fault.Plan.t * int) option list;  (** [None] = no faults *)
-  envs : env list;
   repeats : int;  (** timed repetitions per cell in the metering phase *)
 }
 
@@ -71,12 +60,11 @@ val to_string : t -> string
 (** {1 Expansion} *)
 
 type cell = {
-  key : string;  (** canonical id, e.g. [bench2\@uni_k6/ptmalloc+oom-pressure:7+domains2] *)
+  key : string;  (** canonical id, e.g. [bench2\@uni_k6/ptmalloc+oom-pressure:7] *)
   workload : workload;          (** never [Exp_all]; resolved to [Exp id] *)
   machine : string option;      (** [None] for experiment cells (baked in) *)
   allocator : string option;
   fault : (Mb_fault.Plan.t * int) option;
-  env : env;
   cell_seed : int;              (** derived deterministically from the spec seed *)
 }
 
@@ -85,12 +73,8 @@ val expand : t -> exp_ids:string list -> (cell list, string) result
     order (with [exp:*] replaced by [exp_ids] in registry order), then
     machines x allocators (bench workloads only — experiment cells
     carry their machines and allocators in the registry), then fault
-    plans, then envs, each innermost axis varying fastest. Experiment
-    cells use the spec seed unchanged so a faults-off, default-env
-    suite reproduces a direct registry run byte-identically; bench
+    plans, each innermost axis varying fastest. Experiment cells use
+    the spec seed unchanged so a faults-off suite reproduces a direct
+    registry run byte-identically; bench
     cells get [seed + 101*k] with [k] the cell's ordinal within its
     workload block. [Error] on an [exp:ID] not present in [exp_ids]. *)
-
-val env_to_string : env -> string
-(** [default], or comma-joined [shards=N,domains=N,window-batch=N]
-    with absent knobs omitted. *)

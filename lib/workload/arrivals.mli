@@ -10,7 +10,7 @@
 
     Streams are deterministic: the same seeded {!Mb_prng.Rng.t} and
     process produce the same arrival times, so sweeps are reproducible
-    and byte-identical across shard/domain counts. *)
+    and byte-identical at any pool width. *)
 
 type process =
   | Poisson of { rate_rps : float }

@@ -21,7 +21,7 @@ let kernels_json ?host ?(gc = []) kernels =
   (match host with
   | Some (cores, model) ->
       Buffer.add_string b
-        (Printf.sprintf "  \"host\": {\"cores\": %d, \"cpu_model\": \"%s\", \"domains\": 1},\n"
+        (Printf.sprintf "  \"host\": {\"cores\": %d, \"cpu_model\": \"%s\"},\n"
            cores model)
   | None -> ());
   Buffer.add_string b "  \"kernels_ns_per_run\": {";

@@ -1,14 +1,9 @@
-(* Property suite for the dlheap small-bin fast path and the parallel
-   drain offload.
-
-   Front A's contract is transparency: the exact-fit LIFO stacks and
-   the bin-occupancy bitmap may only change host-side work, never the
-   addresses handed out or the simulated time charged. Front B's
-   contract is the executor's usual one: staging trace serialization
-   and checker growth on crew domains must leave every observable —
-   trace bytes, counters, findings — identical at any domain count.
-   Both are checked here over randomized inputs, plus one golden
-   scripted address stream pinning the exact-fit layout. *)
+(* Property suite for the dlheap small-bin fast path. Its contract is
+   transparency: the exact-fit LIFO stacks and the bin-occupancy bitmap
+   may only change host-side work, never the addresses handed out or
+   the simulated time charged. Checked here over randomized inputs,
+   plus one golden scripted address stream pinning the exact-fit
+   layout. *)
 
 module M = Core.Machine
 module Dlheap = Core.Dlheap
@@ -216,145 +211,8 @@ let test_golden_stream () =
     [ 8; 56; 104; 152; 104; 8; 56 ]
     (List.rev_map (fun a -> a - base) !seen)
 
-(* --- drain-offload determinism fuzz ------------------------------------ *)
-
-(* The documented exception to byte-identity across domain counts: at
-   domains > 1 the engine annotates park/unpark instants with the
-   draining domain. Strip exactly that annotation before comparing. *)
-let strip_domain_args s =
-  let needle = ",\"domain\":\"" in
-  let nn = String.length needle and n = String.length s in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + nn <= n && String.sub s !i nn = needle then begin
-      let j = ref (!i + nn) in
-      while !j < n && s.[!j] <> '"' do
-        incr j
-      done;
-      i := !j + 1
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-(* A traced, checked, contended workload at a given domain width. The
-   shared unlocked write gives the checker a real finding to reproduce;
-   the mutex traffic exercises the parallel windows (and so the trace-
-   staging and checker-preflight side jobs). Fingerprint = normalized
-   trace JSON + non-wall-clock counters + findings + final clock. *)
-let offload_fingerprint ~domains progs =
-  let obs = R.create ~trace:true ~metrics:true () in
-  let check = Checker.create () in
-  let m =
-    M.create ~seed:11 ~obs ~check ~domains
-      { M.default_config with M.cpus = 2; op_jitter = 0. }
-  in
-  let p = M.create_proc m ~name:"t" () in
-  let mu = M.Mutex.create m ~name:"guard" () in
-  let shared = M.libc_data_address + 0x400 in
-  List.iteri
-    (fun i segs ->
-      ignore
-        (M.spawn p ~name:(Printf.sprintf "w%d" i) (fun ctx ->
-             List.iter
-               (fun (locked, cycles) ->
-                 if locked then begin
-                   M.Mutex.lock mu ctx;
-                   M.work_exact ctx (60 + cycles);
-                   M.Mutex.unlock mu ctx
-                 end
-                 else begin
-                   (* unlocked shared write: a deterministic race *)
-                   M.write_mem ctx shared;
-                   M.work_exact ctx (40 + cycles)
-                 end)
-               segs)))
-    progs;
-  M.run m;
-  let trace = strip_domain_args (Core.Obs.Trace_json.to_string [ ("fuzz", obs) ]) in
-  let counters =
-    R.counters obs
-    |> List.filter (fun (k, _) ->
-           (* sched.domain.* only exists at domains > 1, and its _ns
-              members are host wall-clock — both excluded by design *)
-           not (String.length k >= 12 && String.sub k 0 12 = "sched.domain"))
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-    |> String.concat ";"
-  in
-  let findings =
-    Checker.findings check
-    |> List.map (fun f ->
-           Printf.sprintf "%s@%d" (Checker.kind_label f.Checker.kind) f.Checker.addr)
-    |> String.concat ";"
-  in
-  Printf.sprintf "%s|%s|%s|%.17g" trace counters findings (M.now_ns m)
-
-let progs_gen =
-  QCheck.make
-    ~print:(fun progs ->
-      String.concat " / "
-        (List.map
-           (fun segs ->
-             String.concat ","
-               (List.map (fun (l, c) -> Printf.sprintf "%c%d" (if l then 'L' else 'u') c) segs))
-           progs))
-    QCheck.Gen.(
-      list_size (int_range 2 4)
-        (list_size (int_range 5 40) (pair bool (int_bound 100))))
-
-let prop_offload_deterministic =
-  QCheck.Test.make
-    ~name:"trace/check byte-identical at domains 1/2/4 under drain offload"
-    ~count:12 progs_gen
-    (fun progs ->
-      let serial = offload_fingerprint ~domains:1 progs in
-      let two = offload_fingerprint ~domains:2 progs in
-      let four = offload_fingerprint ~domains:4 progs in
-      if two <> serial then
-        QCheck.Test.fail_reportf "domains=2 diverges from serial";
-      if four <> serial then
-        QCheck.Test.fail_reportf "domains=4 diverges from serial";
-      true)
-
-(* The fuzz above strips the annotation; make sure the staged-rendering
-   path really ran under it at least once, so the property is not
-   vacuously passing through the unstaged flush path. *)
-let test_offload_actually_stages () =
-  let progs = List.init 3 (fun i -> List.init 30 (fun j -> (j mod 3 <> 0, (i * 13 + j * 7) mod 90))) in
-  let obs = R.create ~trace:true ~metrics:true () in
-  let m =
-    M.create ~seed:11 ~obs ~domains:2
-      { M.default_config with M.cpus = 2; op_jitter = 0. }
-  in
-  let p = M.create_proc m ~name:"t" () in
-  let mu = M.Mutex.create m () in
-  List.iteri
-    (fun i segs ->
-      ignore
-        (M.spawn p ~name:(Printf.sprintf "w%d" i) (fun ctx ->
-             List.iter
-               (fun (locked, cycles) ->
-                 if locked then begin
-                   M.Mutex.lock mu ctx;
-                   M.work_exact ctx (60 + cycles);
-                   M.Mutex.unlock mu ctx
-                 end
-                 else M.work_exact ctx (40 + cycles))
-               segs)))
-    progs;
-  M.run m;
-  Alcotest.(check bool) "side jobs staged events during the run" true
-    (R.staged obs <> [])
-
 let suite =
   [ QCheck_alcotest.to_alcotest prop_exact_fit_transparent;
     QCheck_alcotest.to_alcotest prop_deferred_mode_valid;
     Alcotest.test_case "golden exact-fit address stream" `Quick test_golden_stream;
-    QCheck_alcotest.to_alcotest prop_offload_deterministic;
-    Alcotest.test_case "drain offload stages trace events" `Quick
-      test_offload_actually_stages;
   ]

@@ -3,11 +3,9 @@ let () =
     [ ("prng", Test_prng.suite);
       ("stats", Test_stats.suite);
       ("sim", Test_sim.suite);
-      ("pqueue", Test_pqueue.suite);
       ("timing_wheel", Test_timing_wheel.suite);
       ("int_table", Test_int_table.suite);
       ("parallel", Test_parallel.suite);
-      ("conservative", Test_conservative.suite);
       ("vm", Test_vm.suite);
       ("cache", Test_cache.suite);
       ("machine", Test_machine.suite);

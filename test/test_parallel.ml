@@ -56,17 +56,32 @@ let test_bench1_runs_deterministic () =
   let seq = run 1 and par = run 4 in
   Alcotest.(check bool) "summaries and raw runs identical" true (seq = par)
 
+(* The quick registry at one job, shared by the two tests below. *)
+let quick_registry = lazy (Core.Experiments.run_all ~jobs:1 ~echo:false opts)
+
 let test_run_all_deterministic () =
-  (* The issue's acceptance bar: summary lines and the full printed text
-     of every outcome are byte-identical between 1 and 4 jobs. *)
+  (* Summary lines and the full printed text of every outcome are
+     byte-identical between 1 and 4 jobs. *)
   let render outcomes =
     ( List.map Core.Outcome.to_string outcomes,
       List.map Core.Outcome.summary_line outcomes )
   in
-  let text1, lines1 = render (Core.Experiments.run_all ~jobs:1 ~echo:false opts) in
+  let text1, lines1 = render (Lazy.force quick_registry) in
   let text4, lines4 = render (Core.Experiments.run_all ~jobs:4 ~echo:false opts) in
   Alcotest.(check (list string)) "summary lines" lines1 lines4;
   Alcotest.(check (list string)) "full outcome text" text1 text4
+
+(* Simulated behaviour pinned across commits: the MD5 of the whole
+   quick registry's printed text. A change that is meant to alter a
+   simulated result updates this digest in the same commit and says
+   so; any other change must leave it alone. Recorded with OCaml
+   5.1.1. *)
+let quick_registry_md5 = "6e9802f64b7646aac4d66ba9d03d448d"
+
+let test_run_all_matches_recorded_digest () =
+  let text = String.concat "" (List.map Core.Outcome.to_string (Lazy.force quick_registry)) in
+  Alcotest.(check string) "quick registry MD5" quick_registry_md5
+    (Digest.to_hex (Digest.string text))
 
 let suite =
   [ Alcotest.test_case "map_list keeps submission order" `Quick test_map_list_order;
@@ -76,4 +91,6 @@ let suite =
     Alcotest.test_case "jobs reports width" `Quick test_jobs_width;
     Alcotest.test_case "bench1_runs deterministic across widths" `Slow test_bench1_runs_deterministic;
     Alcotest.test_case "run_all byte-identical across widths" `Slow test_run_all_deterministic;
+    Alcotest.test_case "run_all matches the recorded digest" `Slow
+      test_run_all_matches_recorded_digest;
   ]

@@ -1,40 +1,6 @@
-(* Tests for the event queue and the effects-based engine. *)
+(* Tests for the effects-based engine. *)
 
 module Engine = Core.Engine
-module Pqueue = Mb_sim.Pqueue
-
-let test_pqueue_orders_by_time () =
-  let q = Pqueue.create () in
-  List.iter (fun t -> Pqueue.push q ~time:t t) [ 5.; 1.; 3.; 2.; 4. ];
-  let popped = List.init 5 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1.) in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] popped
-
-let test_pqueue_fifo_at_equal_times () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.push q ~time:1. v) [ "a"; "b"; "c" ];
-  let popped = List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> "?") in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] popped
-
-let test_pqueue_peek_and_length () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Pqueue.push q ~time:2. ();
-  Pqueue.push q ~time:1. ();
-  Alcotest.(check int) "length" 2 (Pqueue.length q);
-  Alcotest.(check (option (float 0.))) "peek" (Some 1.) (Pqueue.peek_time q)
-
-let prop_pqueue_sorted =
-  QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 200) (float_bound_exclusive 1000.))
-    (fun times ->
-      let q = Pqueue.create () in
-      List.iter (fun t -> Pqueue.push q ~time:t t) times;
-      let rec drain last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
-      in
-      drain neg_infinity)
 
 let test_delay_accumulates () =
   let e = Engine.create () in
@@ -117,20 +83,43 @@ let test_at_callback () =
   Engine.run e;
   Alcotest.(check (float 0.)) "at time" 9. !fired
 
+(* NaN compares false against everything, so a guard written as
+   [time < now] would let it through: it would sort after every real
+   time and set the clock to NaN when it fired. *)
 let test_at_past_raises () =
   let e = Engine.create () in
+  let past = Invalid_argument "Engine.at: time in the past" in
+  Alcotest.check_raises "NaN before run" past (fun () -> Engine.at e nan ignore);
+  Alcotest.check_raises "NaN cancellable" past (fun () ->
+      ignore (Engine.at_cancel e nan ignore : unit -> unit));
   Engine.at e 5. (fun () ->
-      Alcotest.check_raises "past" (Invalid_argument "Engine.at: time in the past") (fun () ->
-          Engine.at e 1. ignore));
-  Engine.run e
+      Alcotest.check_raises "past" past (fun () -> Engine.at e 1. ignore);
+      Alcotest.check_raises "NaN" past (fun () -> Engine.at e nan ignore));
+  Engine.run e;
+  Alcotest.(check (float 0.)) "clock untouched" 5. (Engine.now e)
 
+(* Both delay paths: the effect ([delay]) and the cell hand-off
+   ([delay_pending]) with the queue empty (its immediate-resume fast
+   path) and with an earlier event queued (the suspend path). *)
 let test_negative_delay_raises () =
   let e = Engine.create () in
+  let negative = Invalid_argument "Engine.delay: negative delay" in
+  let pending ns () =
+    (Engine.delay_cell e).Engine.cell_time <- ns;
+    Engine.delay_pending e
+  in
   ignore
     (Engine.spawn e (fun () ->
-         Alcotest.check_raises "negative" (Invalid_argument "Engine.delay: negative delay")
-           (fun () -> Engine.delay (-1.))));
-  Engine.run e
+         Alcotest.check_raises "negative" negative (fun () -> Engine.delay (-1.));
+         Alcotest.check_raises "NaN" negative (fun () -> Engine.delay nan);
+         Alcotest.check_raises "pending negative" negative (pending (-1.));
+         Alcotest.check_raises "pending NaN" negative (pending nan);
+         Engine.at e (Engine.now e +. 1.) ignore;
+         Alcotest.check_raises "pending negative, queue busy" negative (pending (-1.));
+         Alcotest.check_raises "pending NaN, queue busy" negative (pending nan);
+         Engine.delay 2.));
+  Engine.run e;
+  Alcotest.(check (float 0.)) "clock untouched" 2. (Engine.now e)
 
 let test_yield_lets_peers_run () =
   let e = Engine.create () in
@@ -146,11 +135,7 @@ let test_exception_propagates () =
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Engine.run e)
 
 let suite =
-  [ Alcotest.test_case "pqueue time order" `Quick test_pqueue_orders_by_time;
-    Alcotest.test_case "pqueue FIFO ties" `Quick test_pqueue_fifo_at_equal_times;
-    Alcotest.test_case "pqueue peek/length" `Quick test_pqueue_peek_and_length;
-    QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-    Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
+  [ Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
     Alcotest.test_case "interleaving order" `Quick test_interleaving_order;
     Alcotest.test_case "park/resume" `Quick test_park_resume;
     Alcotest.test_case "double resume raises" `Quick test_double_resume_raises;

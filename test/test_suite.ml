@@ -44,15 +44,8 @@ let spec_gen =
       (None
       :: List.map (fun (_, p) -> Some (p, 7)) Plan.all)
   in
-  let* envs =
-    subset
-      [ Spec.default_env;
-        { Spec.shards = Some 2; domains = None; window_batch = None };
-        { Spec.shards = None; domains = Some 4; window_batch = Some 8 };
-      ]
-  in
   let* repeats = int_range 1 5 in
-  return { Spec.name; mode; seed; machines; allocators; workloads; faults; envs; repeats }
+  return { Spec.name; mode; seed; machines; allocators; workloads; faults; repeats }
 
 let prop_round_trip =
   QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:200
@@ -75,7 +68,6 @@ let test_parse_defaults () =
       Alcotest.(check (list string)) "machines" [ "quad_xeon" ] t.Spec.machines;
       Alcotest.(check (list string)) "allocators" [ "ptmalloc" ] t.Spec.allocators;
       Alcotest.(check bool) "faults off" true (t.Spec.faults = [ None ]);
-      Alcotest.(check bool) "env default" true (t.Spec.envs = [ Spec.default_env ]);
       Alcotest.(check int) "repeats" 1 t.Spec.repeats
 
 let test_parse_comments_and_blanks () =
@@ -98,7 +90,7 @@ let test_parse_errors_carry_line_numbers () =
   expect_line 2 "suite s\nworkloads exp:* nonsense\n";
   expect_line 4 "suite s\nworkloads exp:*\nseed 1\nseed 2\n";
   expect_line 2 "suite s\nmachines quad_xeon quad_xeon\nworkloads exp:*\n";
-  expect_line 3 "suite s\nworkloads exp:*\nenv shards=zero\n";
+  expect_line 3 "suite s\nworkloads exp:*\nrepeats 0\n";
   expect_line 2 "suite s\nfaults maybe\nworkloads exp:*\n";
   expect_line 1 "suite two words\nworkloads exp:*\n";
   (* missing required directives report against the end of the file
@@ -127,29 +119,21 @@ let expand_exn text ~exp_ids =
 let test_expansion_order_and_keys () =
   let text =
     "suite s\nseed 10\nmachines quad_xeon uni_k6\nallocators ptmalloc\n\
-     workloads bench2 exp:*\nfaults none oom-pressure:7\nenv default shards=2\n"
+     workloads bench2 exp:*\nfaults none oom-pressure:7\n"
   in
   let t, cells = expand_exn text ~exp_ids:[ "table1"; "fig8" ] in
   let keys = List.map (fun c -> c.Spec.key) cells in
-  (* bench2: machines x allocators x faults x envs, innermost fastest;
-     exp:*: registry order x faults x envs, machine axis ignored. *)
+  (* bench2: machines x allocators x faults, innermost fastest;
+     exp:*: registry order x faults, machine axis ignored. *)
   let expected =
     [ "bench2@quad_xeon/ptmalloc";
-      "bench2@quad_xeon/ptmalloc+shards2";
       "bench2@quad_xeon/ptmalloc+oom-pressure:7";
-      "bench2@quad_xeon/ptmalloc+oom-pressure:7+shards2";
       "bench2@uni_k6/ptmalloc";
-      "bench2@uni_k6/ptmalloc+shards2";
       "bench2@uni_k6/ptmalloc+oom-pressure:7";
-      "bench2@uni_k6/ptmalloc+oom-pressure:7+shards2";
       "exp:table1";
-      "exp:table1+shards2";
       "exp:table1+oom-pressure:7";
-      "exp:table1+oom-pressure:7+shards2";
       "exp:fig8";
-      "exp:fig8+shards2";
       "exp:fig8+oom-pressure:7";
-      "exp:fig8+oom-pressure:7+shards2";
     ]
   in
   Alcotest.(check (list string)) "expansion order" expected keys;
@@ -172,7 +156,7 @@ let test_expansion_order_and_keys () =
       cells
   in
   Alcotest.(check (list int)) "bench seeds derive from the ordinal"
-    (List.init 8 (fun k -> 10 + (101 * k)))
+    (List.init 4 (fun k -> 10 + (101 * k)))
     bench_seeds
 
 let test_expansion_is_deterministic () =
@@ -193,7 +177,7 @@ let test_duplicate_cells_rejected () =
 
 (* --- history -------------------------------------------------------------- *)
 
-let sample_host = { History.cores = 4; cpu_model = "test cpu"; domains = 1 }
+let sample_host = { History.cores = 4; cpu_model = "test cpu" }
 
 let cell ?(ok = true) ?(pct = []) ns words =
   { History.ok;
@@ -236,6 +220,21 @@ let test_history_missing_and_future () =
   match History.load path with
   | Ok _ -> Alcotest.fail "future schema accepted"
   | Error _ -> ()
+
+(* Older sessions carry a host "domains" field; the committed history
+   must keep loading, on the same host as today's writer. *)
+let test_history_legacy_host_domains () =
+  with_tmp @@ fun path ->
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "{\"schema\": 1, \"sessions\": [{\"id\": \"old\", \"time_s\": 1, \"suite\": \"s\", \
+         \"mode\": \"quick\", \"seed\": 1, \"host\": {\"cores\": 4, \"cpu_model\": \"test cpu\", \
+         \"domains\": 1}, \"cells\": {}}]}");
+  match History.load path with
+  | Error e -> Alcotest.failf "legacy host block rejected: %s" e
+  | Ok t ->
+      Alcotest.(check bool) "same host as today's writer" true
+        ((List.hd t.History.sessions).History.host = sample_host)
 
 let test_history_append () =
   with_tmp @@ fun path ->
@@ -300,7 +299,7 @@ let test_gate_fresh_only_warns () =
     (List.exists (fun w -> contains w "new") v.Gate.warnings)
 
 let test_gate_no_same_host_baseline_is_vacuous_pass () =
-  let other = { History.cores = 64; cpu_model = "other cpu"; domains = 4 } in
+  let other = { History.cores = 64; cpu_model = "other cpu" } in
   let v = gate_exn [ session ~host:other "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] in
   Alcotest.(check bool) "vacuous pass" true v.Gate.ok;
   Alcotest.(check bool) "warns" true (v.Gate.warnings <> [])
@@ -394,20 +393,6 @@ let test_runner_reports_failing_checks () =
       Alcotest.(check (list bool)) "per-cell ok" [ true; false ]
         (List.map (fun (_, (d : History.cell_data)) -> d.History.ok) data)
 
-let test_runner_env_cell_restores_knobs () =
-  let spec = spec_of_exn "suite s\nworkloads exp:a\nenv domains=2,window-batch=4\n" in
-  match Runner.run ~registry:(fake_registry [ "a" ]) spec with
-  | Error e -> Alcotest.failf "runner: %s" e
-  | Ok _ ->
-      (* after the run, the engine defaults are back in force *)
-      (match Sys.getenv_opt "MALLOC_REPRO_DOMAINS" with
-      | Some "1" | None -> ()
-      | Some v -> Alcotest.failf "MALLOC_REPRO_DOMAINS left at %S" v);
-      (match Sys.getenv_opt "MALLOC_REPRO_WINDOW_BATCH" with
-      | Some v when v = string_of_int Mb_parallel.Conservative.default_batch -> ()
-      | None -> ()
-      | Some v -> Alcotest.failf "MALLOC_REPRO_WINDOW_BATCH left at %S" v)
-
 let test_runner_unknown_exp_id_errors () =
   let spec = spec_of_exn "suite s\nworkloads exp:zzz\n" in
   match Runner.run ~registry:(fake_registry [ "a" ]) spec with
@@ -447,6 +432,7 @@ let suite =
     Alcotest.test_case "duplicate cells rejected" `Quick test_duplicate_cells_rejected;
     Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
     Alcotest.test_case "history missing/future schema" `Quick test_history_missing_and_future;
+    Alcotest.test_case "history ignores legacy host domains" `Quick test_history_legacy_host_domains;
     Alcotest.test_case "history append" `Quick test_history_append;
     Alcotest.test_case "gate passes flat trend" `Quick test_gate_passes_on_flat_trend;
     Alcotest.test_case "gate fails 25% regression" `Quick test_gate_fails_on_25pc_regression;
@@ -462,7 +448,6 @@ let suite =
     Alcotest.test_case "runner pure suite" `Quick test_runner_pure_suite_runs_cells;
     Alcotest.test_case "runner forces ok under faults" `Quick test_runner_forces_ok_under_faults;
     Alcotest.test_case "runner reports failing checks" `Quick test_runner_reports_failing_checks;
-    Alcotest.test_case "runner restores env knobs" `Quick test_runner_env_cell_restores_knobs;
     Alcotest.test_case "runner unknown exp id" `Quick test_runner_unknown_exp_id_errors;
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;

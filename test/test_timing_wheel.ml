@@ -1,15 +1,15 @@
-(* Property tests for the hierarchical timing wheel and the sharded
-   merge frontier: pop order must be exactly (time, seq) — identical to
-   a sorted-list reference — under random push/pop interleavings that
+(* Property tests for the hierarchical timing wheel and the engine
+   queue built on it: pop order must be exactly (time, seq) — identical
+   to a sorted reference — under random push/pop interleavings that
    cross bucket boundaries, cascade L2 epochs, and spill to the
-   far-future heap; the shard frontier must produce the same global
-   order for any shard count; and engine-level cancellation must skip
-   exactly the cancelled events without disturbing the rest. *)
+   far-future heap; the engine must fire its events in that order
+   whether they were scheduled before the run or by firing events; and
+   engine-level cancellation must skip exactly the cancelled events
+   without disturbing the rest. *)
 
 module Tw = Mb_sim.Timing_wheel
-module Shard = Mb_sim.Shard
-module Pqueue = Mb_sim.Pqueue
 module Engine = Mb_sim.Engine
+module Obs = Mb_obs.Recorder
 
 (* Times that stress every layer: heavy ties, exact L1 (2^10 ns) and
    L2 (2^18 ns) bucket edges and their neighbours, multi-epoch wraps,
@@ -106,74 +106,100 @@ let test_wheel_counters () =
   let rec drain n = if Tw.is_empty w then n else (Tw.pop w; drain (n + 1)) in
   Alcotest.(check int) "drains fully" (n + 1) (drain 0)
 
-(* --- shard frontier vs global sorted model ---------------------------- *)
+(* --- engine queue vs (time, insertion) model ------------------------- *)
 
-(* Ops: Some (shard_pick, time) -> push on shard_pick mod shards;
-   None -> pop. The model is one global (time, seq) sorted list — the
-   shard assignment must never matter. *)
-let shard_ops_gen =
+(* An event is scheduled with [Engine.at] (kind 0), with [at_cancel]
+   and left armed (1), or with [at_cancel] and cancelled at once (2).
+   Top-level events are scheduled before the run at absolute times;
+   when one fires, it schedules its children [dt] after its own time.
+   Up to 200 top-level events keep far more than [ring_target] pending,
+   and [time_gen] reaches past 2^52 ns, so the engine's overflow,
+   cascade and far-heap branches all run — no workload leaves the
+   ring. *)
+let kind_gen = QCheck.Gen.int_bound 2
+
+let engine_events_gen =
   QCheck.(
-    pair (int_range 1 8)
-      (list_of_size Gen.(int_range 0 500) (option (pair (int_bound 31) time_arb))))
+    list_of_size Gen.(int_range 0 200)
+      (triple time_arb (make kind_gen)
+         (list_of_size Gen.(int_bound 2) (pair time_arb (make kind_gen)))))
 
-let prop_shard_frontier_vs_model =
-  QCheck.Test.make ~name:"shard frontier pops the global (time, seq) order" ~count:300
-    shard_ops_gen
-    (fun (shards, ops) ->
-      let q = Shard.create ~shards in
-      let cell = Pqueue.make_cell () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some (pick, time) ->
-              let v = !seq land ((1 lsl Shard.vbits) - 1) in
-              let s = !seq in
-              incr seq;
-              Shard.push_at q ~shard:(pick mod shards) ~time ~v;
-              let rec insert = function
-                | [] -> [ (time, s, v) ]
-                | ((t, s', _) as hd) :: tl ->
-                    if time < t || (time = t && s < s') then (time, s, v) :: hd :: tl
-                    else hd :: insert tl
-              in
-              model := insert !model;
-              Shard.length q = List.length !model
-          | None -> (
-              match !model with
-              | [] -> Shard.is_empty q && Shard.min_key q = max_int
-              | (t, _, v) :: tl ->
-                  let got = Shard.pop q cell in
-                  model := tl;
-                  got = v && cell.Pqueue.cell_time = t))
-        ops)
+module Model = Map.Make (struct
+  type t = float * int
+  let compare = compare
+end)
 
-(* The same pushes distributed over 1, 2 and 8 shards pop identically. *)
-let prop_shard_count_invariance =
-  QCheck.Test.make ~name:"pop order invariant under shard count" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_bound 31) time_arb))
-    (fun pushes ->
-      let drain_with shards =
-        let q = Shard.create ~shards in
-        let cell = Pqueue.make_cell () in
-        List.iteri
-          (fun i (pick, time) ->
-            Shard.push_at q ~shard:(pick mod shards) ~time ~v:(i land 0xFFFF))
-          pushes;
-        let rec go acc =
-          if Shard.is_empty q then List.rev acc
-          else begin
-            let v = Shard.pop q cell in
-            go ((cell.Pqueue.cell_time, v) :: acc)
-          end
-        in
-        go []
-      in
-      let one = drain_with 1 in
-      drain_with 2 = one && drain_with 8 = one)
+(* Reference: a map ordered by (time, insertion index), popped minimum
+   first. Cancelled events still take an index, as they take a
+   sequence number in the engine. *)
+let model_firing_order events =
+  let pending = ref Model.empty and next = ref 0 in
+  let schedule time kind kids =
+    pending := Model.add (time, !next) (kind, kids) !pending;
+    incr next
+  in
+  List.iter (fun (time, kind, kids) -> schedule time kind kids) events;
+  let fired = ref [] in
+  while not (Model.is_empty !pending) do
+    let ((time, id) as k), (kind, kids) = Model.min_binding !pending in
+    pending := Model.remove k !pending;
+    if kind <> 2 then begin
+      fired := id :: !fired;
+      List.iter (fun (dt, kind) -> schedule (time +. dt) kind []) kids
+    end
+  done;
+  List.rev !fired
 
-(* --- engine-level: cancellation and shard routing ---------------------- *)
+let engine_firing_order ?obs events =
+  let e = Engine.create ?obs () in
+  let log = ref [] and next = ref 0 in
+  let schedule time kind on_fire =
+    let id = !next in
+    incr next;
+    let fire () =
+      log := id :: !log;
+      on_fire ()
+    in
+    match kind with
+    | 0 -> Engine.at e time fire
+    | 1 -> ignore (Engine.at_cancel e time fire : unit -> unit)
+    | _ -> Engine.at_cancel e time fire ()
+  in
+  List.iter
+    (fun (time, kind, kids) ->
+      schedule time kind (fun () ->
+          let now = Engine.now e in
+          List.iter (fun (dt, kind) -> schedule (now +. dt) kind ignore) kids))
+    events;
+  Engine.run e;
+  (e, List.rev !log)
+
+let prop_engine_queue_vs_model =
+  QCheck.Test.make ~name:"engine fires events in (time, insertion) order" ~count:200
+    engine_events_gen
+    (fun events -> snd (engine_firing_order events) = model_firing_order events)
+
+(* A fixed deep, far-reaching schedule: the queue's counters must show
+   that the property above really leaves the ring. *)
+let test_engine_queue_overflows () =
+  let events =
+    List.init 300 (fun i ->
+        (* ascending, so the ring fills to its target first; the far
+           tail must come last or its gate would pull everything in *)
+        let time = if i >= 290 then 4503599627370496. +. float_of_int i else float_of_int (i * 977) in
+        (time, i mod 3, [ (float_of_int (i * 31), 0) ]))
+  in
+  let obs = Obs.create ~trace:false ~metrics:true () in
+  let e, order = engine_firing_order ~obs events in
+  Alcotest.(check (list int)) "model order" (model_firing_order events) order;
+  Engine.flush_observations e;
+  let c = Obs.counter obs in
+  Alcotest.(check int) "every push counted" (c "sched.shard.pushes")
+    (c "sched.shard.ring_hits" + c "sched.shard.wheel_hits" + c "sched.shard.heap_spills");
+  Alcotest.(check bool) "filed into the wheels" true (c "sched.shard.wheel_hits" > 0);
+  Alcotest.(check bool) "spilled to the far heap" true (c "sched.shard.heap_spills" > 0)
+
+(* --- engine-level: cancellation and the pinned schedule ---------------- *)
 
 let test_at_cancel () =
   let e = Engine.create () in
@@ -197,14 +223,14 @@ let prop_engine_cancel_fuzz =
   QCheck.Test.make ~name:"random cancellations leave survivors' schedule intact" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 60) (pair bool (map float_of_int (int_bound 20))))
     (fun events ->
-      let e = Engine.create ~shards:3 () in
+      let e = Engine.create () in
       let log = ref [] in
       let cancels = ref [] in
       List.iteri
         (fun i (cancelled, time) ->
           if cancelled then
-            cancels := Engine.at_cancel e ~shard:(i mod 3) time (fun () -> log := i :: !log) :: !cancels
-          else Engine.at e ~shard:(i mod 3) time (fun () -> log := i :: !log))
+            cancels := Engine.at_cancel e time (fun () -> log := i :: !log) :: !cancels
+          else Engine.at e time (fun () -> log := i :: !log))
         events;
       List.iter (fun cancel -> cancel ()) !cancels;
       Engine.run e;
@@ -216,37 +242,38 @@ let prop_engine_cancel_fuzz =
       in
       List.rev !log = expected)
 
-(* One multi-process program, three engines with different shard counts
-   and assignments: the logs must match event for event. *)
-let test_engine_shard_determinism () =
-  let run shards =
-    let e = Engine.create ~shards () in
-    let log = ref [] in
-    let say who = log := Printf.sprintf "%s@%.0f" who (Engine.now e) :: !log in
-    for i = 0 to 5 do
-      ignore
-        (Engine.spawn e ~shard:(i mod shards) ~name:(Printf.sprintf "p%d" i) (fun () ->
-             let name = Printf.sprintf "p%d" i in
-             say (name ^ ".start");
-             Engine.delay (float_of_int ((i * 7) mod 11));
-             say (name ^ ".mid");
-             Engine.delay (float_of_int ((13 - i) mod 9));
-             say (name ^ ".end")))
-    done;
-    Engine.run e;
-    List.rev !log
-  in
-  let one = run 1 in
-  Alcotest.(check (list string)) "2 shards = 1 shard" one (run 2);
-  Alcotest.(check (list string)) "8 shards = 1 shard" one (run 8)
+(* One multi-process program and its event log, recorded literally:
+   the schedule is pinned across commits, so a change to the engine's
+   (time, seq) order fails here, and a deliberate one updates the
+   literal. *)
+let test_engine_schedule_pinned () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let say who = log := Printf.sprintf "%s@%.0f" who (Engine.now e) :: !log in
+  for i = 0 to 5 do
+    ignore
+      (Engine.spawn e ~name:(Printf.sprintf "p%d" i) (fun () ->
+           let name = Printf.sprintf "p%d" i in
+           say (name ^ ".start");
+           Engine.delay (float_of_int ((i * 7) mod 11));
+           say (name ^ ".mid");
+           Engine.delay (float_of_int ((13 - i) mod 9));
+           say (name ^ ".end")))
+  done;
+  Engine.run e;
+  Alcotest.(check (list string)) "recorded log"
+    [ "p0.start@0"; "p1.start@0"; "p2.start@0"; "p3.start@0"; "p4.start@0"; "p5.start@0";
+      "p0.mid@0"; "p5.mid@2"; "p2.mid@3"; "p0.end@4"; "p2.end@5"; "p4.mid@6"; "p4.end@6";
+      "p1.mid@7"; "p3.mid@10"; "p5.end@10"; "p1.end@10"; "p3.end@11" ]
+    (List.rev !log)
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_wheel_fuzz_vs_model;
     QCheck_alcotest.to_alcotest prop_wheel_drain_sorted;
     Alcotest.test_case "push counters cover all destinations" `Quick test_wheel_counters;
-    QCheck_alcotest.to_alcotest prop_shard_frontier_vs_model;
-    QCheck_alcotest.to_alcotest prop_shard_count_invariance;
+    QCheck_alcotest.to_alcotest prop_engine_queue_vs_model;
+    Alcotest.test_case "engine queue leaves the ring" `Quick test_engine_queue_overflows;
     Alcotest.test_case "at_cancel skips exactly the cancelled" `Quick test_at_cancel;
     QCheck_alcotest.to_alcotest prop_engine_cancel_fuzz;
-    Alcotest.test_case "engine schedule invariant under shards" `Quick test_engine_shard_determinism;
+    Alcotest.test_case "engine schedule matches recorded log" `Quick test_engine_schedule_pinned;
   ]
