@@ -14,6 +14,8 @@ type t = {
 
 let out_of_memory ?(bytes = 0) who = raise (Fault.Alloc_failure { who; bytes })
 
+let max_request = max_int / 2
+
 (* Cost model for the derived entry points: a 1999-class CPU moves or
    clears roughly 8 bytes per cycle from/to cache. *)
 let zero_cost_cycles bytes = (bytes + 7) / 8
@@ -101,6 +103,7 @@ let instrument t =
     else malloc_attempt fault ctx size 0
   in
   let malloc ctx size =
+    if size > max_request then out_of_memory ~bytes:size t.name;
     let chk = M.ctx_check ctx in
     if not (Check.armed chk) then malloc_resilient ctx size
     else begin

@@ -42,9 +42,17 @@ val out_of_memory : ?bytes:int -> string -> 'a
     and the workloads' degradation guards catch one structured
     exception instead of pattern-matching [Failure] strings. *)
 
+val max_request : int
+(** The largest request size any allocator accepts ([max_int / 2]): far
+    beyond every simulated address space, and small enough that no
+    chunk-size or page round-up of it can overflow. *)
+
 val instrument : t -> t
 (** [instrument t] is [t] with [malloc]/[free] wrapped for correctness:
 
+    - [malloc] of more than {!max_request} bytes raises
+      [Alloc_failure] before the allocator sees it, as glibc fails a
+      request it cannot represent, and is never retried;
     - [free] routes through the {!field-origins} table, so a raw [free]
       of a {!memalign}'d user address releases the chunk it was carved
       from instead of corrupting the heap;
@@ -63,7 +71,7 @@ val instrument : t -> t
     Every concrete allocator constructor applies this to what it
     returns. The wrapper shares the inner allocator's state (stats,
     origins, validate), and with checking off it adds one hashtable
-    lookup per free and nothing per malloc. *)
+    lookup per free and one comparison per malloc. *)
 
 (** {1 Derived entry points}
 

@@ -32,17 +32,26 @@ let align = 8
 (* A chunk is bookkeeping for [size] bytes at [addr]; user data starts at
    [addr + header_bytes]. [prev_size] is the boundary tag: the size of the
    chunk immediately below in the segment (0 at the segment base). Free
-   chunks are linked into their bin through [fd]/[bk]. *)
+   chunks are linked into their bin through [fd]/[bk], and a list ends
+   at [nil]. When a chunk merges into a neighbour or into top, its record
+   goes on the heap's spare list (linked through [fd]) and backs the
+   next chunk carved or split off, so steady-state malloc/free allocates
+   no records. *)
 type chunk = {
-  addr : int;
+  mutable addr : int;
   mutable size : int;
   mutable is_free : bool;
   mutable prev_size : int;
-  mutable fd : chunk option;
-  mutable bk : chunk option;
+  mutable fd : chunk;
+  mutable bk : chunk;
   mutable bin : int;  (* -1 when not binned *)
   mutable in_fastbin : bool;
 }
+
+(* The list terminator of every heap, compared with [==]. Never written:
+   simulations running on other domains read it too. *)
+let rec nil =
+  { addr = -1; size = 0; is_free = false; prev_size = 0; fd = nil; bk = nil; bin = -1; in_fastbin = false }
 
 (* The wilderness chunk; kept out of the bins and the chunk table. *)
 type top = { mutable taddr : int; mutable tsize : int; mutable tprev_size : int }
@@ -57,13 +66,13 @@ type t = {
   mutable params : params;
   stats : Astats.t;
   kind : kind;
-  bins : chunk option array;
+  bins : chunk array;
   mutable binmap_small : int;  (* bit i set iff bins.(i) is non-empty, for
                                   the 62 exact-spacing small bins — the
                                   first-fit scan is a ctz instead of a
                                   walk over empty slots *)
   mutable binmap_large : int;  (* same, bit (i - 62) for bins 62..95 *)
-  fastbins : chunk option array;              (* glibc-2.3-style no-coalesce caches, opt-in *)
+  fastbins : chunk array;                     (* glibc-2.3-style no-coalesce caches, opt-in *)
   chunks : chunk Int_table.t;                 (* every non-top chunk, by addr;
                                                  probed on every free and
                                                  coalesce, so open addressing *)
@@ -71,29 +80,30 @@ type t = {
   top : top;
   mutable seg_base : int;                     (* -1 until the first growth *)
   mutable initialized : bool;
+  mutable spare : chunk;                      (* retired records, linked through [fd] *)
+  mutable probes : int;                       (* list nodes the last [search_bins] examined *)
 }
 
 let nbins = 96
 
 let small_limit = 512
 
+(* Bins [idx .. idx+3] cover [lo, 2*lo) in four steps of [width]; clamp
+   at the catch-all last bin (giant coalesced regions). Top level: a
+   local [rec] closing over [size] would allocate on every large malloc. *)
+let rec large_bin_index size idx lo width =
+  if idx >= nbins - 1 then nbins - 1
+  else begin
+    let doubling_end = 2 * lo in
+    if size < doubling_end then min (nbins - 1) (idx + ((size - lo) / width))
+    else large_bin_index size (idx + 4) doubling_end (width * 2)
+  end
+
 (* Small bins: exact 8-byte spacing for chunk sizes 16..511 -> indexes
    0..61. Large bins: four per size doubling, dlmalloc style. *)
 let bin_index size =
   if size < small_limit then (size - min_chunk_bytes) / align
-  else begin
-    let rec find idx lo width =
-      if idx >= nbins - 1 then nbins - 1
-      else begin
-        (* Bins [idx .. idx+3] cover [lo, 2*lo) in four steps of [width];
-           clamp at the catch-all last bin (giant coalesced regions). *)
-        let doubling_end = 2 * lo in
-        if size < doubling_end then min (nbins - 1) (idx + ((size - lo) / width))
-        else find (idx + 4) doubling_end (width * 2)
-      end
-    in
-    find 62 small_limit (small_limit / 4)
-  end
+  else large_bin_index size 62 small_limit (small_limit / 4)
 
 let is_small size = size < small_limit
 
@@ -120,15 +130,17 @@ let create_main proc ~costs ~params ~stats =
     params;
     stats;
     kind = Main;
-    bins = Array.make nbins None;
+    bins = Array.make nbins nil;
     binmap_small = 0;
     binmap_large = 0;
-    fastbins = Array.make nfastbins None;
+    fastbins = Array.make nfastbins nil;
     chunks = Int_table.create ~initial:256 ();
     mm_chunks = Int_table.create ~initial:16 ();
     top = { taddr = 0; tsize = 0; tprev_size = 0 };
     seg_base = -1;
     initialized = false;
+    spare = nil;
+    probes = 0;
   }
 
 let create_sub ctx ~costs ~params ~stats =
@@ -141,15 +153,17 @@ let create_sub ctx ~costs ~params ~stats =
           params;
           stats;
           kind = Sub { region_base; region_len = params.sub_heap_bytes; sub_brk = region_base };
-          bins = Array.make nbins None;
+          bins = Array.make nbins nil;
           binmap_small = 0;
           binmap_large = 0;
-          fastbins = Array.make nfastbins None;
+          fastbins = Array.make nfastbins nil;
           chunks = Int_table.create ~initial:256 ();
           mm_chunks = Int_table.create ~initial:16 ();
           top = { taddr = region_base; tsize = 0; tprev_size = 0 };
           seg_base = region_base;
           initialized = true;
+          spare = nil;
+          probes = 0;
         }
       in
       stats.Astats.arenas_created <- stats.Astats.arenas_created + 1;
@@ -168,7 +182,7 @@ let binmap_set t idx =
   else t.binmap_large <- t.binmap_large lor (1 lsl (idx - small_bin_count))
 
 let binmap_clear_if_empty t idx =
-  if t.bins.(idx) = None then
+  if t.bins.(idx) == nil then
     if idx < small_bin_count then t.binmap_small <- t.binmap_small land lnot (1 lsl idx)
     else t.binmap_large <- t.binmap_large land lnot (1 lsl (idx - small_bin_count))
 
@@ -185,14 +199,26 @@ let ctz v =
 
 let unlink t c =
   let idx = c.bin in
-  (match c.bk with
-  | Some b -> b.fd <- c.fd
-  | None -> t.bins.(idx) <- c.fd);
-  (match c.fd with Some f -> f.bk <- c.bk | None -> ());
-  c.fd <- None;
-  c.bk <- None;
+  let f = c.fd and b = c.bk in
+  if b == nil then t.bins.(idx) <- f else b.fd <- f;
+  if f != nil then f.bk <- b;
+  c.fd <- nil;
+  c.bk <- nil;
   c.bin <- -1;
   binmap_clear_if_empty t idx
+
+(* Link [c] in front of the first node of large bin [idx] at least as big
+   as it, walking from [cur] with [prev] behind; returns [probes] plus
+   the nodes passed. *)
+let rec insert_sorted t idx c probes prev cur =
+  if cur != nil && cur.size < c.size then insert_sorted t idx c (probes + 1) cur cur.fd
+  else begin
+    c.fd <- cur;
+    c.bk <- prev;
+    if cur != nil then cur.bk <- c;
+    if prev != nil then prev.fd <- c else t.bins.(idx) <- c;
+    probes
+  end
 
 (* Insert into its bin: small bins are LIFO; large bins are kept sorted
    ascending by size so the first fitting chunk is the best fit. Returns
@@ -202,27 +228,13 @@ let bin_insert t c =
   c.bin <- idx;
   binmap_set t idx;
   if is_small c.size then begin
-    (match t.bins.(idx) with
-    | Some head ->
-        head.bk <- Some c;
-        c.fd <- Some head
-    | None -> ());
-    t.bins.(idx) <- Some c;
+    let head = t.bins.(idx) in
+    if head != nil then head.bk <- c;
+    c.fd <- head;
+    t.bins.(idx) <- c;
     1
   end
-  else begin
-    let rec walk probes prev cur =
-      match cur with
-      | Some node when node.size < c.size -> walk (probes + 1) cur node.fd
-      | _ ->
-          c.fd <- cur;
-          c.bk <- prev;
-          (match cur with Some node -> node.bk <- Some c | None -> ());
-          (match prev with Some node -> node.fd <- Some c | None -> t.bins.(idx) <- Some c);
-          probes
-    in
-    walk 1 None t.bins.(idx)
-  end
+  else insert_sorted t idx c 1 nil t.bins.(idx)
 
 (* --- boundary-tag helpers ---------------------------------------------- *)
 
@@ -238,8 +250,35 @@ let set_prev_size t addr size =
     | exception Not_found -> ()  (* beyond the segment end *)
 
 let prev_chunk t c =
-  if c.prev_size = 0 then None
-  else Int_table.find_opt t.chunks (c.addr - c.prev_size)
+  if c.prev_size = 0 then nil
+  else match Int_table.find_exn t.chunks (c.addr - c.prev_size) with p -> p | exception Not_found -> nil
+
+(* --- chunk records ------------------------------------------------------- *)
+
+(* A record for a chunk entering the chunk table: a retired one if the
+   spare list has any. *)
+let chunk_record t ~addr ~size ~prev_size ~is_free =
+  let c = t.spare in
+  if c == nil then { addr; size; is_free; prev_size; fd = nil; bk = nil; bin = -1; in_fastbin = false }
+  else begin
+    t.spare <- c.fd;
+    c.addr <- addr;
+    c.size <- size;
+    c.is_free <- is_free;
+    c.prev_size <- prev_size;
+    c.fd <- nil;
+    c
+  end
+
+(* Drop an unbinned chunk that merged into a neighbour or into top from
+   the chunk table and keep its record. Clearing [is_free] (its [bin] is
+   already -1) is what lets a [consolidate_deferred] pass skip a chunk
+   an earlier merge of the same pass absorbed. *)
+let retire t c =
+  Int_table.remove t.chunks c.addr;
+  c.is_free <- false;
+  c.fd <- t.spare;
+  t.spare <- c
 
 (* --- growth -------------------------------------------------------------- *)
 
@@ -301,17 +340,7 @@ let charge_probes t ctx probes = if probes > 0 then M.work ctx (Costs.apply t.co
 let split_chunk t ctx c size =
   let rem_size = c.size - size in
   if rem_size >= min_chunk_bytes then begin
-    let rem =
-      { addr = c.addr + size;
-        size = rem_size;
-        is_free = true;
-        prev_size = size;
-        fd = None;
-        bk = None;
-        bin = -1;
-        in_fastbin = false;
-      }
-    in
+    let rem = chunk_record t ~addr:(c.addr + size) ~size:rem_size ~prev_size:size ~is_free:true in
     c.size <- size;
     Int_table.set t.chunks rem.addr rem;
     set_prev_size t (rem.addr + rem.size) rem.size;
@@ -321,60 +350,53 @@ let split_chunk t ctx c size =
     M.write_mem ctx rem.addr
   end
 
-(* Take [size] bytes from the bottom of the wilderness. *)
+(* Take [size] bytes from the bottom of the wilderness; returns the user
+   address. Accounting convention, here and in every malloc path:
+   live/requested bytes are counted as usable bytes (chunk size minus
+   header) on both malloc and free, so the two sides always balance. *)
 let carve_top t ctx size =
-  let c =
-    { addr = t.top.taddr;
-      size;
-      is_free = false;
-      prev_size = t.top.tprev_size;
-      fd = None;
-      bk = None;
-      bin = -1;
-      in_fastbin = false;
-    }
-  in
-  t.top.taddr <- t.top.taddr + size;
+  let addr = t.top.taddr in
+  let c = chunk_record t ~addr ~size ~prev_size:t.top.tprev_size ~is_free:false in
+  t.top.taddr <- addr + size;
   t.top.tsize <- t.top.tsize - size;
   t.top.tprev_size <- size;
-  Int_table.set t.chunks c.addr c;
-  M.write_mem ctx c.addr;
-  c
+  Int_table.set t.chunks addr c;
+  M.write_mem ctx addr;
+  Astats.record_malloc t.stats (size - header_bytes);
+  addr + header_bytes
 
-(* Accounting convention: live/requested bytes are counted as usable
-   bytes (chunk size minus header) on both malloc and free, so the two
-   sides always balance. *)
 let malloc_mmapped t ctx csize =
   let len = (csize + 4095) / 4096 * 4096 in
   match M.mmap ctx ~len with
-  | None -> None
+  | None -> 0
   | Some addr ->
       Int_table.set t.mm_chunks addr len;
       t.stats.Astats.mmapped_chunks <- t.stats.Astats.mmapped_chunks + 1;
       M.write_mem ctx addr;
       Astats.record_malloc t.stats (len - header_bytes);
-      Some (addr + header_bytes)
+      addr + header_bytes
 
 (* Coalesce a newly freed chunk with its neighbours and bin it (or merge
    it into the wilderness). [c.is_free] must already be set. *)
 let coalesce_and_bin t ctx c =
   (* Coalesce backward. *)
+  let p = prev_chunk t c in
   let c =
-    match prev_chunk t c with
-    | Some p when p.is_free ->
-        unlink t p;
-        Int_table.remove t.chunks c.addr;
-        p.size <- p.size + c.size;
-        set_prev_size t (p.addr + p.size) p.size;
-        M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
-        M.write_mem ctx p.addr;
-        p
-    | Some _ | None -> c
+    if p != nil && p.is_free then begin
+      unlink t p;
+      retire t c;
+      p.size <- p.size + c.size;
+      set_prev_size t (p.addr + p.size) p.size;
+      M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
+      M.write_mem ctx p.addr;
+      p
+    end
+    else c
   in
   (* Coalesce forward, possibly into the wilderness. *)
   let next_addr = c.addr + c.size in
   if next_addr = t.top.taddr then begin
-    Int_table.remove t.chunks c.addr;
+    retire t c;
     t.top.taddr <- c.addr;
     t.top.tsize <- t.top.tsize + c.size;
     t.top.tprev_size <- c.prev_size;
@@ -383,14 +405,14 @@ let coalesce_and_bin t ctx c =
     maybe_trim t ctx
   end
   else begin
-    (match Int_table.find_opt t.chunks next_addr with
-    | Some n when n.is_free ->
+    (match Int_table.find_exn t.chunks next_addr with
+    | n when n.is_free ->
         unlink t n;
-        Int_table.remove t.chunks n.addr;
+        retire t n;
         c.size <- c.size + n.size;
         set_prev_size t (c.addr + c.size) c.size;
         M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce)
-    | Some _ | None -> ());
+    | _ | (exception Not_found) -> ());
     let probes = bin_insert t c in
     charge_probes t ctx probes;
     M.write_mem ctx c.addr
@@ -401,18 +423,16 @@ let coalesce_and_bin t ctx c =
    pass performs it wholesale when the heap would otherwise grow.
    Returns the number of chunks that went through the coalescing path.
    Chunks absorbed by an earlier merge in the same pass are recognized
-   by their cleared bin tag and skipped. *)
+   by their cleared bin tag and skipped; their records stay on the spare
+   list until the pass ends, because coalescing carves no new chunk. *)
 let consolidate_deferred t ctx =
   let pending = ref [] in
   for i = nbins - 1 downto 0 do
-    let rec collect node =
-      match node with
-      | None -> ()
-      | Some c ->
-          pending := c :: !pending;
-          collect c.fd
-    in
-    collect t.bins.(i)
+    let node = ref t.bins.(i) in
+    while !node != nil do
+      pending := !node :: !pending;
+      node := !node.fd
+    done
   done;
   let merged = ref 0 in
   List.iter
@@ -432,82 +452,85 @@ let consolidate_deferred t ctx =
 let consolidate_fastbins t ctx =
   let drained = ref 0 in
   for i = 0 to nfastbins - 1 do
-    let rec drain node =
-      match node with
-      | None -> ()
-      | Some c ->
-          let next = c.fd in
-          c.fd <- None;
-          c.in_fastbin <- false;
-          c.is_free <- true;
-          incr drained;
-          coalesce_and_bin t ctx c;
-          drain next
-    in
-    drain t.fastbins.(i);
-    t.fastbins.(i) <- None
+    (* Fastbin chunks stay marked in use, so coalescing one never absorbs
+       the rest of its list. *)
+    let node = ref t.fastbins.(i) in
+    while !node != nil do
+      let c = !node in
+      node := c.fd;
+      c.fd <- nil;
+      c.in_fastbin <- false;
+      c.is_free <- true;
+      incr drained;
+      coalesce_and_bin t ctx c
+    done;
+    t.fastbins.(i) <- nil
   done;
   !drained
 
-(* Scan bins at [idx] and above for the first chunk of at least [csize];
-   large bins are sorted so the first fit within a bin is best. The
-   occupancy bitmaps drive the scan, so only non-empty bins are visited —
-   exactly the bins the plain walk charged probes for, so the simulated
-   cost (and the chunk chosen) is identical to a linear scan. *)
+(* Walk a sorted large bin from [c] for the first chunk of at least
+   [csize], counting each node examined in [t.probes]. *)
+let rec walk_large t csize c =
+  if c == nil then nil
+  else begin
+    t.probes <- t.probes + 1;
+    if c.size >= csize then c else walk_large t csize c.fd
+  end
+
+(* Visit the occupied large bins in [bits] in ascending order; each
+   costs a probe for the bin plus one per node walked. *)
+let rec scan_large t csize bits =
+  if bits = 0 then nil
+  else begin
+    t.probes <- t.probes + 1;
+    let c = walk_large t csize t.bins.(small_bin_count + ctz bits) in
+    if c != nil then c else scan_large t csize (bits land (bits - 1))
+  end
+
+(* Scan bins at [idx] and above for the first chunk of at least [csize],
+   or [nil]; the nodes examined are left in [t.probes]. Large bins are
+   sorted so the first fit within a bin is best. The occupancy bitmaps
+   drive the scan, so only non-empty bins are visited — exactly the bins
+   the plain walk charged probes for, so the simulated cost (and the
+   chunk chosen) is identical to a linear scan. *)
 let search_bins t idx csize =
-  let probes = ref 0 in
-  let found = ref None in
-  if idx < small_bin_count then begin
-    let bits = t.binmap_small land ((-1) lsl idx) in
-    if bits <> 0 then begin
-      match t.bins.(ctz bits) with
-      | Some head ->
-          incr probes;
-          (* Exact-spacing bin: the head always fits if the bin is right. *)
-          if head.size >= csize then found := Some head
-      | None -> assert false
-    end
-  end;
-  if !found = None then begin
+  t.probes <- 0;
+  let small_bits = if idx < small_bin_count then t.binmap_small land ((-1) lsl idx) else 0 in
+  let head = if small_bits = 0 then nil else t.bins.(ctz small_bits) in
+  if head != nil then t.probes <- 1;
+  (* Exact-spacing bin: the head always fits if the bin is right. *)
+  if head != nil && head.size >= csize then head
+  else begin
     let start = if idx < small_bin_count then 0 else idx - small_bin_count in
-    let bits = ref (t.binmap_large land ((-1) lsl start)) in
-    while !found = None && !bits <> 0 do
-      let i = small_bin_count + ctz !bits in
-      bits := !bits land (!bits - 1);
-      match t.bins.(i) with
-      | Some head ->
-          incr probes;
-          let rec walk node =
-            match node with
-            | None -> ()
-            | Some c ->
-                incr probes;
-                if c.size >= csize then found := Some c else walk c.fd
-          in
-          walk (Some head)
-      | None -> assert false
-    done
-  end;
-  (!found, !probes)
+    scan_large t csize (t.binmap_large land ((-1) lsl start))
+  end
+
+(* Serve [csize] bytes from a chunk [search_bins] found. *)
+let take_binned t ctx c csize =
+  unlink t c;
+  c.is_free <- false;
+  split_chunk t ctx c csize;
+  M.write_mem ctx c.addr;
+  Astats.record_malloc t.stats (c.size - header_bytes);
+  c.addr + header_bytes
 
 let malloc t ctx request =
   if request <= 0 then invalid_arg "Dlheap.malloc: size <= 0";
+  if request > Allocator.max_request then invalid_arg "Dlheap.malloc: size > Allocator.max_request";
   let csize = chunk_size_for request in
-  if
-    t.params.use_fastbins && csize <= fastbin_limit && t.fastbins.(fastbin_index csize) <> None
+  if t.params.use_fastbins && csize <= fastbin_limit && t.fastbins.(fastbin_index csize) != nil
   then begin
     (* glibc fast path: exact-size LIFO pop, no unlink or split work —
        charged instead of, not on top of, the regular malloc path. *)
-    match t.fastbins.(fastbin_index csize) with
-    | Some c ->
-        t.fastbins.(fastbin_index csize) <- c.fd;
-        c.fd <- None;
-        c.in_fastbin <- false;
-        M.work ctx (Costs.apply t.costs fastbin_cycles);
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | None -> assert false
+    let idx = fastbin_index csize in
+    let c = t.fastbins.(idx) in
+    t.fastbins.(idx) <- c.fd;
+    c.fd <- nil;
+    c.in_fastbin <- false;
+    M.work ctx (Costs.apply t.costs fastbin_cycles);
+    M.write_mem ctx c.addr;
+    Astats.record_malloc t.stats (c.size - header_bytes);
+    c.addr + header_bytes
   end
   else if csize >= t.params.mmap_threshold then begin
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
@@ -521,90 +544,52 @@ let malloc t ctx request =
        the answer is its LIFO head — same chunk, same charges (base +
        one probe; a zero-remainder split charges nothing) as the general
        scan would produce, without the scan, the general unlink or the
-       split bookkeeping. *)
+       split bookkeeping. Exact spacing: the head's size is the bin's
+       size. *)
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     let idx = (csize - min_chunk_bytes) / align in
-    match t.bins.(idx) with
-    | Some c when c.size = csize ->
-        charge_probes t ctx 1;
-        (match c.fd with
-        | Some f ->
-            f.bk <- None;
-            t.bins.(idx) <- c.fd
-        | None ->
-            t.bins.(idx) <- None;
-            t.binmap_small <- t.binmap_small land lnot (1 lsl idx));
-        c.fd <- None;
-        c.bin <- -1;
-        c.is_free <- false;
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | Some _ | None -> assert false (* exact spacing: the head's size is the bin's size *)
+    let c = t.bins.(idx) in
+    charge_probes t ctx 1;
+    let f = c.fd in
+    t.bins.(idx) <- f;
+    if f != nil then f.bk <- nil else t.binmap_small <- t.binmap_small land lnot (1 lsl idx);
+    c.fd <- nil;
+    c.bin <- -1;
+    c.is_free <- false;
+    M.write_mem ctx c.addr;
+    Astats.record_malloc t.stats (c.size - header_bytes);
+    c.addr + header_bytes
   end
   else begin
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     let idx = bin_index csize in
-    let found, probes = search_bins t idx csize in
-    charge_probes t ctx probes;
-    match found with
-    | Some c ->
-        unlink t c;
-        c.is_free <- false;
-        split_chunk t ctx c csize;
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | None ->
-        (* Nothing binned fits: use the wilderness, growing it if needed. *)
-        if t.top.tsize >= csize + min_chunk_bytes then begin
-          let c = carve_top t ctx csize in
-          Astats.record_malloc t.stats (c.size - header_bytes);
-          Some (c.addr + header_bytes)
-        end
-        else if
-          (t.params.use_fastbins && consolidate_fastbins t ctx > 0)
-          || (t.params.defer_coalescing && consolidate_deferred t ctx > 0)
-        then begin
-          (* glibc consolidates the fastbins (and, with coalescing
-             deferred, the binned free chunks) before growing the heap;
-             retry the bins with the coalesced chunks available. *)
-          let found, probes = search_bins t idx csize in
-          charge_probes t ctx probes;
-          match found with
-          | Some c ->
-              unlink t c;
-              c.is_free <- false;
-              split_chunk t ctx c csize;
-              M.write_mem ctx c.addr;
-              Astats.record_malloc t.stats (c.size - header_bytes);
-              Some (c.addr + header_bytes)
-          | None ->
-              if t.top.tsize >= csize + min_chunk_bytes || grow_top t ctx (csize + min_chunk_bytes)
-              then begin
-                let c = carve_top t ctx csize in
-                Astats.record_malloc t.stats (c.size - header_bytes);
-                Some (c.addr + header_bytes)
-              end
-              else begin
-                match t.kind with
-                | Main -> malloc_mmapped t ctx csize
-                | Sub _ -> None
-              end
-        end
-        else if grow_top t ctx (csize + min_chunk_bytes) then begin
-          let c = carve_top t ctx csize in
-          Astats.record_malloc t.stats (c.size - header_bytes);
-          Some (c.addr + header_bytes)
-        end
-        else begin
-          match t.kind with
-          | Main when t.params.mmap_fallback ->
-              (* The brk hit a mapping: fall back to mmap for this
-                 request, as glibc does after 2.1.3. *)
-              malloc_mmapped t ctx csize
-          | Main | Sub _ -> None
-        end
+    let c = search_bins t idx csize in
+    charge_probes t ctx t.probes;
+    (* Failing a binned fit, use the wilderness, growing it if needed. *)
+    if c != nil then take_binned t ctx c csize
+    else if t.top.tsize >= csize + min_chunk_bytes then carve_top t ctx csize
+    else if
+      (t.params.use_fastbins && consolidate_fastbins t ctx > 0)
+      || (t.params.defer_coalescing && consolidate_deferred t ctx > 0)
+    then begin
+      (* glibc consolidates the fastbins (and, with coalescing deferred,
+         the binned free chunks) before growing the heap; retry the bins
+         with the coalesced chunks available. *)
+      let c = search_bins t idx csize in
+      charge_probes t ctx t.probes;
+      if c != nil then take_binned t ctx c csize
+      else if t.top.tsize >= csize + min_chunk_bytes || grow_top t ctx (csize + min_chunk_bytes)
+      then carve_top t ctx csize
+      else match t.kind with Main -> malloc_mmapped t ctx csize | Sub _ -> 0
+    end
+    else if grow_top t ctx (csize + min_chunk_bytes) then carve_top t ctx csize
+    else
+      match t.kind with
+      | Main when t.params.mmap_fallback ->
+          (* The brk hit a mapping: fall back to mmap for this request,
+             as glibc does after 2.1.3. *)
+          malloc_mmapped t ctx csize
+      | Main | Sub _ -> 0
   end
 
 (* --- free ---------------------------------------------------------------- *)
@@ -634,7 +619,7 @@ let free t ctx user =
       let idx = fastbin_index c.size in
       c.in_fastbin <- true;
       c.fd <- t.fastbins.(idx);
-      t.fastbins.(idx) <- Some c;
+      t.fastbins.(idx) <- c;
       M.write_mem ctx c.addr
     end
     else if t.params.defer_coalescing && is_small c.size then begin
@@ -669,12 +654,11 @@ let owns t user =
 
 let usable_size t user =
   let caddr = user - header_bytes in
-  match Int_table.find_opt t.mm_chunks caddr with
-  | Some len -> len - header_bytes
-  | None -> (
-      match Int_table.find_opt t.chunks caddr with
-      | Some c -> c.size - header_bytes
-      | None -> invalid_arg "Dlheap.usable_size: unknown address")
+  if Int_table.mem t.mm_chunks caddr then Int_table.find_exn t.mm_chunks caddr - header_bytes
+  else
+    match Int_table.find_exn t.chunks caddr with
+    | c -> c.size - header_bytes
+    | exception Not_found -> invalid_arg "Dlheap.usable_size: unknown address"
 
 let is_sub t = match t.kind with Main -> false | Sub _ -> true
 
@@ -697,14 +681,9 @@ let mmapped_count t = Int_table.length t.mm_chunks
 
 let set_params t params = t.params <- params
 
-let fastbin_chunks t =
-  let count = ref 0 in
-  Array.iter
-    (fun head ->
-      let rec walk = function None -> () | Some c -> incr count; walk c.fd in
-      walk head)
-    t.fastbins;
-  !count
+let rec list_length c n = if c == nil then n else list_length c.fd (n + 1)
+
+let fastbin_chunks t = Array.fold_left (fun n head -> list_length head n) 0 t.fastbins
 
 let consolidate = consolidate_fastbins
 
@@ -724,9 +703,9 @@ let validate t =
           else Ok ()
         else if addr > t.top.taddr then fail "chunk walk overshot top at 0x%x" addr
         else
-          match Int_table.find_opt t.chunks addr with
-          | None -> fail "segment hole at 0x%x" addr
-          | Some c ->
+          match Int_table.find_exn t.chunks addr with
+          | exception Not_found -> fail "segment hole at 0x%x" addr
+          | c ->
               if c.size < min_chunk_bytes then fail "undersized chunk at 0x%x" addr
               else if c.size mod align <> 0 then fail "misaligned size at 0x%x" addr
               else if c.prev_size <> prev_size then
@@ -740,42 +719,32 @@ let validate t =
       walk t.seg_base 0 false
     end
   in
-  let same_chunk a b =
-    match (a, b) with None, None -> true | Some x, Some y -> x == y | Some _, None | None, Some _ -> false
-  in
   let check_bins () =
     let rec check_bin idx =
       if idx >= nbins then Ok ()
       else begin
-        let rec walk prev node last_size count =
-          match node with
-          | None -> Ok count
-          | Some c ->
-              if not c.is_free then fail "bin %d holds live chunk 0x%x" idx c.addr
-              else if c.bin <> idx then fail "chunk 0x%x in bin %d but tagged %d" c.addr idx c.bin
-              else if bin_index c.size <> idx then
-                fail "chunk 0x%x (size %d) misfiled in bin %d" c.addr c.size idx
-              else if not (same_chunk c.bk prev) then fail "broken back link at 0x%x in bin %d" c.addr idx
-              else if (not (is_small c.size)) && c.size < last_size then
-                fail "large bin %d unsorted at 0x%x" idx c.addr
-              else walk node c.fd c.size (count + 1)
+        let rec walk prev c last_size =
+          if c == nil then Ok ()
+          else if not c.is_free then fail "bin %d holds live chunk 0x%x" idx c.addr
+          else if c.bin <> idx then fail "chunk 0x%x in bin %d but tagged %d" c.addr idx c.bin
+          else if bin_index c.size <> idx then
+            fail "chunk 0x%x (size %d) misfiled in bin %d" c.addr c.size idx
+          else if c.bk != prev then fail "broken back link at 0x%x in bin %d" c.addr idx
+          else if (not (is_small c.size)) && c.size < last_size then
+            fail "large bin %d unsorted at 0x%x" idx c.addr
+          else walk c c.fd c.size
         in
-        match walk None t.bins.(idx) 0 0 with
+        match walk nil t.bins.(idx) 0 with
         | Error _ as e -> e
-        | Ok _ -> check_bin (idx + 1)
+        | Ok () -> check_bin (idx + 1)
       end
     in
     check_bin 0
   in
   let check_counts () =
-    let binned = ref 0 in
-    Array.iter
-      (fun head ->
-        let rec count node = match node with None -> () | Some c -> incr binned; count c.fd in
-        count head)
-      t.bins;
+    let binned = Array.fold_left (fun n head -> list_length head n) 0 t.bins in
     let free_chunks = Int_table.fold (fun _ c acc -> if c.is_free then acc + 1 else acc) t.chunks 0 in
-    if !binned <> free_chunks then fail "%d free chunks but %d binned" free_chunks !binned
+    if binned <> free_chunks then fail "%d free chunks but %d binned" free_chunks binned
     else Ok ()
   in
   let check_binmap () =
@@ -786,35 +755,39 @@ let validate t =
           if idx < small_bin_count then t.binmap_small land (1 lsl idx)
           else t.binmap_large land (1 lsl (idx - small_bin_count))
         in
-        match (t.bins.(idx), bit) with
-        | Some _, 0 -> fail "bin %d occupied but binmap bit clear" idx
-        | None, b when b <> 0 -> fail "bin %d empty but binmap bit set" idx
-        | _ -> check (idx + 1)
+        let occupied = t.bins.(idx) != nil in
+        if occupied && bit = 0 then fail "bin %d occupied but binmap bit clear" idx
+        else if (not occupied) && bit <> 0 then fail "bin %d empty but binmap bit set" idx
+        else check (idx + 1)
       end
     in
     check 0
   in
   let check_fastbins () =
-    let bad = ref None in
-    Array.iteri
-      (fun i head ->
-        let rec walk = function
-          | None -> ()
-          | Some c ->
-              if !bad = None then begin
-                if not c.in_fastbin then
-                  bad := Some (Printf.sprintf "fastbin %d holds untagged chunk 0x%x" i c.addr)
-                else if c.is_free then bad := Some (Printf.sprintf "fastbin chunk 0x%x marked free" c.addr)
-                else if c.size > fastbin_limit then
-                  bad := Some (Printf.sprintf "oversized fastbin chunk 0x%x" c.addr)
-                else if fastbin_index c.size <> i then
-                  bad := Some (Printf.sprintf "fastbin chunk 0x%x misfiled" c.addr)
-              end;
-              walk c.fd
+    let rec check_bin i =
+      if i >= nfastbins then Ok ()
+      else begin
+        let rec walk c =
+          if c == nil then check_bin (i + 1)
+          else if not c.in_fastbin then fail "fastbin %d holds untagged chunk 0x%x" i c.addr
+          else if c.is_free then fail "fastbin chunk 0x%x marked free" c.addr
+          else if c.size > fastbin_limit then fail "oversized fastbin chunk 0x%x" c.addr
+          else if fastbin_index c.size <> i then fail "fastbin chunk 0x%x misfiled" c.addr
+          else walk c.fd
         in
-        walk head)
-      t.fastbins;
-    match !bad with Some m -> Error m | None -> Ok ()
+        walk t.fastbins.(i)
+      end
+    in
+    check_bin 0
+  in
+  (* A retired record must be out of the chunk table and look absorbed. *)
+  let rec check_spare r =
+    if r == nil then Ok ()
+    else if r.is_free || r.bin >= 0 || r.in_fastbin then fail "retired record 0x%x not cleared" r.addr
+    else
+      match Int_table.find_exn t.chunks r.addr with
+      | c when c == r -> fail "retired record 0x%x still indexed" r.addr
+      | _ | (exception Not_found) -> check_spare r.fd
   in
   match check_segment () with
   | Error _ as e -> e
@@ -825,4 +798,7 @@ let validate t =
           match check_counts () with
           | Error _ as e -> e
           | Ok () -> (
-              match check_binmap () with Error _ as e -> e | Ok () -> check_fastbins ())))
+              match check_binmap () with
+              | Error _ as e -> e
+              | Ok () -> (
+                  match check_fastbins () with Error _ as e -> e | Ok () -> check_spare t.spare))))

@@ -65,11 +65,14 @@ val create_sub :
     with [mmap] immediately (hence needs a running thread) and carves its
     top chunk from it. [None] if the address space is exhausted. *)
 
-val malloc : t -> Mb_machine.Machine.ctx -> int -> int option
+val malloc : t -> Mb_machine.Machine.ctx -> int -> int
 (** [malloc t ctx size] returns the user address of a block of at least
-    [size] bytes, or [None] if this heap cannot satisfy it (sub-heap
-    region full, or main heap blocked by both the brk ceiling and mmap
-    exhaustion). [size] must be positive. *)
+    [size] bytes, or [0] if this heap cannot satisfy it (sub-heap region
+    full, or main heap blocked by both the brk ceiling and mmap
+    exhaustion); no user address is ever [0]. [size] must be positive
+    and at most {!Allocator.max_request}. Carving and splitting reuse
+    the records of chunks that merged away, so a steady malloc/free
+    cycle allocates nothing on the host. *)
 
 val free : t -> Mb_machine.Machine.ctx -> int -> unit
 (** Releases a block owned by this heap.

@@ -55,8 +55,8 @@ let with_global t ctx f =
 
 let global_malloc t ctx size =
   match Dlheap.malloc t.global ctx size with
-  | Some user -> user
-  | None -> Allocator.out_of_memory ~bytes:size "perthread"
+  | 0 -> Allocator.out_of_memory ~bytes:size "perthread"
+  | user -> user
 
 let malloc t ctx size =
   if size <= 0 then invalid_arg "Perthread.malloc: size <= 0";

@@ -190,11 +190,7 @@ let remember t ctx arena =
 let rec malloc_with t ctx arena size attempts =
   M.write_mem ctx arena.descriptor;
   match Dlheap.malloc arena.heap ctx size with
-  | Some user ->
-      M.Mutex.unlock arena.mutex ctx;
-      remember t ctx arena;
-      user
-  | None ->
+  | 0 ->
       (* This arena's region is full: move to a fresh arena (bounded
          retries so address-space exhaustion terminates). *)
       M.Mutex.unlock arena.mutex ctx;
@@ -207,26 +203,30 @@ let rec malloc_with t ctx arena size attempts =
             malloc_with t ctx fresh size (attempts + 1)
         | None -> Allocator.out_of_memory ~bytes:size "ptmalloc"
       end
+  | user ->
+      M.Mutex.unlock arena.mutex ctx;
+      remember t ctx arena;
+      user
 
 let malloc t ctx size =
   let arena = acquire_arena t ctx in
   malloc_with t ctx arena size 0
 
-let owning_arena t ctx user =
-  let n = t.n_arenas in
-  let rec scan i =
-    if i >= n then None
-    else begin
-      M.work ctx (Costs.apply t.costs 2);
-      if Dlheap.owns t.arenas.(i).heap user then Some t.arenas.(i) else scan (i + 1)
-    end
-  in
-  scan 0
+(* Index of the first of arenas [i .. n-1] that owns [user], or -1,
+   charging each arena probed. [n] is fixed when the scan starts, though
+   the charges let other threads create arenas meanwhile. *)
+let rec owning_arena t ctx user n i =
+  if i >= n then -1
+  else begin
+    M.work ctx (Costs.apply t.costs 2);
+    if Dlheap.owns t.arenas.(i).heap user then i else owning_arena t ctx user n (i + 1)
+  end
 
 let free t ctx user =
-  match owning_arena t ctx user with
-  | None -> invalid_arg "ptmalloc.free: address not owned by any arena"
-  | Some arena ->
+  match owning_arena t ctx user t.n_arenas 0 with
+  | -1 -> invalid_arg "ptmalloc.free: address not owned by any arena"
+  | i ->
+      let arena = t.arenas.(i) in
       let tid = M.tid ctx in
       (match Int_table.find_exn t.tl_arena tid with
       | a when a != arena -> t.stats.Astats.foreign_frees <- t.stats.Astats.foreign_frees + 1

@@ -30,8 +30,8 @@ let with_lock t ctx f =
 let malloc t ctx size =
   with_lock t ctx (fun () ->
       match Dlheap.malloc t.heap ctx size with
-      | Some user -> user
-      | None -> Allocator.out_of_memory ~bytes:size "serial")
+      | 0 -> Allocator.out_of_memory ~bytes:size "serial"
+      | user -> user)
 
 let free t ctx user = with_lock t ctx (fun () -> Dlheap.free t.heap ctx user)
 

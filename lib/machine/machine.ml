@@ -1170,9 +1170,11 @@ end
    any other ready thread — dispatch latency (up to a quantum under
    full load) is part of what the caller measures, exactly as a real
    nanosleep wake rides the run queue. Open-loop traffic generators
-   use this to pace arrivals. *)
+   use this to pace arrivals. A NaN fails the [t > now] guard, so it is
+   rejected first rather than returning at once. *)
 let sleep_until th t =
   let m = th.tproc.pm in
+  if Float.is_nan t then invalid_arg "Machine.sleep_until: NaN time";
   if t > Engine.now m.engine then begin
     th.state <- Blocked;
     Engine.set_wait m.engine th.lane ~why:"sleeping" ~waits_on:(-1);

@@ -264,7 +264,7 @@ val sleep_until : ctx -> float -> unit
     ready thread — so the caller observes wake-to-dispatch latency under
     load, as a real timer sleep does. Returns immediately if [t] is not
     in the future. The open-loop traffic generators use it to pace
-    arrivals. *)
+    arrivals. @raise Invalid_argument if [t] is NaN. *)
 
 (** A reusable FIFO wait queue — the condition-variable half of a
     producer/consumer handoff. Threads park with {!Waitq.wait}; wakers

@@ -155,6 +155,26 @@ let generic_cases =
       ])
     factories
 
+(* A request no size arithmetic can represent fails with the error
+   fault-tolerant workloads degrade on, and leaves the heap valid. *)
+let test_oversized_requests_fail () =
+  List.iter
+    (fun name ->
+      let factory = Option.get (Core.Factory.by_name name) in
+      in_thread (fun p ctx ->
+          let alloc = factory.Core.Factory.create p in
+          let pin = alloc.A.malloc ctx 64 in
+          List.iter
+            (fun size ->
+              match alloc.A.malloc ctx size with
+              | u -> Alcotest.failf "%s: malloc %d returned 0x%x" name size u
+              | exception Core.Fault.Injector.Alloc_failure _ -> ())
+            [ max_int; max_int - 7; max_int - 100 ];
+          alloc.A.free ctx pin;
+          check_valid alloc;
+          Alcotest.(check int) (name ^ ": live zero") 0 alloc.A.stats.Core.Astats.live_bytes))
+    Core.Factory.names
+
 (* --- ptmalloc arena protocol ------------------------------------------ *)
 
 let test_ptmalloc_single_thread_one_arena () =
@@ -392,4 +412,5 @@ let suite =
       Alcotest.test_case "aligned: wild free" `Quick test_aligned_wild_free;
       Alcotest.test_case "aligned: padding overhead" `Quick test_padding_overhead;
       Alcotest.test_case "serial: lock counts" `Quick test_serial_lock_counts;
+      Alcotest.test_case "oversized requests fail cleanly" `Quick test_oversized_requests_fail;
     ]

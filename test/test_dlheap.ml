@@ -18,8 +18,8 @@ let with_heap ?(params = Dlheap.default_params) body =
 
 let alloc heap ctx size =
   match Dlheap.malloc heap ctx size with
-  | Some user -> user
-  | None -> Alcotest.fail "unexpected allocation failure"
+  | 0 -> Alcotest.fail "unexpected allocation failure"
+  | user -> user
 
 let check_valid heap =
   match Dlheap.validate heap with
@@ -162,8 +162,8 @@ let test_sub_heap_bounded () =
          Alcotest.(check bool) "is sub" true (Dlheap.is_sub heap);
          let rec fill acc =
            match Dlheap.malloc heap ctx 4096 with
-           | Some u -> fill (u :: acc)
-           | None -> acc
+           | 0 -> acc
+           | u -> fill (u :: acc)
          in
          let blocks = fill [] in
          Alcotest.(check bool) "held about 64KB worth" true
@@ -172,7 +172,7 @@ let test_sub_heap_bounded () =
          List.iter (fun u -> Dlheap.free heap ctx u) blocks;
          check_valid heap;
          (* after freeing everything it can serve again *)
-         Alcotest.(check bool) "reusable after drain" true (Dlheap.malloc heap ctx 4096 <> None)));
+         Alcotest.(check bool) "reusable after drain" true (Dlheap.malloc heap ctx 4096 <> 0)));
   M.run m
 
 let test_giant_coalesced_chunk_binned () =
@@ -279,10 +279,10 @@ let test_index_swap_stream () =
         if i mod 3 <> 2 || !live = [] then begin
           let size = next_size () in
           match Dlheap.malloc heap ctx size with
-          | Some u ->
+          | 0 -> Buffer.add_string stream "a!;"
+          | u ->
               Buffer.add_string stream (Printf.sprintf "a%x;" u);
               live := u :: !live
-          | None -> Buffer.add_string stream "a!;"
         end
         else begin
           match !live with
@@ -296,11 +296,11 @@ let test_index_swap_stream () =
       (* One mmapped chunk through the threshold path, so the stream also
          pins the mm_chunks index behaviour. *)
       (match Dlheap.malloc heap ctx 200_000 with
-      | Some u ->
+      | 0 -> Buffer.add_string stream "a!;"
+      | u ->
           Buffer.add_string stream (Printf.sprintf "a%x;" u);
           Dlheap.free heap ctx u;
-          Buffer.add_string stream (Printf.sprintf "f%x;" u)
-      | None -> Buffer.add_string stream "a!;");
+          Buffer.add_string stream (Printf.sprintf "f%x;" u));
       List.iter
         (fun u ->
           Dlheap.free heap ctx u;
@@ -312,6 +312,91 @@ let test_index_swap_stream () =
   Alcotest.(check string) "stream digest" "4aa7f5505159bdae6f3e0862a4b99a17"
     (Digest.to_hex (Digest.string s));
   Alcotest.(check int) "all freed" 0 !final_live
+
+(* Per-mode streams, pinned across commits: a seeded churn over 128
+   slots (random-order frees, sizes biased into the fastbin range with a
+   tail up to 4 KB) drained at the end, rendered as every address handed
+   out plus the final simulated clock. The fastbin and deferred
+   consolidation passes walk bin lists while coalescing retires chunk
+   records, so those modes are where a bookkeeping change can move
+   placement or charges; the sub-heap stream runs its region dry and
+   records each refusal. *)
+let mode_stream ~sub ~costs ~params =
+  let stream = Buffer.create 8192 in
+  let consolidations = ref 0 in
+  let m = M.create ~seed:1 config in
+  let p = M.create_proc m () in
+  ignore
+    (M.spawn p (fun ctx ->
+         let stats = Core.Astats.create () in
+         let heap =
+           if sub then Option.get (Dlheap.create_sub ctx ~costs ~params ~stats)
+           else Dlheap.create_main p ~costs ~params ~stats
+         in
+         let lcg = ref 2024 in
+         let next bound =
+           lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
+           (!lcg lsr 8) mod bound
+         in
+         let live = Array.make 128 0 in
+         let add fmt = Printf.bprintf stream fmt in
+         let free slot =
+           Dlheap.free heap ctx live.(slot);
+           live.(slot) <- 0
+         in
+         for _ = 1 to 3000 do
+           let slot = next 128 in
+           if live.(slot) <> 0 then free slot
+           else begin
+             let size =
+               match next 8 with
+               | 0 | 1 | 2 | 3 | 4 -> 1 + next 72
+               | 5 | 6 -> 1 + next 600
+               | _ -> 1 + next 4000
+             in
+             match Dlheap.malloc heap ctx size with
+             | 0 -> add "!;"
+             | u ->
+                 live.(slot) <- u;
+                 add "%x;" u
+           end
+         done;
+         Array.iteri (fun slot u -> if u <> 0 then free slot) live;
+         add "fast=%d;" (Dlheap.consolidate heap ctx);
+         consolidations := stats.Core.Astats.consolidations;
+         match Dlheap.validate heap with
+         | Ok () -> add "live=%d;" (Dlheap.live_chunks heap)
+         | Error msg -> Alcotest.fail ("invariant violation: " ^ msg)));
+  M.run m;
+  Printf.bprintf stream "t=%h" (M.now_ns m);
+  (Buffer.contents stream, !consolidations)
+
+let test_mode_stream ~sub ~costs ~params ~deferred digest () =
+  let s, consolidations = mode_stream ~sub ~costs ~params in
+  if sub then Alcotest.(check bool) "region ran dry" true (String.contains s '!');
+  if deferred then Alcotest.(check bool) "deferred pass ran" true (consolidations > 0);
+  Alcotest.(check string) "stream digest" digest (Digest.to_hex (Digest.string s))
+
+(* Digests recorded before chunk records were recycled and bins linked
+   through a sentinel; exact_fit = false matches the default by design. *)
+let mode_streams =
+  let d = Dlheap.default_params and glibc = Core.Costs.glibc in
+  let main ?(costs = glibc) ?(deferred = false) params = test_mode_stream ~sub:false ~costs ~params ~deferred in
+  [ ("default", main d "05545f37d150f407f80e1ca02f880566");
+    ("fastbins", main { d with use_fastbins = true } "67df4ecb80298a218ec129544b899978");
+    ( "deferred",
+      main ~deferred:true { d with defer_coalescing = true } "a14005642845f3268b2e536a2681af06" );
+    ( "fastbins+deferred",
+      main ~deferred:true
+        { d with use_fastbins = true; defer_coalescing = true }
+        "51936d9a366a7e8f58e10adb9dc1517c" );
+    ("no exact fit", main { d with exact_fit = false } "05545f37d150f407f80e1ca02f880566");
+    ("solaris costs", main ~costs:Core.Costs.solaris d "e207e1fd675e55da812429e01dfb7bb0");
+    ( "sub-heap to exhaustion",
+      test_mode_stream ~sub:true ~costs:glibc ~deferred:false
+        ~params:{ d with sub_heap_bytes = 16 * 1024 }
+        "65d73ea5eb2019ed7ef747f8e0f1c25c" );
+  ]
 
 let suite =
   [ Alcotest.test_case "basic alloc/free" `Quick test_basic_alloc_free;
@@ -333,3 +418,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_ops;
     QCheck_alcotest.to_alcotest prop_usable_size_covers_request;
   ]
+  @ List.map (fun (name, test) -> Alcotest.test_case ("stream pinned: " ^ name) `Quick test) mode_streams

@@ -3,13 +3,15 @@
    may only change host-side work, never the addresses handed out or
    the simulated time charged. Checked here over randomized inputs,
    plus one golden scripted address stream pinning the exact-fit
-   layout. *)
+   layout. The same random op mix, spread over several threads, then
+   runs against every allocator, checked and under each fault plan. *)
 
 module M = Core.Machine
 module Dlheap = Core.Dlheap
 module A = Core.Allocator
 module R = Core.Obs.Recorder
 module Checker = Core.Check.Checker
+module Fault = Core.Fault.Injector
 
 let config = { M.default_config with M.cpus = 1; op_jitter = 0. }
 
@@ -20,6 +22,7 @@ type op =
   | Free of int             (* index into the live list *)
   | Realloc of int * int    (* index, new size *)
   | Memalign of int * int   (* log2 alignment, size *)
+  | Calloc of int * int     (* count, size *)
 
 let op_gen =
   QCheck.Gen.(
@@ -32,6 +35,7 @@ let op_gen =
         (4, map (fun i -> Free i) (int_bound 1000));
         (2, map2 (fun i n -> Realloc (i, n)) (int_bound 1000) size);
         (1, map2 (fun k n -> Memalign (k, n)) (int_range 3 9) size);
+        (1, map2 (fun c n -> Calloc (c, n)) (int_range 1 8) (int_range 1 500));
       ])
 
 let print_op = function
@@ -39,6 +43,7 @@ let print_op = function
   | Free i -> Printf.sprintf "free #%d" i
   | Realloc (i, n) -> Printf.sprintf "realloc #%d %d" i n
   | Memalign (k, n) -> Printf.sprintf "memalign 2^%d %d" k n
+  | Calloc (c, n) -> Printf.sprintf "calloc %d x %d" c n
 
 let ops_arb =
   QCheck.make
@@ -128,7 +133,12 @@ let run_ops ~params ops =
                  let a = A.memalign alloc ctx ~alignment:align n in
                  note a;
                  check (a mod align = 0) "memalign misaligned";
-                 live := (a, n) :: !live);
+                 live := (a, n) :: !live
+             | Calloc (c, n) ->
+                 let a = A.calloc alloc ctx ~count:c ~size:n in
+                 note a;
+                 Hashtbl.replace plain a ();
+                 live := (a, alloc.A.usable_size a) :: !live);
              disjoint ();
              (match alloc.A.validate () with
              | Ok () -> ()
@@ -185,10 +195,10 @@ let test_golden_stream () =
     (M.spawn p (fun ctx ->
          let alloc n =
            match Dlheap.malloc heap ctx n with
-           | Some a ->
+           | 0 -> Alcotest.fail "unexpected allocation failure"
+           | a ->
                seen := a :: !seen;
                a
-           | None -> Alcotest.fail "unexpected allocation failure"
          in
          let a = alloc 40 in
          let b = alloc 40 in
@@ -211,8 +221,102 @@ let test_golden_stream () =
     [ 8; 56; 104; 152; 104; 8; 56 ]
     (List.rev_map (fun a -> a - base) !seen)
 
+(* --- the op mix over every allocator ------------------------------------ *)
+
+(* One op list per thread (1 to 4 on quad_xeon), all drawing on one pool
+   of live blocks, so frees and reallocs often cross threads. A block
+   leaves the pool before the call that may release it; the pool needs
+   no simulated lock because threads interleave only inside
+   simulated-time operations. Besides [op_gen]'s sizes, the mix has
+   blocks up to 300 KB, which take every allocator's mmap path and
+   outgrow the oom-pressure budget. *)
+let mix_arb =
+  let op =
+    QCheck.Gen.(frequency [ (9, op_gen); (1, map (fun n -> Malloc n) (int_range 4_000 300_000)) ])
+  in
+  let print_thread i ops = Printf.sprintf "thread %d: %s" i (String.concat "; " (List.map print_op ops)) in
+  QCheck.make
+    ~print:(fun (seed, threads) ->
+      String.concat "\n" (Printf.sprintf "seed %d" seed :: List.mapi print_thread threads))
+    QCheck.Gen.(pair (int_bound 10_000) (list_size (int_range 1 4) (list_size (int_range 1 40) op)))
+
+(* Replay the mix on a fresh [name] allocator with the checker armed and
+   [fault] injecting, drain the pool from a thread that joins the
+   workers, and require a valid heap, no findings and no live bytes.
+   Returns how many operations degraded on [Alloc_failure]. *)
+let run_mix ~fault name (seed, threads) =
+  let check = Checker.create () in
+  let m = M.create ~seed ~check ~fault Core.Configs.quad_xeon in
+  let p = M.create_proc m () in
+  let alloc = (Option.get (Core.Factory.by_name name)).Core.Factory.create p in
+  let pool = ref [] and degraded = ref 0 in
+  let take i =
+    match !pool with
+    | [] -> None
+    | l ->
+        let a = List.nth l (i mod List.length l) in
+        pool := List.filter (fun b -> b <> a) l;
+        Some a
+  in
+  let add a = pool := a :: !pool in
+  let guard f = try f () with Fault.Alloc_failure _ -> incr degraded in
+  let step ctx = function
+    | Malloc n -> guard (fun () -> add (alloc.A.malloc ctx n))
+    | Calloc (c, n) -> guard (fun () -> add (A.calloc alloc ctx ~count:c ~size:n))
+    | Memalign (k, n) -> guard (fun () -> add (A.memalign alloc ctx ~alignment:(1 lsl k) n))
+    | Free i -> Option.iter (A.free_aligned alloc ctx) (take i)
+    | Realloc (i, n) ->
+        Option.iter
+          (fun a ->
+            (* A failed realloc leaves the old block allocated. *)
+            match A.realloc alloc ctx a n with
+            | b -> add b
+            | exception Fault.Alloc_failure _ ->
+                add a;
+                incr degraded)
+          (take i)
+  in
+  let workers = List.map (fun ops -> M.spawn p (fun ctx -> List.iter (step ctx) ops)) threads in
+  ignore
+    (M.spawn p (fun ctx ->
+         List.iter (M.join ctx) workers;
+         List.iter (A.free_aligned alloc ctx) !pool;
+         pool := [])
+      : M.thread);
+  M.run m;
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
+  (match alloc.A.validate () with Ok () -> () | Error msg -> fail "validate: %s" msg);
+  if Checker.finding_count check > 0 then fail "%d checker finding(s)" (Checker.finding_count check);
+  let live = alloc.A.stats.Core.Astats.live_bytes in
+  if live <> 0 then fail "%d live bytes after the drain" live;
+  !degraded
+
+let prop_mix_every_allocator =
+  QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150 mix_arb
+    (fun mix ->
+      List.iter
+        (fun name ->
+          let degraded = run_mix ~fault:Fault.null name mix in
+          if degraded > 0 then
+            QCheck.Test.fail_reportf "%s: %d failures without a fault plan" name degraded)
+        Core.Factory.names;
+      true)
+
+let prop_mix_under_faults =
+  QCheck.Test.make ~name:"op mix degrades gracefully under every fault plan" ~count:40 mix_arb
+    (fun ((seed, _) as mix) ->
+      List.iter
+        (fun (_, plan) ->
+          List.iter
+            (fun name -> ignore (run_mix ~fault:(Fault.create ~plan ~seed) name mix : int))
+            Core.Factory.names)
+        Core.Fault.Plan.all;
+      true)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_exact_fit_transparent;
     QCheck_alcotest.to_alcotest prop_deferred_mode_valid;
     Alcotest.test_case "golden exact-fit address stream" `Quick test_golden_stream;
+    QCheck_alcotest.to_alcotest prop_mix_every_allocator;
+    QCheck_alcotest.to_alcotest prop_mix_under_faults;
   ]

@@ -306,8 +306,8 @@ let with_fast_heap body =
 
 let falloc heap ctx size =
   match Core.Dlheap.malloc heap ctx size with
-  | Some u -> u
-  | None -> Alcotest.fail "allocation failed"
+  | 0 -> Alcotest.fail "allocation failed"
+  | u -> u
 
 let test_fastbin_lifo_reuse () =
   with_fast_heap (fun heap ctx ->

@@ -6,6 +6,8 @@
    dev build, which inlines nothing across modules. *)
 
 module M = Core.Machine
+module A = Core.Allocator
+module B1 = Core.Bench1
 module B2 = Core.Bench2
 
 (* Host minor words of [f ()]'s second run: the first grows tables. *)
@@ -16,7 +18,7 @@ let minor_words f =
   Gc.minor_words () -. w0
 
 (* The fig8 kernel at seed 1: benchmark 2, 7 threads contending for
-   ptmalloc arenas on 4 CPUs. It allocates about 0.47M words; boxing a
+   ptmalloc arenas on 4 CPUs. It allocates about 0.34M words; boxing a
    float per spin probe and per work item takes it to 3.59M. *)
 let test_fig8_ceiling () =
   let words =
@@ -65,7 +67,58 @@ let test_contended_lock_ceiling () =
   if per_op > 40. then
     Alcotest.failf "contended lock/unlock allocated %.1f minor words (ceiling 40)" per_op
 
+(* The pairs-uncontended benchmark workload at seed 1: benchmark 1's two
+   workers each doing 5,000 ptmalloc malloc/free pairs of 512 B, almost
+   uncontended. About 71K words, nearly all of them the runtime's
+   continuation per queued event; a Dlheap that boxes its bin links and
+   builds a chunk record per malloc takes it to 392K. *)
+let test_pairs_ceiling () =
+  let words =
+    minor_words (fun () ->
+        ignore
+          (B1.run
+             { B1.default with
+               B1.machine = Core.Configs.dual_pentium_pro;
+               seed = 1;
+               workers = 2;
+               mode = B1.Threads;
+               size = 512;
+               iterations = 5_000;
+               paper_iterations = 5_000;
+             }
+            : B1.result))
+  in
+  if words > 120_000. then
+    Alcotest.failf "pairs-uncontended allocated %.0f minor words (ceiling 120K)" words
+
+(* One thread's ptmalloc malloc/free pairs, net of machine set-up: 40 B
+   takes the small-bin search, 520 B the large-bin one, and both carve
+   from top and merge back. Well under a word per pair; option-linked
+   bins and a fresh record per carve cost about 25 and 32. *)
+let test_ptmalloc_pair_ceiling () =
+  let pairs = 10_000 in
+  let run size n () =
+    let m = M.create ~seed:1 Core.Configs.dual_pentium_pro in
+    let p = M.create_proc m () in
+    let a = (Core.Factory.ptmalloc ()).Core.Factory.create p in
+    ignore
+      (M.spawn p (fun ctx ->
+           for _ = 1 to n do
+             a.A.free ctx (a.A.malloc ctx size)
+           done)
+        : M.thread);
+    M.run m
+  in
+  List.iter
+    (fun size ->
+      let per_pair = (minor_words (run size pairs) -. minor_words (run size 0)) /. float_of_int pairs in
+      if per_pair > 1. then
+        Alcotest.failf "%d B malloc/free allocated %.2f minor words per pair (ceiling 1)" size per_pair)
+    [ 40; 520 ]
+
 let suite =
   [ Alcotest.test_case "fig8 kernel under 1.0M words" `Quick test_fig8_ceiling;
     Alcotest.test_case "contended lock under 40 words/op" `Quick test_contended_lock_ceiling;
+    Alcotest.test_case "pairs-uncontended under 120K words" `Quick test_pairs_ceiling;
+    Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
   ]

@@ -114,6 +114,23 @@ let test_unlock_not_owner () =
            (fun () -> M.Mutex.unlock mu ctx)));
   M.run m
 
+(* A past wake time returns at once; a NaN one is an error, not a
+   silent no-op. *)
+let test_sleep_until_times () =
+  let m = M.create two_cpu in
+  let p = M.create_proc m () in
+  ignore
+    (M.spawn p (fun ctx ->
+         M.work_exact ctx 1_000;
+         let t0 = M.now ctx in
+         M.sleep_until ctx (t0 -. 1.);
+         Alcotest.(check (float 0.)) "past time is a no-op" t0 (M.now ctx);
+         Alcotest.check_raises "NaN" (Invalid_argument "Machine.sleep_until: NaN time") (fun () ->
+             M.sleep_until ctx Float.nan);
+         M.sleep_until ctx (t0 +. 500.);
+         Alcotest.(check bool) "future time sleeps" true (M.now ctx >= t0 +. 500.)));
+  M.run m
+
 let test_blocking_and_wakeup () =
   let config = { two_cpu with M.spin_cycles = 0 } in
   let m = M.create config in
@@ -512,4 +529,5 @@ let suite =
     Alcotest.test_case "exit hooks" `Quick test_exit_hook_runs;
     Alcotest.test_case "create rejects bad clock" `Quick test_create_rejects_bad_clock;
     Alcotest.test_case "spin schedule pinned" `Quick test_spin_schedule_pinned;
+    Alcotest.test_case "sleep_until past and NaN times" `Quick test_sleep_until_times;
   ]
