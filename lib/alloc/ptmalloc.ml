@@ -101,10 +101,14 @@ let heap_bytes t =
       acc + (stop - base))
     0
 
-(* Create a fresh arena, append it to the list, and return it. Its
-   descriptor is packed at [meta_base + phase + 16 * (index - 1)], so two
-   consecutively created arenas may share a cache line depending on the
-   per-run phase — the Table 4 sloshing model. *)
+(* Create a fresh arena, lock it, append it to the list, and return it
+   with its mutex held. The lock is taken before the arena is published,
+   as glibc's [_int_new_arena] does: [try_lock] charges its cycles before
+   it looks at the owner, so an arena published first could be taken by
+   another thread's scan during that charge. Its descriptor is packed at
+   [meta_base + phase + 16 * (index - 1)], so two consecutively created
+   arenas may share a cache line depending on the per-run phase — the
+   Table 4 sloshing model. *)
 let create_arena t ctx =
   (* Claim the slot before consuming any simulated time, or two threads
      could both pass the cap check while one is mid-creation. *)
@@ -133,12 +137,17 @@ let create_arena t ctx =
               aindex;
             }
           in
-          push_arena t arena;
           let obs = M.ctx_obs ctx in
           if Mb_obs.Recorder.tracing obs then
             Mb_obs.Recorder.instant obs ~lane:(M.lane ctx)
               ~name:(Printf.sprintf "arena-create %d" aindex)
               ~ts_ns:(M.now ctx) ();
+          (* [try_lock], not [lock]: [lock] draws from the fault
+             injector's preempt-storm stream. Nothing else can see the
+             mutex yet, so it cannot fail. *)
+          let locked = M.Mutex.try_lock arena.mutex ctx in
+          assert locked;
+          push_arena t arena;
           Some arena)
 
 (* The heart of ptmalloc: find an arena we can lock without waiting.
@@ -168,10 +177,7 @@ let acquire_arena t ctx =
     | Some a -> a
     | None -> (
         match create_arena t ctx with
-        | Some a ->
-            if not (M.Mutex.try_lock a.mutex ctx) then
-              invalid_arg "ptmalloc: fresh arena unexpectedly locked";
-            a
+        | Some a -> a
         | None ->
             (* Cannot create more arenas (cap or exhaustion): wait for
                the preferred one. *)
@@ -197,10 +203,7 @@ let rec malloc_with t ctx arena size attempts =
       if attempts >= 3 then Allocator.out_of_memory ~bytes:size "ptmalloc"
       else begin
         match create_arena t ctx with
-        | Some fresh ->
-            if not (M.Mutex.try_lock fresh.mutex ctx) then
-              invalid_arg "ptmalloc: fresh arena unexpectedly locked";
-            malloc_with t ctx fresh size (attempts + 1)
+        | Some fresh -> malloc_with t ctx fresh size (attempts + 1)
         | None -> Allocator.out_of_memory ~bytes:size "ptmalloc"
       end
   | user ->

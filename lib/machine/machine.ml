@@ -56,9 +56,11 @@ type t = {
   config : config;
   engine : Engine.t;
   dcell : Engine.cell;
-      (* engine's delay hand-off cell, cached so the hot path is
+      (* engine's hand-off cell, cached so the hot paths are
          [m.dcell.cell_time <- ns; Engine.delay_pending m.engine] — an
-         unboxed store plus an allocation-free constant effect *)
+         unboxed store plus an allocation-free constant effect — and
+         [m.dcell.cell_time <- time; Engine.at_pending m.engine ev] *)
+  clock : Engine.clock;  (* the engine's clock, read unboxed *)
   cache : Coherence.t;
   root_rng : Rng.t;
   jit : Rng.cell;  (* [work]'s jitter hand-off: an unboxed draw *)
@@ -175,6 +177,10 @@ and thread = {
   mutable park_register : (unit -> unit) -> unit;
       (* preallocated closure handed to Engine.park, so parking for a
          CPU allocates nothing in the scheduler *)
+  mutable sleep_wake : unit -> unit;
+      (* [sleep_until]'s timer event, built at the thread's first sleep
+         (not at spawn: most threads never sleep) and reused by every
+         later one *)
   mutable on_cpu : int;  (* valid while Running *)
   hot : thread_hot;
   mutable switches : int;
@@ -221,6 +227,7 @@ let create ?(seed = 42) ?obs ?check ?fault (config : config) =
   { config;
     engine;
     dcell = Engine.delay_cell engine;
+    clock = Engine.clock engine;
     cache = Coherence.create config.cache ~cpus:config.cpus;
     root_rng = Rng.create ~seed;
     jit = Rng.cell ();
@@ -307,7 +314,7 @@ let run t =
   Engine.run t.engine;
   flush_observations t
 
-let now_ns t = Engine.now t.engine
+let now_ns t = t.clock.Engine.time
 
 let total_ctx_switches (t : t) = t.ctx_switches
 
@@ -353,8 +360,10 @@ let dispatch m cpu =
         if resume == no_resume then
           invalid_arg "Machine: dispatching a thread that never parked";
         th.resume <- no_resume;
-        th.hot.run_start_ns <- Engine.now m.engine;
-        Engine.at m.engine (Engine.now m.engine +. cycles_to_ns m switch) resume
+        let now = m.clock.Engine.time in
+        th.hot.run_start_ns <- now;
+        m.dcell.Engine.cell_time <- now +. cycles_to_ns m switch;
+        Engine.at_pending m.engine resume
       end
 
 let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
@@ -371,9 +380,8 @@ let release_cpu m th =
   | Some cur when cur == th -> cpu.current <- None
   | Some _ | None -> invalid_arg "Machine: thread releasing a CPU it does not hold");
   if Obs.tracing m.obs then begin
-    let now = Engine.now m.engine in
     Obs.span m.obs ~lane:th.lane ~name:"run" ~ts_ns:th.hot.run_start_ns
-      ~dur_ns:(now -. th.hot.run_start_ns)
+      ~dur_ns:(m.clock.Engine.time -. th.hot.run_start_ns)
       ~args:[ ("cpu", string_of_int cpu.cpu_id) ]
       ()
   end;
@@ -451,7 +459,7 @@ let acquire_cpu_initial m th =
       cpu.current <- th.tsome;
       th.state <- Running;
       th.on_cpu <- cpu.cpu_id;
-      th.hot.run_start_ns <- Engine.now m.engine;
+      th.hot.run_start_ns <- m.clock.Engine.time;
       th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
       th.switches <- th.switches + 1;
       m.ctx_switches <- m.ctx_switches + 1;
@@ -587,12 +595,15 @@ let[@inline] spin_step_account th m fc =
   m.mh.busy <- m.mh.busy +. fc;
   th.hot.quantum_left <- th.hot.quantum_left -. fc
 
-(* Materialize every probe boundary strictly below [t_lim]: each one is
-   a no-op probe the chain would have run, so account its step and
-   advance the phase. A boundary exactly at [t_lim] stays pending — a
-   release at that time is observed *by* that probe (see above). *)
-let spin_advance m sp t_lim =
+(* Materialize every probe boundary strictly before now: each one is a
+   no-op probe the chain would have run, so account its step and
+   advance the phase. A boundary exactly at now stays pending — a
+   release at that time is observed *by* that probe (see above). The
+   clock is read here, not passed: a float argument to a call that is
+   not inlined is boxed. *)
+let spin_advance m sp =
   let th = sp.sth in
+  let t_lim = m.clock.Engine.time in
   let continue_ = ref true in
   while !continue_ && sp.srem > 0 do
     let step = if sp.srem < 8 then sp.srem else 8 in
@@ -632,7 +643,7 @@ let spin_wake sp =
     let th = sp.sth in
     let step = if sp.srem < 8 then sp.srem else 8 in
     spin_step_account th m (float_of_int step);
-    th.hot.spin_base <- Engine.now m.engine;
+    th.hot.spin_base <- m.clock.Engine.time;
     sp.srem <- sp.srem - step;
     if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
     then ()
@@ -647,10 +658,9 @@ let spin_expire sp =
   if sp.expiries = sp.spins && sp.salive then begin
     let m = sp.smu.mm in
     let th = sp.sth in
-    let t_end = Engine.now m.engine in
-    spin_advance m sp t_end;
+    spin_advance m sp;
     spin_step_account th m (float_of_int sp.srem);
-    th.hot.spin_base <- t_end;
+    th.hot.spin_base <- m.clock.Engine.time;
     sp.srem <- 0;
     spin_finish sp
   end
@@ -663,15 +673,14 @@ let spin_expire sp =
    between two releases with no probe in between. *)
 let wake_spinners mu =
   let m = mu.mm in
-  let now = Engine.now m.engine in
   for i = 0 to mu.nspinners - 1 do
     let sp = mu.spinners.(i) in
-    spin_advance m sp now;
+    spin_advance m sp;
     if (not sp.swake) && sp.srem > 0 then begin
       sp.swake <- true;
       let step = if sp.srem < 8 then sp.srem else 8 in
-      let t_w = sp.sth.hot.spin_base +. (float_of_int step *. m.cycle_ns) in
-      Engine.at m.engine t_w sp.wake_ev
+      m.dcell.Engine.cell_time <- sp.sth.hot.spin_base +. (float_of_int step *. m.cycle_ns);
+      Engine.at_pending m.engine sp.wake_ev
     end
   done
 
@@ -713,7 +722,7 @@ let spin_on mu th =
       sp.srem <- budget;
       sp.salive <- true;
       sp.spins <- sp.spins + 1;
-      th.hot.spin_base <- Engine.now m.engine;
+      th.hot.spin_base <- m.clock.Engine.time;
       let n = mu.nspinners in
       if n = Array.length mu.spinners then begin
         let a = Array.make (max 4 (2 * n)) sp in
@@ -730,7 +739,8 @@ let spin_on mu th =
         t_end := !t_end +. (float_of_int step *. m.cycle_ns);
         b := !b - step
       done;
-      Engine.at m.engine !t_end sp.expire_ev;
+      m.dcell.Engine.cell_time <- !t_end;
+      Engine.at_pending m.engine sp.expire_ev;
       Engine.suspend m.engine sp.register
     end
   end
@@ -759,7 +769,7 @@ let rec mutex_lock_slow mu th =
       th.state <- Blocked;
       if Obs.tracing m.obs then
         Obs.instant m.obs ~lane:th.lane ~name:("block " ^ mu.mname)
-          ~ts_ns:(Engine.now m.engine)
+          ~ts_ns:m.clock.Engine.time
           ~args:[ ("cpu", string_of_int th.on_cpu) ]
           ();
       Engine.set_wait m.engine th.lane ~why:mu.mblocked ~waits_on:owner.lane;
@@ -951,10 +961,11 @@ let spawn p ?name body =
       state = Starting;
       resume = no_resume;
       park_register = no_register;
+      sleep_wake = no_resume;
       on_cpu = -1;
       hot =
         { quantum_left = 0.;
-          spawn_ns = Engine.now m.engine;
+          spawn_ns = m.clock.Engine.time;
           finish_ns = nan;
           cpu_cycles = 0.;
           run_start_ns = 0.;
@@ -1002,7 +1013,7 @@ let spawn p ?name body =
          List.iter (fun hook -> hook ()) (List.rev th.hooks);
          if th.stack_addr >= 0 then
            As.munmap p.pvm th.stack_addr ~len:thread_stack_bytes;
-         th.hot.finish_ns <- Engine.now m.engine;
+         th.hot.finish_ns <- m.clock.Engine.time;
          th.state <- Finished;
          p.live_threads <- p.live_threads - 1;
          Queue.iter (fun joiner -> make_ready m joiner) th.joiners;
@@ -1025,7 +1036,7 @@ let join th target =
 
 (* --- ctx accessors ----------------------------------------------------- *)
 
-let now th = Engine.now th.tproc.pm.engine
+let now th = th.tproc.pm.clock.Engine.time
 
 let tid th = th.tid
 
@@ -1175,10 +1186,11 @@ end
 let sleep_until th t =
   let m = th.tproc.pm in
   if Float.is_nan t then invalid_arg "Machine.sleep_until: NaN time";
-  if t > Engine.now m.engine then begin
+  if t > m.clock.Engine.time then begin
     th.state <- Blocked;
     Engine.set_wait m.engine th.lane ~why:"sleeping" ~waits_on:(-1);
-    Engine.at m.engine t (fun () -> make_ready m th);
+    if th.sleep_wake == no_resume then th.sleep_wake <- (fun () -> make_ready m th);
+    Engine.at m.engine t th.sleep_wake;
     release_cpu m th;
     park_for_cpu th
   end

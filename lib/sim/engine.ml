@@ -8,6 +8,11 @@ type pid = int
    is stored unboxed, and writing one allocates nothing. *)
 type cell = { mutable cell_time : float }
 
+(* The clock is an all-float record too, advanced in place. The
+   interface exports it [private], so other modules read the time
+   unboxed through {!clock} and only the engine writes it. *)
+type clock = { mutable time : float }
+
 (* Pending events live in one {!Timing_wheel}, ordered by (time, seq).
    The engine stores each event's payload — a bare continuation for a
    suspended process, a thunk for [at]/[spawn] — in its own arena and
@@ -36,8 +41,8 @@ let vbits = slot_bits + 1
 let v_mask = (1 lsl vbits) - 1
 
 type t = {
-  clock : cell;  (* all-float cell: advancing the clock never boxes *)
-  scratch : cell;  (* resume-time scratch for the Delay hot path *)
+  clock : clock;  (* all-float: advancing the clock never boxes *)
+  scratch : cell;  (* hand-off for the Delay hot path and [at_pending] *)
   wheel : Tw.t;
   mutable next_seq : int;  (* stamps every push; also the push count *)
   (* Event payload arena + free-list stack: popped slots are not
@@ -128,7 +133,7 @@ type _ Effect.t += Tick : unit Effect.t
 type _ Effect.t += Suspend : unit Effect.t
 
 let create ?(obs = Obs.null) () =
-  { clock = { cell_time = 0. };
+  { clock = { time = 0. };
     scratch = { cell_time = 0. };
     wheel = Tw.create ();
     next_seq = 0;
@@ -148,7 +153,9 @@ let create ?(obs = Obs.null) () =
 
 let observer t = t.obs
 
-let now t = t.clock.cell_time
+let clock t = t.clock
+
+let now t = t.clock.time
 
 let name_of t pid =
   let n = t.names.(pid) in
@@ -206,18 +213,24 @@ let push_key t key v =
 (* The key conversion is spelled out rather than calling
    {!Timing_wheel.key_of_time}: a float crossing a non-inlined call
    boundary is boxed, and this is one push per simulated event. *)
-let[@inline] push_cell t (c : cell) v =
-  push_key t (Int64.to_int (Int64.bits_of_float c.cell_time) lxor min_int) v
+let[@inline] push_at t time v =
+  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) v
 
 (* --- scheduling entry points ------------------------------------------ *)
 
-(* Written as [not (time >= now)] so a NaN time fails the guard too: a
-   NaN would otherwise sort after every real time and poison the
-   clock when it fires. *)
-let at t time thunk =
-  if not (time >= t.clock.cell_time) then invalid_arg "Engine.at: time in the past";
+(* The time comes through [scratch], like [delay_pending]'s duration,
+   so a caller in another module passes no boxed float. Written as
+   [not (time >= now)] so a NaN time fails the guard too: a NaN would
+   otherwise sort after every real time and poison the clock when it
+   fires. *)
+let at_pending t thunk =
+  if not (t.scratch.cell_time >= t.clock.time) then invalid_arg "Engine.at: time in the past";
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) ((slot lsl 1) lor 1)
+  push_at t t.scratch.cell_time ((slot lsl 1) lor 1)
+
+let at t time thunk =
+  t.scratch.cell_time <- time;
+  at_pending t thunk
 
 (* Cancellation is lazy: the event stays queued and checks its armed
    flag when it fires, so cancelling is O(1) and the queue never
@@ -249,13 +262,13 @@ let delay_cell t = t.scratch
    ring head is the queue's minimum whenever the queue is not empty.
    The guard is [not (nt >= clock)] so a NaN duration fails it too. *)
 let delay_pending t =
-  let clock = t.clock.cell_time in
+  let clock = t.clock.time in
   let nt = clock +. t.scratch.cell_time in
   let key = Int64.to_int (Int64.bits_of_float nt) lxor min_int in
   let w = t.wheel in
   if w.Tw.rsize = 0 || key < Array.unsafe_get w.Tw.rkeys w.Tw.rhead then begin
     if not (nt >= clock) then invalid_arg "Engine.delay: negative delay";
-    t.clock.cell_time <- nt
+    t.clock.time <- nt
   end
   else Effect.perform Tick
 
@@ -306,18 +319,18 @@ let start t pid body =
     t.live <- t.live - 1;
     clear_parked t pid;
     if Obs.tracing t.obs then
-      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.cell_time ()
+      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.time ()
   in
   let on_delay : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
         (* scratch already holds clock + d (written by effc below);
            [not (>=)] rejects a NaN as well as a negative d. *)
-        if not (t.scratch.cell_time >= t.clock.cell_time) then
+        if not (t.scratch.cell_time >= t.clock.time) then
           discontinue k (Invalid_argument "Engine.delay: negative delay")
         else begin
           let slot = alloc_slot t (Obj.repr k) in
-          push_cell t t.scratch (slot lsl 1)
+          push_at t t.scratch.cell_time (slot lsl 1)
         end)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
@@ -327,7 +340,7 @@ let start t pid body =
         t.pending_register <- no_register;
         set_parked t pid;
         if Obs.tracing t.obs then
-          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.cell_time ();
+          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.time ();
         let resumed = ref false in
         let resume () =
           if !resumed then
@@ -335,9 +348,9 @@ let start t pid body =
           resumed := true;
           clear_parked t pid;
           if Obs.tracing t.obs then
-            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.cell_time ();
+            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.time ();
           let slot = alloc_slot t (Obj.repr k) in
-          push_cell t t.clock (slot lsl 1)
+          push_at t t.clock.time (slot lsl 1)
         in
         register resume)
   in
@@ -368,10 +381,10 @@ let start t pid body =
      match eff with
      | Tick ->
          (* scratch holds the duration, written by the performer. *)
-         t.scratch.cell_time <- t.clock.cell_time +. t.scratch.cell_time;
+         t.scratch.cell_time <- t.clock.time +. t.scratch.cell_time;
          on_delay
      | Delay d ->
-         t.scratch.cell_time <- t.clock.cell_time +. d;
+         t.scratch.cell_time <- t.clock.time +. d;
          on_delay
      | Park register ->
          t.pending_register <- register;
@@ -416,9 +429,9 @@ let spawn t ?name body =
   t.live <- t.live + 1;
   if Obs.tracing t.obs then begin
     Obs.set_lane t.obs pid (name_of t pid);
-    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.cell_time ()
+    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.time ()
   end;
-  at t t.clock.cell_time (fun () -> start t pid body);
+  at t t.clock.time (fun () -> start t pid body);
   pid
 
 (* Build the structured stall report: every parked process with its
@@ -496,7 +509,7 @@ let run t =
     let h = w.Tw.rhead in
     let key = Array.unsafe_get w.Tw.rkeys h in
     let pk = Array.unsafe_get w.Tw.rpks h in
-    t.clock.cell_time <-
+    t.clock.time <-
       Int64.float_of_bits (Int64.logand (Int64.of_int (key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL);
     let rsize = w.Tw.rsize - 1 in
     w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);

@@ -26,6 +26,12 @@ type cell = { mutable cell_time : float }
     without boxing it: writing the field is an unboxed store. See
     {!delay_cell}. *)
 
+type clock = private { mutable time : float }
+(** The engine's clock as a read-only view: [(clock e).time] is
+    {!now}[ e], read as an unboxed load instead of a call that returns
+    a boxed float. Only the engine advances it; the type is private, so
+    a write from outside does not compile. *)
+
 type waiter = {
   wpid : pid;            (** the parked process *)
   wname : string;        (** its display name *)
@@ -64,6 +70,11 @@ val observer : t -> Mb_obs.Recorder.t
 val now : t -> float
 (** Current simulated time. *)
 
+val clock : t -> clock
+(** The engine's clock, for hot-path readers in other modules. Fetch it
+    once per engine and cache it; it stays live for the engine's
+    lifetime. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> pid
 (** [spawn t f] registers [f] as a process starting at the current time.
     May be called before {!run} or from within a running process. If [f]
@@ -76,6 +87,13 @@ val at : t -> float -> (unit -> unit) -> unit
 (** [at t time thunk] schedules a bare callback (not a process: it must not
     perform {!delay} or {!park}) at absolute [time].
     @raise Invalid_argument if [time] is earlier than {!now} or NaN. *)
+
+val at_pending : t -> (unit -> unit) -> unit
+(** Exactly {!at}, with the time taken from the engine's {!delay_cell}
+    instead of a [float] argument, so the caller boxes nothing: write
+    the absolute time, then schedule —
+    [(delay_cell e).cell_time <- time; at_pending e thunk].
+    @raise Invalid_argument if that time is earlier than {!now} or NaN. *)
 
 val at_cancel : t -> float -> (unit -> unit) -> (unit -> unit)
 (** Like {!at}, but returns a cancel function. Cancellation is lazy:
@@ -96,8 +114,10 @@ val delay : float -> unit
     [Invalid_argument] for a negative or NaN duration. *)
 
 val delay_cell : t -> cell
-(** The engine's delay hand-off cell, for the {!delay_pending} fast
-    path. Fetch it once per engine and cache it. *)
+(** The engine's hand-off cell: a duration for {!delay_pending}, an
+    absolute time for {!at_pending}. Each call reads the cell at once,
+    so write it immediately before the call. Fetch it once per engine
+    and cache it. *)
 
 val delay_pending : t -> unit
 (** Exactly {!delay}, with the duration taken from the engine's

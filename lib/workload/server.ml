@@ -100,6 +100,8 @@ and op_stat = {
 
 let state_bytes = 40  (* per-connection state: the paper's typical size *)
 
+let max_bufs = 4  (* scratch buffers per request, in any class or loop *)
+
 (* An accepted request travelling from the arrival stream to a worker. *)
 type request = { arrival_ns : float; cls : Trace.req_class; conn : int }
 
@@ -247,18 +249,27 @@ let run params =
         if old <> 0 then alloc.A.free ctx old
     | exception Fault.Alloc_failure _ -> note ctx
   in
-  let alloc_buf ctx rng dist =
-    let size = dist rng in
-    match alloc.A.malloc ctx size with
-    | user ->
-        M.touch_range ctx user ~len:(min size 256);
-        Some user
-    | exception Fault.Alloc_failure _ ->
-        note ctx;
-        None
+  (* A request's [n] scratch buffers go into its worker's [bufs] (at
+     least [max_bufs] long), in allocation order; a failed one is
+     skipped. Returns how many were kept. Reusing one array per worker
+     keeps the request path free of host allocation. *)
+  let alloc_bufs ctx rng dist bufs n =
+    let kept = ref 0 in
+    for _ = 1 to n do
+      let size = dist rng in
+      match alloc.A.malloc ctx size with
+      | user ->
+          M.touch_range ctx user ~len:(min size 256);
+          bufs.(!kept) <- user;
+          incr kept
+      | exception Fault.Alloc_failure _ -> note ctx
+    done;
+    !kept
   in
-  let alloc_bufs ctx rng dist n =
-    List.filter_map (fun (_ : int) -> alloc_buf ctx rng dist) (List.init n Fun.id)
+  let free_bufs ctx bufs kept =
+    for i = 0 to kept - 1 do
+      alloc.A.free ctx bufs.(i)
+    done
   in
   (* A response buffer that sometimes outgrows its first estimate, the
      classic realloc pattern. [grow_1_in] is the growth probability. *)
@@ -280,33 +291,33 @@ let run params =
   in
   (* The closed-loop request body: state swap + scratch buffers +
      response, unchanged from the original workload. *)
-  let handle_request ctx rng =
+  let handle_request ctx rng bufs =
     let c = Rng.int rng params.connections in
     swap_state ctx c;
-    let bufs = alloc_bufs ctx rng Trace.server_size_dist (2 + Rng.int rng 3) in
+    let kept = alloc_bufs ctx rng Trace.server_size_dist bufs (2 + Rng.int rng 3) in
     let response = response_buf ctx rng ~grow_1_in:4 in
     M.work ctx params.think_cycles;
     if response <> 0 then alloc.A.free ctx response;
-    List.iter (fun user -> alloc.A.free ctx user) bufs
+    free_bufs ctx bufs kept
   in
   (* The open-loop request body: behaviour depends on the request class. *)
-  let handle_open ctx rng (req : request) =
+  let handle_open ctx rng bufs (req : request) =
     match req.cls with
     | Trace.Read ->
-        let bufs = alloc_bufs ctx rng Trace.server_size_dist (1 + Rng.int rng 3) in
+        let kept = alloc_bufs ctx rng Trace.server_size_dist bufs (1 + Rng.int rng 3) in
         M.work ctx params.think_cycles;
-        List.iter (fun user -> alloc.A.free ctx user) bufs
+        free_bufs ctx bufs kept
     | Trace.Write ->
-        let bufs = alloc_bufs ctx rng Trace.write_size_dist 2 in
+        let kept = alloc_bufs ctx rng Trace.write_size_dist bufs 2 in
         let response = response_buf ctx rng ~grow_1_in:2 in
         M.work ctx (2 * params.think_cycles);
         if response <> 0 then alloc.A.free ctx response;
-        List.iter (fun user -> alloc.A.free ctx user) bufs
+        free_bufs ctx bufs kept
     | Trace.Update ->
         swap_state ctx req.conn;
-        let bufs = alloc_bufs ctx rng Trace.update_size_dist (1 + Rng.int rng 2) in
+        let kept = alloc_bufs ctx rng Trace.update_size_dist bufs (1 + Rng.int rng 2) in
         M.work ctx params.think_cycles;
-        List.iter (fun user -> alloc.A.free ctx user) bufs
+        free_bufs ctx bufs kept
   in
   let drain_conns ctx =
     Array.iteri
@@ -327,7 +338,7 @@ let run params =
   let class_index = function Trace.Read -> 0 | Trace.Write -> 1 | Trace.Update -> 2 in
   let lat = ref (Array.make 4_096 0.) in
   let lat_n = ref 0 in
-  let push_latency d =
+  let[@inline] push_latency d =
     if !lat_n = Array.length !lat then begin
       let bigger = Array.make (2 * !lat_n) 0. in
       Array.blit !lat 0 bigger 0 !lat_n;
@@ -384,8 +395,9 @@ let run params =
       List.init params.threads (fun i ->
           M.spawn proc ~name:(Printf.sprintf "worker-%d" i) (fun wctx ->
               let rng = M.ctx_rng wctx in
+              let bufs = Array.make max_bufs 0 in
               for _ = 1 to params.requests_per_thread do
-                handle_request wctx rng
+                handle_request wctx rng bufs
               done))
     in
     workers := ws;
@@ -406,20 +418,21 @@ let run params =
       List.init params.threads (fun i ->
           M.spawn proc ~name:(Printf.sprintf "worker-%d" i) (fun wctx ->
               let rng = M.ctx_rng wctx in
+              let bufs = Array.make max_bufs 0 in
               let rec loop () =
-                match Queue.take_opt reqq with
-                | Some req ->
-                    handle_open wctx rng req;
-                    complete wctx req;
-                    ignore (churn_step wctx rng req.conn : bool);
-                    loop ()
-                | None ->
-                    (* No simulated-time op between this check and the
-                       park: a wake cannot be lost. *)
-                    if !accepting then begin
-                      M.Waitq.wait wq wctx;
-                      loop ()
-                    end
+                if not (Queue.is_empty reqq) then begin
+                  let req = Queue.take reqq in
+                  handle_open wctx rng bufs req;
+                  complete wctx req;
+                  ignore (churn_step wctx rng req.conn : bool);
+                  loop ()
+                end
+                else if !accepting then begin
+                  (* No simulated-time op between this check and the
+                     park: a wake cannot be lost. *)
+                  M.Waitq.wait wq wctx;
+                  loop ()
+                end
               in
               loop ()))
     in
@@ -454,29 +467,32 @@ let run params =
     let accepting = ref true in
     let active = ref params.connections in
     let all_done = M.Latch.create m in
-    let rec serve slot wctx =
+    (* A slot's threads share its buffer array: a thread hands the slot
+       on only after its last request is freed. *)
+    let rec serve slot bufs wctx =
       let rng = M.ctx_rng wctx in
-      match Queue.take_opt queues.(slot) with
-      | Some req ->
-          handle_open wctx rng req;
-          complete wctx req;
-          if churn_step wctx rng slot then begin
-            (* Hand the slot to a successor thread and retire. *)
-            ignore (M.spawn proc ~name:"conn" (fun c -> serve slot c) : M.thread)
-          end
-          else serve slot wctx
-      | None ->
-          if !accepting then begin
-            M.Waitq.wait waitqs.(slot) wctx;
-            serve slot wctx
-          end
-          else begin
-            decr active;
-            if !active = 0 then M.Latch.signal all_done wctx
-          end
+      if not (Queue.is_empty queues.(slot)) then begin
+        let req = Queue.take queues.(slot) in
+        handle_open wctx rng bufs req;
+        complete wctx req;
+        if churn_step wctx rng slot then begin
+          (* Hand the slot to a successor thread and retire. *)
+          ignore (M.spawn proc ~name:"conn" (fun c -> serve slot bufs c) : M.thread)
+        end
+        else serve slot bufs wctx
+      end
+      else if !accepting then begin
+        M.Waitq.wait waitqs.(slot) wctx;
+        serve slot bufs wctx
+      end
+      else begin
+        decr active;
+        if !active = 0 then M.Latch.signal all_done wctx
+      end
     in
     for slot = 0 to params.connections - 1 do
-      ignore (M.spawn proc ~name:"conn" (fun c -> serve slot c) : M.thread)
+      let bufs = Array.make max_bufs 0 in
+      ignore (M.spawn proc ~name:"conn" (fun c -> serve slot bufs c) : M.thread)
     done;
     let arr = Arrivals.create ~rng:(M.ctx_rng ctx) op.process in
     let arng = M.ctx_rng ctx in

@@ -393,6 +393,31 @@ let test_serial_lock_counts () =
       Alcotest.(check int) "every op takes the one lock" 100 (Core.Serial.lock_acquisitions s);
       Alcotest.(check int) "no contention single-threaded" 0 (Core.Serial.lock_contentions s))
 
+(* A fresh arena is locked before other threads can see it. A quantum
+   of 50 us lets a thread lose its CPU while it pays the lock-op cycles
+   of that first [try_lock], and at seed 168 another thread's arena scan
+   used to take the fresh arena in that window, so its creator raised
+   "fresh arena unexpectedly locked". *)
+let test_ptmalloc_fresh_arena_locked () =
+  let m = M.create ~seed:168 { Core.Configs.dual_pentium_pro with M.quantum_us = 50. } in
+  let p = M.create_proc m () in
+  let pt = Core.Ptmalloc.make p () in
+  let alloc = Core.Ptmalloc.allocator pt in
+  for _ = 1 to 3 do
+    ignore
+      (M.spawn p (fun ctx ->
+           for _ = 1 to 50 do
+             let u = alloc.A.malloc ctx 64 in
+             M.work ctx 50;
+             alloc.A.free ctx u
+           done)
+        : M.thread)
+  done;
+  M.run m;
+  Alcotest.(check bool) "arenas created" true (Core.Ptmalloc.arena_count pt >= 2);
+  check_valid alloc;
+  Alcotest.(check int) "live zero" 0 alloc.A.stats.Core.Astats.live_bytes
+
 let suite =
   generic_cases
   @ [ Alcotest.test_case "ptmalloc: 1 thread, 1 arena" `Quick test_ptmalloc_single_thread_one_arena;
@@ -413,4 +438,6 @@ let suite =
       Alcotest.test_case "aligned: padding overhead" `Quick test_padding_overhead;
       Alcotest.test_case "serial: lock counts" `Quick test_serial_lock_counts;
       Alcotest.test_case "oversized requests fail cleanly" `Quick test_oversized_requests_fail;
+      Alcotest.test_case "ptmalloc: fresh arena locked before publish" `Quick
+        test_ptmalloc_fresh_arena_locked;
     ]

@@ -4,7 +4,8 @@
    the simulated time charged. Checked here over randomized inputs,
    plus one golden scripted address stream pinning the exact-fit
    layout. The same random op mix, spread over several threads, then
-   runs against every allocator, checked and under each fault plan. *)
+   runs against every allocator, checked and under each fault plan, on
+   four CPUs and oversubscribed on one or two. *)
 
 module M = Core.Machine
 module Dlheap = Core.Dlheap
@@ -223,14 +224,14 @@ let test_golden_stream () =
 
 (* --- the op mix over every allocator ------------------------------------ *)
 
-(* One op list per thread (1 to 4 on quad_xeon), all drawing on one pool
+(* One op list per thread (1 to [threads]), all drawing on one pool
    of live blocks, so frees and reallocs often cross threads. A block
    leaves the pool before the call that may release it; the pool needs
    no simulated lock because threads interleave only inside
    simulated-time operations. Besides [op_gen]'s sizes, the mix has
    blocks up to 300 KB, which take every allocator's mmap path and
    outgrow the oom-pressure budget. *)
-let mix_arb =
+let mix_arb ~threads =
   let op =
     QCheck.Gen.(frequency [ (9, op_gen); (1, map (fun n -> Malloc n) (int_range 4_000 300_000)) ])
   in
@@ -238,15 +239,15 @@ let mix_arb =
   QCheck.make
     ~print:(fun (seed, threads) ->
       String.concat "\n" (Printf.sprintf "seed %d" seed :: List.mapi print_thread threads))
-    QCheck.Gen.(pair (int_bound 10_000) (list_size (int_range 1 4) (list_size (int_range 1 40) op)))
+    QCheck.Gen.(pair (int_bound 10_000) (list_size (int_range 1 threads) (list_size (int_range 1 40) op)))
 
-(* Replay the mix on a fresh [name] allocator with the checker armed and
-   [fault] injecting, drain the pool from a thread that joins the
-   workers, and require a valid heap, no findings and no live bytes.
-   Returns how many operations degraded on [Alloc_failure]. *)
-let run_mix ~fault name (seed, threads) =
+(* Replay the mix on a fresh [name] allocator on [machine] with the
+   checker armed and [fault] injecting, drain the pool from a thread
+   that joins the workers, and require a valid heap, no findings and no
+   live bytes. Returns how many operations degraded on [Alloc_failure]. *)
+let run_mix ?(machine = Core.Configs.quad_xeon) ~fault name (seed, threads) =
   let check = Checker.create () in
-  let m = M.create ~seed ~check ~fault Core.Configs.quad_xeon in
+  let m = M.create ~seed ~check ~fault machine in
   let p = M.create_proc m () in
   let alloc = (Option.get (Core.Factory.by_name name)).Core.Factory.create p in
   let pool = ref [] and degraded = ref 0 in
@@ -292,7 +293,8 @@ let run_mix ~fault name (seed, threads) =
   !degraded
 
 let prop_mix_every_allocator =
-  QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150 mix_arb
+  QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150
+    (mix_arb ~threads:4)
     (fun mix ->
       List.iter
         (fun name ->
@@ -303,7 +305,8 @@ let prop_mix_every_allocator =
       true)
 
 let prop_mix_under_faults =
-  QCheck.Test.make ~name:"op mix degrades gracefully under every fault plan" ~count:40 mix_arb
+  QCheck.Test.make ~name:"op mix degrades gracefully under every fault plan" ~count:40
+    (mix_arb ~threads:4)
     (fun ((seed, _) as mix) ->
       List.iter
         (fun (_, plan) ->
@@ -313,10 +316,52 @@ let prop_mix_under_faults =
         Core.Fault.Plan.all;
       true)
 
+(* Up to 8 threads on one or two CPUs with a short quantum: threads wait
+   for a CPU, so quantum expiry and preempt-storm's extra switches land
+   inside allocator critical sections. *)
+let oversubscribed =
+  List.concat_map
+    (fun machine -> List.map (fun quantum_us -> { machine with M.quantum_us }) [ 50.; 5. ])
+    Core.Configs.[ uni_k6; dual_pentium_pro; dual_ultrasparc ]
+
+let preempts = ref 0
+
+let prop_mix_oversubscribed =
+  QCheck.Test.make ~name:"op mix oversubscribed, with and without faults" ~count:40
+    (mix_arb ~threads:8)
+    (fun ((seed, _) as mix) ->
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun name ->
+              let degraded = run_mix ~machine ~fault:Fault.null name mix in
+              if degraded > 0 then
+                QCheck.Test.fail_reportf "%s: %d failures without a fault plan" name degraded;
+              List.iter
+                (fun (_, plan) ->
+                  let fault = Fault.create ~plan ~seed in
+                  ignore (run_mix ~machine ~fault name mix : int);
+                  preempts := !preempts + Fault.injected_preempt fault)
+                Core.Fault.Plan.all)
+            Core.Factory.names)
+        oversubscribed;
+      true)
+
+(* The property, then proof that it preempted inside lock sites at all. *)
+let oversubscribed_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_mix_oversubscribed in
+  ( name,
+    speed,
+    fun () ->
+      preempts := 0;
+      run ();
+      if !preempts = 0 then Alcotest.fail "preempt-storm never injected" )
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_exact_fit_transparent;
     QCheck_alcotest.to_alcotest prop_deferred_mode_valid;
     Alcotest.test_case "golden exact-fit address stream" `Quick test_golden_stream;
     QCheck_alcotest.to_alcotest prop_mix_every_allocator;
     QCheck_alcotest.to_alcotest prop_mix_under_faults;
+    oversubscribed_case;
   ]

@@ -9,6 +9,7 @@ module M = Core.Machine
 module A = Core.Allocator
 module B1 = Core.Bench1
 module B2 = Core.Bench2
+module S = Core.Server
 
 (* Host minor words of [f ()]'s second run: the first grows tables. *)
 let minor_words f =
@@ -18,8 +19,9 @@ let minor_words f =
   Gc.minor_words () -. w0
 
 (* The fig8 kernel at seed 1: benchmark 2, 7 threads contending for
-   ptmalloc arenas on 4 CPUs. It allocates about 0.34M words; boxing a
-   float per spin probe and per work item takes it to 3.59M. *)
+   ptmalloc arenas on 4 CPUs. It allocates about 0.19M words; boxing
+   each clock read and spin-wake time takes it to 0.34M, and boxing a
+   float per spin probe and per work item to 3.59M. *)
 let test_fig8_ceiling () =
   let words =
     minor_words (fun () ->
@@ -35,12 +37,13 @@ let test_fig8_ceiling () =
              }
             : B2.result))
   in
-  if words > 1.0e6 then Alcotest.failf "fig8 allocated %.0f minor words (ceiling 1.0M)" words
+  if words > 0.25e6 then Alcotest.failf "fig8 allocated %.0f minor words (ceiling 0.25M)" words
 
 (* Two threads on separate CPUs share one mutex and hold it across a
-   little work, so most acquisitions spin on it. About 17 words per
-   lock/unlock; a spin path that allocates its registration, closures
-   and float boxes costs 158. *)
+   little work, so most acquisitions spin on it. About 6 words per
+   lock/unlock; boxing the clock reads and the spin-wake times costs
+   17, and a spin path that also allocates its registration and
+   closures 158. *)
 let test_contended_lock_ceiling () =
   let ops = 10_000 in
   let words =
@@ -64,8 +67,8 @@ let test_contended_lock_ceiling () =
           Alcotest.failf "only %d of %d acquisitions contended" (M.Mutex.contentions mu) ops)
   in
   let per_op = words /. float_of_int ops in
-  if per_op > 40. then
-    Alcotest.failf "contended lock/unlock allocated %.1f minor words (ceiling 40)" per_op
+  if per_op > 10. then
+    Alcotest.failf "contended lock/unlock allocated %.1f minor words (ceiling 10)" per_op
 
 (* The pairs-uncontended benchmark workload at seed 1: benchmark 1's two
    workers each doing 5,000 ptmalloc malloc/free pairs of 512 B, almost
@@ -116,9 +119,40 @@ let test_ptmalloc_pair_ceiling () =
         Alcotest.failf "%d B malloc/free allocated %.2f minor words per pair (ceiling 1)" size per_pair)
     [ 40; 520 ]
 
+(* The server-open benchmark workload at seed 1: a 4-thread pool behind
+   a 256-deep queue on 4 CPUs, 64 connections, 2,000 Poisson arrivals at
+   450k rps with churn. About 127K words; a request path that builds
+   lists, closures and options per request, with boxed clock reads in
+   the machine, takes it to 204K. *)
+let test_server_open_ceiling () =
+  let words =
+    minor_words (fun () ->
+        ignore
+          (S.run
+             { S.default with
+               S.machine = Core.Configs.quad_xeon;
+               seed = 1;
+               threads = 4;
+               connections = 64;
+               open_loop =
+                 Some
+                   { S.process = Core.Arrivals.Poisson { rate_rps = 450_000. };
+                     total_requests = 2_000;
+                     model = S.Thread_pool { queue_capacity = 256 };
+                     churn_mean_requests = 32;
+                     read_pct = 60;
+                     write_pct = 25;
+                   };
+             }
+            : S.result))
+  in
+  if words > 160_000. then
+    Alcotest.failf "server-open allocated %.0f minor words (ceiling 160K)" words
+
 let suite =
-  [ Alcotest.test_case "fig8 kernel under 1.0M words" `Quick test_fig8_ceiling;
-    Alcotest.test_case "contended lock under 40 words/op" `Quick test_contended_lock_ceiling;
+  [ Alcotest.test_case "fig8 kernel under 0.25M words" `Quick test_fig8_ceiling;
+    Alcotest.test_case "contended lock under 10 words/op" `Quick test_contended_lock_ceiling;
     Alcotest.test_case "pairs-uncontended under 120K words" `Quick test_pairs_ceiling;
     Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
+    Alcotest.test_case "server-open under 160K words" `Quick test_server_open_ceiling;
   ]

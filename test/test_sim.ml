@@ -134,6 +134,63 @@ let test_exception_propagates () =
   ignore (Engine.spawn e (fun () -> failwith "boom"));
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Engine.run e)
 
+(* The cell-fed [at_pending] shares [at]'s guard and message, before
+   the run and during it, from a bare callback and from a process. *)
+let test_at_pending_past_raises () =
+  let e = Engine.create () in
+  let past = Invalid_argument "Engine.at: time in the past" in
+  let pending time () =
+    (Engine.delay_cell e).Engine.cell_time <- time;
+    Engine.at_pending e ignore
+  in
+  Alcotest.check_raises "past before run" past (pending (-1.));
+  Alcotest.check_raises "NaN before run" past (pending nan);
+  Engine.at e 5. (fun () ->
+      Alcotest.check_raises "past" past (pending 1.);
+      Alcotest.check_raises "NaN" past (pending nan));
+  ignore
+    (Engine.spawn e (fun () ->
+         Engine.delay 6.;
+         Alcotest.check_raises "past, in a process" past (pending 5.);
+         Alcotest.check_raises "NaN, in a process" past (pending nan)));
+  Engine.run e;
+  Alcotest.(check (float 0.)) "clock untouched" 6. (Engine.now e)
+
+(* The clock view is the engine's clock itself: it reads what [now]
+   returns at every event — delays (both paths), a park/resume, bare
+   callbacks, cell-fed callbacks — and after the run. *)
+let test_clock_view_tracks_now () =
+  let e = Engine.create () in
+  let c = Engine.clock e in
+  let reads = ref 0 in
+  let same what () =
+    incr reads;
+    Alcotest.(check (float 0.)) what (Engine.now e) c.Engine.time
+  in
+  same "before run" ();
+  let resume = ref ignore in
+  ignore
+    (Engine.spawn e (fun () ->
+         same "process start" ();
+         for i = 1 to 4 do
+           Engine.delay (float_of_int i);
+           same "delay" ();
+           (Engine.delay_cell e).Engine.cell_time <- 0.5;
+           Engine.delay_pending e;
+           same "delay_pending" ()
+         done;
+         Engine.park (fun r -> resume := r);
+         same "resumed" ()));
+  List.iter (fun t -> Engine.at e t (same "at")) [ 0.; 2.5; 2.5; 9. ];
+  (Engine.delay_cell e).Engine.cell_time <- 20.;
+  Engine.at_pending e (fun () ->
+      same "at_pending" ();
+      !resume ());
+  Engine.run e;
+  same "after run" ();
+  Alcotest.(check (float 0.)) "clock moved" 20. c.Engine.time;
+  Alcotest.(check int) "every read" 17 !reads
+
 let suite =
   [ Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
     Alcotest.test_case "interleaving order" `Quick test_interleaving_order;
@@ -146,4 +203,6 @@ let suite =
     Alcotest.test_case "negative delay raises" `Quick test_negative_delay_raises;
     Alcotest.test_case "yield interleaves" `Quick test_yield_lets_peers_run;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+    Alcotest.test_case "at_pending in the past raises" `Quick test_at_pending_past_raises;
+    Alcotest.test_case "clock view tracks now" `Quick test_clock_view_tracks_now;
   ]
