@@ -56,6 +56,13 @@ let create config ~cpus =
   if config.line_size <= 0 then invalid_arg "Coherence.create: line_size";
   if cpus <= 0 then invalid_arg "Coherence.create: cpus";
   if cpus >= Sys.int_size - 1 then invalid_arg "Coherence.create: too many cpus";
+  let nonneg field cycles =
+    if cycles < 0 then invalid_arg (Printf.sprintf "Coherence.create: %s < 0" field)
+  in
+  nonneg "hit_cycles" config.hit_cycles;
+  nonneg "miss_cycles" config.miss_cycles;
+  nonneg "transfer_cycles" config.transfer_cycles;
+  nonneg "upgrade_cycles" config.upgrade_cycles;
   { config; cpus; lines = Int_table.create ~initial:4096 (); hits = 0; misses = 0;
     transfers = 0; upgrades = 0 }
 

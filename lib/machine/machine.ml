@@ -49,8 +49,9 @@ type thread_state = Starting | Ready | Running | Blocked | Finished
 (* All-float record: its fields are stored unboxed, so the scheduler's
    per-slice updates (busy time) write a raw double instead of
    allocating a fresh box, which a float field in the mixed record below
-   would do on every assignment. *)
-type machine_hot = { mutable busy : float }
+   would do on every assignment. The cycle time lives here too, so it
+   needs no box of its own. *)
+type machine_hot = { mutable busy : float; cycle_ns : float }
 
 type t = {
   config : config;
@@ -64,7 +65,9 @@ type t = {
   cache : Coherence.t;
   root_rng : Rng.t;
   jit : Rng.cell;  (* [work]'s jitter hand-off: an unboxed draw *)
-  cycle_ns : float;
+  probe_g : int;  (* [low_bit_exp] of a full probe step, [8. *. cycle_ns] *)
+  mutable spin_walked : int;  (* probe boundaries the lazy spin path still
+                                 walked one addition at a time *)
   quantum_cycles : float;
   cpus : cpu array;
   ready : thread Queue.t;
@@ -211,6 +214,52 @@ let no_register : (unit -> unit) -> unit = fun _ -> ()
 
 let thread_stack_bytes = 16 * 1024
 
+(* --- exact jumps over probe steps --------------------------------------- *)
+
+(* A spin's probe boundary and its cycle counters are float
+   accumulators the probe chain steps one addition at a time: x +. d,
+   then again. [x +. float k *. d] jumps k steps with one rounding, and
+   equals the chain's result bit for bit when every partial sum
+   x + i*d is exact. That holds when x is normal with biased exponent
+   E, d is a multiple of ulp(x) = 2^(E-1075), and the jump lands in x's
+   binade: every partial sum then lies between x and the result, in
+   that binade, on its ulp grid. Testing the rounded result suffices,
+   since a true sum outside the binade rounds outside it too. Anything
+   else — zero or subnormal x, a binade crossing, a step with bits
+   below ulp(x) such as a non-dyadic cycle time — walks the steps. *)
+
+(* Biased exponent of [x], sign bit included: in 1..2046 exactly when
+   [x] is positive and normal. *)
+let[@inline] biased_exp x = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52)
+
+let rec ctz m n = if m land 1 = 1 then n else ctz (m lsr 1) (n + 1)
+
+(* [g] such that [d = odd * 2^g], for finite nonzero [d]; [min_int]
+   otherwise, which no jump passes. Inlined, so [d] is not boxed. *)
+let[@inline] low_bit_exp d =
+  let bits = Int64.bits_of_float d in
+  let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let frac = Int64.to_int bits land ((1 lsl 52) - 1) in
+  if e = 0x7ff || (e = 0 && frac = 0) then min_int
+  else begin
+    (* |d| = mant * 2^(max e 1 - 1075), subnormals included *)
+    let mant = if e = 0 then frac else frac lor (1 lsl 52) in
+    max e 1 - 1075 + ctz mant 0
+  end
+
+(* [low_bit_exp] of the cycle counters' step, 8. (and -8.) *)
+let cycle_step_g = 3
+
+(* Whether [y], computed as [x +. float k *. d] with [low_bit_exp d =
+   g], is [k] rounded additions of [d] to [x] (see above). *)
+let[@inline] jump_is_exact x g y =
+  let e = biased_exp x in
+  e >= 1 && e <= 2046 && g >= e - 1075 && biased_exp y = e
+
+let exact_jump x d k =
+  let y = x +. (float_of_int k *. d) in
+  if jump_is_exact x (low_bit_exp d) y then Some y else None
+
 let create ?(seed = 42) ?obs ?check ?fault (config : config) =
   if config.cpus <= 0 then invalid_arg "Machine.create: cpus <= 0";
   if config.mhz <= 0. then invalid_arg "Machine.create: mhz <= 0";
@@ -219,6 +268,24 @@ let create ?(seed = 42) ?obs ?check ?fault (config : config) =
      schedules into the past, and a NaN one poisons the clock. *)
   if not (config.quantum_us > 0. && Float.is_finite config.quantum_us) then
     invalid_arg "Machine.create: quantum_us must be positive and finite";
+  (* [work] scales its cycles by a factor drawn from [1 - op_jitter,
+     1 + op_jitter): a NaN or infinite jitter makes every jittered item
+     free, and one of 1 or more draws factors <= 0, whose items are
+     dropped. A negative cost is skipped like a zero one (or, for a
+     context switch, schedules into the past). *)
+  if not (config.op_jitter >= 0. && config.op_jitter < 1.) then
+    invalid_arg "Machine.create: op_jitter must be finite and in [0, 1)";
+  let nonneg field cycles =
+    if cycles < 0 then invalid_arg (Printf.sprintf "Machine.create: %s < 0" field)
+  in
+  nonneg "ctx_switch_cycles" config.ctx_switch_cycles;
+  nonneg "atomic_cycles" config.atomic_cycles;
+  nonneg "stub_lock_cycles" config.stub_lock_cycles;
+  nonneg "spin_cycles" config.spin_cycles;
+  nonneg "wake_cycles" config.wake_cycles;
+  nonneg "syscall_cycles" config.syscall_cycles;
+  nonneg "minor_fault_cycles" config.minor_fault_cycles;
+  nonneg "thread_spawn_cycles" config.thread_spawn_cycles;
   let cycle_ns = 1000. /. config.mhz in
   let obs = match obs with Some r -> r | None -> Mb_obs.Ctl.recorder () in
   let check = match check with Some c -> c | None -> Mb_check.Ctl.checker () in
@@ -231,14 +298,15 @@ let create ?(seed = 42) ?obs ?check ?fault (config : config) =
     cache = Coherence.create config.cache ~cpus:config.cpus;
     root_rng = Rng.create ~seed;
     jit = Rng.cell ();
-    cycle_ns;
+    probe_g = low_bit_exp (8. *. cycle_ns);
+    spin_walked = 0;
     quantum_cycles = config.quantum_us *. 1000. /. cycle_ns;
     cpus = Array.init config.cpus (fun cpu_id -> { cpu_id; current = None });
     ready = Queue.create ();
     next_tid = 0;
     next_asid = 0;
     ctx_switches = 0;
-    mh = { busy = 0. };
+    mh = { busy = 0.; cycle_ns };
     bkl = None;
     obs;
     check;
@@ -262,7 +330,7 @@ let rng t = t.root_rng
 
 let observer t = t.obs
 
-let cycles_to_ns t c = c *. t.cycle_ns
+let cycles_to_ns t c = c *. t.mh.cycle_ns
 
 (* Snapshot machine-wide counters into the recorder once the run is
    over: cache-coherence traffic, scheduling, VM syscalls, and one
@@ -277,6 +345,7 @@ let flush_observations t =
     Obs.set t.obs "cache.upgrades" (Coherence.upgrades t.cache);
     Obs.set t.obs "cache.invalidations" (Coherence.invalidations t.cache);
     Obs.set t.obs "sched.ctx_switches" t.ctx_switches;
+    Obs.set t.obs "sched.spin_steps_walked" t.spin_walked;
     Obs.set t.obs "vm.sbrk_calls" t.sbrk_calls;
     Obs.set t.obs "vm.mmap_calls" t.mmap_calls;
     Obs.set t.obs "vm.munmap_calls" t.munmap_calls;
@@ -407,7 +476,7 @@ let preempt m th =
    and memory access. Inlined into each caller, so [c] and [q] stay
    local unboxed floats: passed to a real call, each would be boxed. *)
 let[@inline] charge th m c q =
-  m.dcell.Engine.cell_time <- c *. m.cycle_ns;
+  m.dcell.Engine.cell_time <- c *. m.mh.cycle_ns;
   Engine.delay_pending m.engine;
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. c;
   m.mh.busy <- m.mh.busy +. c;
@@ -430,7 +499,7 @@ let rec consume th cycles =
     let q = th.hot.quantum_left in
     if cycles <= q then charge th m cycles q
     else begin
-      m.dcell.Engine.cell_time <- q *. m.cycle_ns;
+      m.dcell.Engine.cell_time <- q *. m.mh.cycle_ns;
       Engine.delay_pending m.engine;
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
       m.mh.busy <- m.mh.busy +. q;
@@ -546,13 +615,14 @@ let rec spin_on_steps mu th budget =
    the thread suspends once, registers on the mutex, and the *release*
    site schedules its wake at the exact probe boundary that would have
    observed the release. Boundary times are reproduced bit-for-bit by
-   iterating the same float arithmetic the chain used
-   (t += float step *. cycle_ns), and the elided no-op probes' cycle
-   accounting is applied in bulk when a boundary is materialized —
-   nothing reads a suspended spinner's counters in between, so the
-   laziness is invisible. One up-front event at the budget-exhaustion
-   boundary bounds the spin when the lock is never released (or is
-   handed off directly and never reads None).
+   the same float arithmetic the chain used (t += float step *. cycle_ns),
+   walked one step at a time or, where that is provably exact, jumped
+   over many steps in one rounding (see [jump_is_exact]). The elided no-op
+   probes' cycle accounting is applied the same way when a boundary is
+   materialized — nothing reads a suspended spinner's counters in
+   between, so the laziness is invisible. One up-front event at the
+   budget-exhaustion boundary bounds the spin when the lock is never
+   released (or is handed off directly and never reads None).
 
    Schedule neutrality: a wake pushed from the releasing event gets its
    sequence number during that event's execution, before anything the
@@ -598,21 +668,51 @@ let[@inline] spin_step_account th m fc =
 (* Materialize every probe boundary strictly before now: each one is a
    no-op probe the chain would have run, so account its step and
    advance the phase. A boundary exactly at now stays pending — a
-   release at that time is observed *by* that probe (see above). The
-   clock is read here, not passed: a float argument to a call that is
-   not inlined is boxed. *)
+   release at that time is observed *by* that probe (see above). All
+   but the last one or two of those steps are taken in one jump when
+   it is exact for the boundary and all three cycle counters, or not
+   at all; the walk below materializes the rest, so it alone decides
+   where the catch-up stops. The clock is read here, not passed: a
+   float argument to a call that is not inlined is boxed. *)
 let spin_advance m sp =
   let th = sp.sth in
+  let h = th.hot in
   let t_lim = m.clock.Engine.time in
+  let full = sp.srem / 8 in
+  let d = 8. *. m.mh.cycle_ns in
+  let n = (t_lim -. h.spin_base) /. d in
+  if full > 0 && n >= 2. then begin
+    (* floor n - 1 full steps, whose last boundary lies before now up to
+       the quotient's rounding; the [< t_lim] test settles that. *)
+    let j = if n >= float_of_int (full + 1) then full else int_of_float n - 1 in
+    let fj = float_of_int j in
+    let base = h.spin_base +. (fj *. d) in
+    let fc = fj *. 8. in
+    let cycles = h.cpu_cycles +. fc and busy = m.mh.busy +. fc and q = h.quantum_left -. fc in
+    if
+      base < t_lim
+      && jump_is_exact h.spin_base m.probe_g base
+      && jump_is_exact h.cpu_cycles cycle_step_g cycles
+      && jump_is_exact m.mh.busy cycle_step_g busy
+      && jump_is_exact h.quantum_left cycle_step_g q
+    then begin
+      h.spin_base <- base;
+      h.cpu_cycles <- cycles;
+      m.mh.busy <- busy;
+      h.quantum_left <- q;
+      sp.srem <- sp.srem - (8 * j)
+    end
+  end;
   let continue_ = ref true in
   while !continue_ && sp.srem > 0 do
     let step = if sp.srem < 8 then sp.srem else 8 in
     let fc = float_of_int step in
-    let nxt = th.hot.spin_base +. (fc *. m.cycle_ns) in
+    let nxt = h.spin_base +. (fc *. m.mh.cycle_ns) in
     if nxt < t_lim then begin
       spin_step_account th m fc;
-      th.hot.spin_base <- nxt;
-      sp.srem <- sp.srem - step
+      h.spin_base <- nxt;
+      sp.srem <- sp.srem - step;
+      m.spin_walked <- m.spin_walked + 1
     end
     else continue_ := false
   done
@@ -679,7 +779,7 @@ let wake_spinners mu =
     if (not sp.swake) && sp.srem > 0 then begin
       sp.swake <- true;
       let step = if sp.srem < 8 then sp.srem else 8 in
-      m.dcell.Engine.cell_time <- sp.sth.hot.spin_base +. (float_of_int step *. m.cycle_ns);
+      m.dcell.Engine.cell_time <- sp.sth.hot.spin_base +. (float_of_int step *. m.mh.cycle_ns);
       Engine.at_pending m.engine sp.wake_ev
     end
   done
@@ -731,13 +831,21 @@ let spin_on mu th =
       end;
       mu.spinners.(n) <- sp;
       mu.nspinners <- n + 1;
-      (* Budget-exhaustion boundary, by the same iterated float
-         arithmetic the probe chain accumulates. *)
-      let t_end = ref th.hot.spin_base and b = ref budget in
+      (* Budget-exhaustion boundary: the chain's [budget / 8] full steps
+         in one jump when it is exact, then the partial step (or every
+         step) by the same iterated float arithmetic the probe chain
+         accumulates. *)
+      let x = th.hot.spin_base in
+      let k = budget / 8 in
+      let y = x +. (float_of_int k *. (8. *. m.mh.cycle_ns)) in
+      let jumped = jump_is_exact x m.probe_g y in
+      let t_end = ref (if jumped then y else x)
+      and b = ref (if jumped then budget - (8 * k) else budget) in
       while !b > 0 do
         let step = if !b < 8 then !b else 8 in
-        t_end := !t_end +. (float_of_int step *. m.cycle_ns);
-        b := !b - step
+        t_end := !t_end +. (float_of_int step *. m.mh.cycle_ns);
+        b := !b - step;
+        m.spin_walked <- m.spin_walked + 1
       done;
       m.dcell.Engine.cell_time <- !t_end;
       Engine.at_pending m.engine sp.expire_ev;

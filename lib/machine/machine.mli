@@ -68,7 +68,11 @@ val create :
     [fault] is the machine's fault injector, defaulting to
     {!Mb_fault.Ctl.injector}[ ()] ({!Mb_fault.Injector.null} unless a
     [--faults] plan is armed); when disarmed every injection site is a
-    dead branch and output is byte-identical to a faultless build. *)
+    dead branch and output is byte-identical to a faultless build.
+    @raise Invalid_argument naming the field when [cpus] is not
+    positive, [mhz] or [quantum_us] is not positive and finite,
+    [op_jitter] is not in [\[0, 1)] (NaN and infinity included), or a
+    cycle cost, the cache's included, is negative. *)
 
 val config : t -> config
 
@@ -97,6 +101,13 @@ val fault : t -> Mb_fault.Injector.t
     after {!run} to publish injected/survived/degraded counts. *)
 
 val cycles_to_ns : t -> float -> float
+
+val exact_jump : float -> float -> int -> float option
+(** [exact_jump x d k] is the spin path's one-step jump over [k]
+    additions of [d] to [x]: [Some (x +. float_of_int k *. d)] when that
+    is provably the bits [k] rounded additions in turn produce, and
+    [None] when the spin path walks the additions instead. Exposed for
+    tests. *)
 
 val run : t -> unit
 (** Run the simulation until every spawned thread has finished, then

@@ -10,6 +10,7 @@ module A = Core.Allocator
 module B1 = Core.Bench1
 module B2 = Core.Bench2
 module S = Core.Server
+module Obs = Core.Obs
 
 (* Host minor words of [f ()]'s second run: the first grows tables. *)
 let minor_words f =
@@ -22,21 +23,18 @@ let minor_words f =
    ptmalloc arenas on 4 CPUs. It allocates about 0.19M words; boxing
    each clock read and spin-wake time takes it to 0.34M, and boxing a
    float per spin probe and per work item to 3.59M. *)
+let fig8 =
+  { B2.default with
+    B2.machine = Core.Configs.quad_xeon;
+    seed = 1;
+    threads = 7;
+    rounds = 4;
+    objects_per_thread = 400;
+    replacements_per_round = 150;
+  }
+
 let test_fig8_ceiling () =
-  let words =
-    minor_words (fun () ->
-        ignore
-          (B2.run
-             { B2.default with
-               B2.machine = Core.Configs.quad_xeon;
-               seed = 1;
-               threads = 7;
-               rounds = 4;
-               objects_per_thread = 400;
-               replacements_per_round = 150;
-             }
-            : B2.result))
-  in
+  let words = minor_words (fun () -> ignore (B2.run fig8 : B2.result)) in
   if words > 0.25e6 then Alcotest.failf "fig8 allocated %.0f minor words (ceiling 0.25M)" words
 
 (* Two threads on separate CPUs share one mutex and hold it across a
@@ -149,10 +147,32 @@ let test_server_open_ceiling () =
   if words > 160_000. then
     Alcotest.failf "server-open allocated %.0f minor words (ceiling 160K)" words
 
+(* The same fig8 kernel counts the probe boundaries its spins still
+   walk one float addition at a time (sched.spin_steps_walked). About
+   21K; without the spin path's exact jumps over no-op probe steps it
+   walks 1.81M. Host time cannot be gated here, so this count holds the
+   jumps in place. *)
+let test_fig8_spin_walk_ceiling () =
+  Obs.Ctl.set { Obs.Ctl.trace = false; metrics = true };
+  let walked =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Ctl.set Obs.Ctl.off;
+        ignore (Obs.Collect.drain ()))
+      (fun () ->
+        ignore (B2.run fig8 : B2.result);
+        match Obs.Collect.drain () with
+        | [ (_, r) ] -> Obs.Recorder.counter r "sched.spin_steps_walked"
+        | runs -> Alcotest.failf "expected one published run, got %d" (List.length runs))
+  in
+  if walked > 100_000 then
+    Alcotest.failf "fig8 walked %d probe steps one at a time (ceiling 100K)" walked
+
 let suite =
   [ Alcotest.test_case "fig8 kernel under 0.25M words" `Quick test_fig8_ceiling;
     Alcotest.test_case "contended lock under 10 words/op" `Quick test_contended_lock_ceiling;
     Alcotest.test_case "pairs-uncontended under 120K words" `Quick test_pairs_ceiling;
     Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
     Alcotest.test_case "server-open under 160K words" `Quick test_server_open_ceiling;
+    Alcotest.test_case "fig8 spins walk under 100K steps" `Quick test_fig8_spin_walk_ceiling;
   ]

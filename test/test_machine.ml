@@ -382,27 +382,76 @@ let prop_deterministic_replay =
 
 (* A zero quantum would hang [consume], a negative one would fail later
    with an unrelated engine error, and a NaN quantum or clock rate would
-   run to completion on a NaN clock: [create] rejects them all. *)
+   run to completion on a NaN clock: [create] rejects them all. So it
+   does configs that make simulated work silently free: a NaN, infinite
+   or >= 1 jitter (every jittered item costs 0, or draws a factor <= 0
+   and is dropped) and any negative cycle cost, the cache's included. *)
 let test_create_rejects_bad_clock () =
   let rejects what config =
     match M.create config with
     | _ -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  rejects "quantum_us = 0" { M.default_config with M.quantum_us = 0. };
-  rejects "quantum_us = -1" { M.default_config with M.quantum_us = -1. };
-  rejects "quantum_us = nan" { M.default_config with M.quantum_us = nan };
-  rejects "quantum_us = infinity" { M.default_config with M.quantum_us = infinity };
-  rejects "mhz = nan" { M.default_config with M.mhz = nan };
-  rejects "mhz = infinity" { M.default_config with M.mhz = infinity };
-  ignore (M.create { M.default_config with M.quantum_us = 0.5 } : M.t)
+  let d = M.default_config in
+  rejects "quantum_us = 0" { d with M.quantum_us = 0. };
+  rejects "quantum_us = -1" { d with M.quantum_us = -1. };
+  rejects "quantum_us = nan" { d with M.quantum_us = nan };
+  rejects "quantum_us = infinity" { d with M.quantum_us = infinity };
+  rejects "mhz = nan" { d with M.mhz = nan };
+  rejects "mhz = infinity" { d with M.mhz = infinity };
+  ignore (M.create { d with M.quantum_us = 0.5 } : M.t);
+  rejects "op_jitter = nan" { d with M.op_jitter = nan };
+  rejects "op_jitter = infinity" { d with M.op_jitter = infinity };
+  rejects "op_jitter = 1.5" { d with M.op_jitter = 1.5 };
+  rejects "op_jitter = 1" { d with M.op_jitter = 1. };
+  rejects "op_jitter = -0.1" { d with M.op_jitter = -0.1 };
+  rejects "ctx_switch_cycles = -5000" { d with M.ctx_switch_cycles = -5000 };
+  rejects "atomic_cycles = -1" { d with M.atomic_cycles = -1 };
+  rejects "stub_lock_cycles = -1" { d with M.stub_lock_cycles = -1 };
+  rejects "spin_cycles = -1" { d with M.spin_cycles = -1 };
+  rejects "wake_cycles = -1" { d with M.wake_cycles = -1 };
+  rejects "syscall_cycles = -1" { d with M.syscall_cycles = -1 };
+  rejects "minor_fault_cycles = -1" { d with M.minor_fault_cycles = -1 };
+  rejects "thread_spawn_cycles = -1" { d with M.thread_spawn_cycles = -1 };
+  let c = d.M.cache in
+  rejects "hit_cycles = -1" { d with M.cache = { c with Core.Coherence.hit_cycles = -1 } };
+  rejects "miss_cycles = -1" { d with M.cache = { c with Core.Coherence.miss_cycles = -1 } };
+  rejects "transfer_cycles = -1"
+    { d with M.cache = { c with Core.Coherence.transfer_cycles = -1 } };
+  rejects "upgrade_cycles = -1" { d with M.cache = { c with Core.Coherence.upgrade_cycles = -1 } };
+  (* The edges: no jitter and free operations are legitimate. *)
+  ignore
+    (M.create
+       { d with
+         M.op_jitter = 0.;
+         ctx_switch_cycles = 0;
+         atomic_cycles = 0;
+         stub_lock_cycles = 0;
+         spin_cycles = 0;
+         wake_cycles = 0;
+         syscall_cycles = 0;
+         minor_fault_cycles = 0;
+         thread_spawn_cycles = 0;
+         cache =
+           { c with
+             Core.Coherence.hit_cycles = 0;
+             miss_cycles = 0;
+             transfer_cycles = 0;
+             upgrade_cycles = 0;
+           };
+       }
+      : M.t);
+  List.iter
+    (fun name -> ignore (M.create (Option.get (Core.Configs.by_name name)) : M.t))
+    Core.Configs.names
 
 (* One contended-mutex run rendered exactly: simulated end time, busy
    cycles, lock counts, and each thread's elapsed time and counters,
    floats in %h. Thread [i] holds the lock for [h0 + h1 * ((i + k) mod 4)]
    cycles in its [k]-th round and works [g0 + g1 * (i mod 3)] outside. *)
-let spin_run ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1) ~gap:(g0, g1) =
-  let cfg = { M.default_config with M.cpus; spin_cycles = budget; quantum_us; op_jitter } in
+let spin_run ?(mhz = 200.) ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1)
+    ~gap:(g0, g1) () =
+  let cfg = { M.default_config with M.cpus; mhz; spin_cycles = budget; quantum_us; op_jitter } in
   let m = M.create ~seed cfg in
   let p = M.create_proc m ~name:"pin" () in
   let mu = M.Mutex.create m ~name:"pin" () in
@@ -430,15 +479,15 @@ let spin_run ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1) 
 
 (* Seeds 1-3, 3/5/7 threads, a long (2000 us) and a short (25 us)
    quantum, jittered work. *)
-let jittered_runs ~cpus ~budget () =
+let jittered_runs ~mhz ~cpus ~budget () =
   List.concat_map
     (fun seed ->
       List.concat_map
         (fun threads ->
           List.map
             (fun quantum_us ->
-              spin_run ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter:0.02 ~hold:(40, 30)
-                ~gap:(20, 10))
+              spin_run ~mhz ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter:0.02
+                ~hold:(40, 30) ~gap:(20, 10) ())
             [ 2000.; 25. ])
         [ 3; 5; 7 ])
     [ 1; 2; 3 ]
@@ -448,7 +497,7 @@ let jittered_runs ~cpus ~budget () =
 let exact_runs ~budget ~hold ~gap ~threads () =
   List.map
     (fun threads ->
-      spin_run ~seed:1 ~threads ~cpus:4 ~budget ~quantum_us:2000. ~op_jitter:0. ~hold ~gap)
+      spin_run ~seed:1 ~threads ~cpus:4 ~budget ~quantum_us:2000. ~op_jitter:0. ~hold ~gap ())
     threads
 
 (* The spin path's schedule, pinned across commits: one digest per group
@@ -456,11 +505,18 @@ let exact_runs ~budget ~hold ~gap ~threads () =
    partial probe step, 64 and 400 do not; the short budgets mostly
    expire, and a finished spin's expiry often fires during the thread's
    next spin. The digests were recorded before spin registrations were
-   reused; a change to them is a change to simulated behaviour. *)
+   reused; a change to them is a change to simulated behaviour. The
+   last three run at 500 MHz, quad_xeon's clock and the benchmark's
+   leak-contended spin shape, whose 16 ns probe step the spin path
+   jumps over exactly, and at 450 MHz, whose 2.222... ns cycle is not
+   dyadic, so every jump falls back to the walk. They were recorded
+   before the jumps existed. *)
 let spin_pins =
   List.map
     (fun (cpus, budget, digest) ->
-      (Printf.sprintf "%d cpus, budget %d" cpus budget, jittered_runs ~cpus ~budget, digest))
+      ( Printf.sprintf "%d cpus, budget %d" cpus budget,
+        jittered_runs ~mhz:200. ~cpus ~budget,
+        digest ))
     [ (2, 20, "77754900a07c405b89b549f5de415e6f");
       (2, 64, "5881ae310a9e7c01b0d84cd76a6fef67");
       (2, 400, "8094b65776445f9e5334b21ccd988e5e");
@@ -481,6 +537,66 @@ let spin_pins =
         exact_runs ~budget:64 ~hold:(8, 8) ~gap:(8, 8) ~threads:[ 4; 6 ],
         "21b08dbafc52078127ce57ef9730627b" );
     ]
+  @ List.map
+      (fun (mhz, cpus, budget, digest) ->
+        ( Printf.sprintf "%g MHz, %d cpus, budget %d" mhz cpus budget,
+          jittered_runs ~mhz ~cpus ~budget,
+          digest ))
+      [ (500., 4, 600, "945d89611a8bf450c3a8806be1a3d4fe");
+        (450., 4, 64, "a73f759607edb4e7967366f79b7735b8");
+        (450., 4, 404, "dafe70f229835ce018e3b9d384bea34f");
+      ]
+
+(* The spin path's one-step jump against the additions it replaces:
+   whenever [exact_jump] claims exactness, its result has the bits of a
+   loop that rounds once per step. Starts span many binades, zero,
+   subnormals and points a few steps below a power of two; steps are
+   the probe step 8 * cycle_ns at 200, 400, 450, 500 and 333 MHz (the
+   last two not dyadic) and the cycle counters' +-8. *)
+let test_exact_jump_matches_walk () =
+  let steps =
+    List.map (fun mhz -> 8. *. (1000. /. mhz)) [ 200.; 400.; 450.; 500.; 333. ] @ [ 8.; -8. ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let binades lo hi =
+      map2 (fun f e -> Float.ldexp (1. +. f) e) (float_bound_exclusive 1.) (int_range lo hi)
+    in
+    let* d = oneofl steps in
+    let* k = int_range 0 128 in
+    let* x =
+      frequency
+        [ (1, return 0.);
+          (1, map (fun b -> Int64.float_of_bits (Int64.of_int b)) (int_range 1 ((1 lsl 52) - 1)));
+          (1, binades (-1022) 1023);
+          (4, binades 0 60);
+          ( 3,
+            map2
+              (fun e i -> Float.ldexp 1. e -. (float_of_int i *. Float.abs d))
+              (int_range 5 60) (int_range 0 8) );
+        ]
+    in
+    return (x, d, k)
+  in
+  let print (x, d, k) = Printf.sprintf "x=%h d=%h k=%d" x d k in
+  let taken = ref 0 and fell_back = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |])
+    (QCheck.Test.make ~name:"exact jump agrees with the walk" ~count:20_000
+       (QCheck.make ~print gen)
+       (fun (x, d, k) ->
+         let walk = ref x in
+         for _ = 1 to k do
+           walk := !walk +. d
+         done;
+         match M.exact_jump x d k with
+         | Some y ->
+             incr taken;
+             Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float !walk)
+         | None ->
+             incr fell_back;
+             true));
+  Alcotest.(check bool) "jumps taken" true (!taken > 0);
+  Alcotest.(check bool) "jumps fallen back" true (!fell_back > 0)
 
 let test_spin_schedule_pinned () =
   let spins = ref 0 and blocks = ref 0 in
@@ -530,4 +646,5 @@ let suite =
     Alcotest.test_case "create rejects bad clock" `Quick test_create_rejects_bad_clock;
     Alcotest.test_case "spin schedule pinned" `Quick test_spin_schedule_pinned;
     Alcotest.test_case "sleep_until past and NaN times" `Quick test_sleep_until_times;
+    Alcotest.test_case "exact jump agrees with the walk" `Quick test_exact_jump_matches_walk;
   ]
