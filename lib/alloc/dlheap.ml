@@ -8,7 +8,6 @@ type params = {
   sub_heap_bytes : int;
   use_fastbins : bool;
   defer_coalescing : bool;
-  exact_fit : bool;
   mmap_fallback : bool;
 }
 
@@ -19,7 +18,6 @@ let default_params =
     sub_heap_bytes = 1024 * 1024;
     use_fastbins = false;
     defer_coalescing = false;
-    exact_fit = true;
     mmap_fallback = true;
   }
 
@@ -173,9 +171,8 @@ let create_sub ctx ~costs ~params ~stats =
 
 (* Occupancy bitmap over the bins, split small/large because 96 bins
    exceed one OCaml int. Maintained at the only two places a bin's
-   emptiness can change ([bin_insert], [unlink]); [search_bins] and the
-   exact-fit fast path read it so a first-fit scan never visits an
-   empty slot. *)
+   emptiness can change ([bin_insert], [unlink]); [search_bins] reads
+   it so a first-fit scan never visits an empty slot. *)
 
 let binmap_set t idx =
   if idx < small_bin_count then t.binmap_small <- t.binmap_small lor (1 lsl idx)
@@ -536,30 +533,6 @@ let malloc t ctx request =
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     malloc_mmapped t ctx csize
   end
-  else if
-    t.params.exact_fit && is_small csize
-    && t.binmap_small land (1 lsl ((csize - min_chunk_bytes) / align)) <> 0
-  then begin
-    (* Exact-fit fast path: the request's own small bin is occupied, so
-       the answer is its LIFO head — same chunk, same charges (base +
-       one probe; a zero-remainder split charges nothing) as the general
-       scan would produce, without the scan, the general unlink or the
-       split bookkeeping. Exact spacing: the head's size is the bin's
-       size. *)
-    M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
-    let idx = (csize - min_chunk_bytes) / align in
-    let c = t.bins.(idx) in
-    charge_probes t ctx 1;
-    let f = c.fd in
-    t.bins.(idx) <- f;
-    if f != nil then f.bk <- nil else t.binmap_small <- t.binmap_small land lnot (1 lsl idx);
-    c.fd <- nil;
-    c.bin <- -1;
-    c.is_free <- false;
-    M.write_mem ctx c.addr;
-    Astats.record_malloc t.stats (c.size - header_bytes);
-    c.addr + header_bytes
-  end
   else begin
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     let idx = bin_index csize in
@@ -626,8 +599,8 @@ let free t ctx user =
       (* Deferred coalescing: tag the chunk free and LIFO-push it into
          its exact-spacing bin, leaving the neighbour merges to a bulk
          [consolidate_deferred] pass when the heap would otherwise
-         grow. The chunk is immediately reusable through the exact-fit
-         fast path. *)
+         grow. The next request of its size takes it straight back
+         from the bin. *)
       M.work ctx (Costs.apply t.costs t.costs.Costs.deferred_free);
       t.stats.Astats.deferred_frees <- t.stats.Astats.deferred_frees + 1;
       c.is_free <- true;

@@ -2,7 +2,7 @@
 
     This is the building block under both glibc's ptmalloc (one {!t} per
     arena) and the Solaris-model serial allocator (one {!t} under one
-    lock): boundary-tagged chunks, exact-fit small bins plus sorted
+    lock): boundary-tagged chunks, exact-spacing small bins plus sorted
     large bins, split and coalesce, a wilderness ("top") chunk extended
     by [sbrk] (main heap) or carved from a pre-mapped region (sub-heap),
     direct [mmap] for requests at or above the threshold — the paper's
@@ -24,8 +24,7 @@ type params = {
   top_pad : int;            (** extra bytes requested on each top extension *)
   sub_heap_bytes : int;     (** region size reserved for each sub-heap *)
   use_fastbins : bool;      (** glibc-2.3-style fast path: frees of chunks up to 80 bytes skip coalescing into per-size LIFO caches, consolidated in bulk before the heap would otherwise grow. Off by default — the study's subject is the 2.0/2.1 allocator; the [ablate-fastbins] bench measures what the evolution buys *)
-  defer_coalescing : bool;  (** skip neighbour merges on small-chunk frees: the chunk is tagged free and LIFO-pushed into its exact-spacing bin (priced at {!Costs.t.deferred_free}), immediately reusable through the exact-fit fast path; merges happen wholesale when the heap would otherwise grow. Off by default — a racing variant, not a change to the study's subject; the [ablate-deferred] bench measures it *)
-  exact_fit : bool;         (** serve a small request whose exact-spacing bin is occupied straight from that bin's LIFO head — same chunk, same simulated charges as the general first-fit scan (each small bin holds exactly one size), minus the host-side scan and split bookkeeping. On by default; the off position exists so the property tests can prove the address and cost streams are identical either way *)
+  defer_coalescing : bool;  (** skip neighbour merges on small-chunk frees: the chunk is tagged free and LIFO-pushed into its exact-spacing bin (priced at {!Costs.t.deferred_free}), and the next request of its size takes it straight back from the bin; merges happen wholesale when the heap would otherwise grow. Off by default — a racing variant, not a change to the study's subject; the [ablate-deferred] bench measures it *)
   mmap_fallback : bool;     (** retry a failed [sbrk] arena growth with [mmap], the post-2.1.3 glibc behaviour the paper's section 3 describes; turning it off models the older libc that simply fails when the brk hits a mapping *)
 }
 

@@ -95,12 +95,6 @@ val at_pending : t -> (unit -> unit) -> unit
     [(delay_cell e).cell_time <- time; at_pending e thunk].
     @raise Invalid_argument if that time is earlier than {!now} or NaN. *)
 
-val at_cancel : t -> float -> (unit -> unit) -> (unit -> unit)
-(** Like {!at}, but returns a cancel function. Cancellation is lazy:
-    the event stays queued and is skipped when it fires, so cancelling
-    costs O(1) and never perturbs the schedule of other events. Safe to
-    call after the event fired (a no-op), and idempotent. *)
-
 val run : t -> unit
 (** Drain the event queue. Returns when no events remain and no process is
     parked. @raise Stalled on deadlock. *)
@@ -167,8 +161,10 @@ val yield : unit -> unit
 
 val flush_observations : t -> unit
 (** Snapshot the event queue's counters into the recorder:
-    [sched.shard.pushes] (every event pushed) and the
-    {!Timing_wheel} destinations [sched.shard.ring_hits],
-    [sched.shard.wheel_hits] and [sched.shard.heap_spills]. No-op
-    unless metering is on; call once at end of run (the machine layer
-    does). *)
+    [sched.shard.pushes] (every event pushed) and its two
+    {!Timing_wheel} destinations, [sched.shard.ring_hits] and
+    [sched.shard.heap_spills], which sum to the pushes.
+    [sched.shard.wheel_hits] is reported too and is always 0: the
+    queue has no wheel levels, and the name stays until the counter
+    family is renamed. No-op unless metering is on; call once at end of
+    run (the machine layer does). *)

@@ -1,5 +1,5 @@
-(** Hierarchical timing wheel over [(key, pk)] pairs — the event queue
-    behind {!Engine}.
+(** Sorted ring plus one overflow heap over [(key, pk)] pairs — the
+    event queue behind {!Engine}.
 
     [key] is a simulated time encoded with {!key_of_time} (an
     order-preserving integer image of the float);
@@ -9,51 +9,40 @@
     property tests check it against.
 
     Internally: a sorted ring buffer serves the near future in O(1)
-    peek/pop and near-O(1) push; two wheel levels of 256 buckets
-    (2^10 ns and 2^18 ns wide) absorb items past the ring's gate with
-    O(1) amortized filing; a 4-ary heap takes everything beyond the
-    wheels' ~67 ms span or past 2^52 ns. Buckets are only sorted when
-    their time window is reached. *)
+    peek/pop and near-O(1) push, and holds the whole queue while it
+    has at most {!ring_target} items; a 4-ary heap takes the pushes
+    past the ring's gate beyond that. When a pop drains the ring, the
+    heap's minimum key moves into it — every item with that key
+    together, so a later push at the same key still sorts after them. *)
 
 type t = {
   mutable rkeys : int array;  (** sorted ring: time keys *)
   mutable rpks : int array;   (** sorted ring: tie-breaks *)
   mutable rhead : int;        (** physical index of the ring head *)
-  mutable rsize : int;
-  mutable gate : int;  (** pushes with [key < gate] belong in the ring *)
-  l1k : int array array;
-  l1p : int array array;
-  l1n : int array;
-  l1occ : int array;
-  mutable c1 : int;
-  mutable l1_count : int;
-  l2k : int array array;
-  l2p : int array array;
-  l2n : int array;
-  l2occ : int array;
-  mutable c2 : int;
-  mutable l2_count : int;
-  mutable hkeys : int array;
-  mutable hpks : int array;
-  mutable hsize : int;
-  mutable size : int;
-  mutable ring_hits : int;
-  mutable wheel_hits : int;
-  mutable heap_spills : int;
+  mutable rsize : int;        (** items in the ring *)
+  mutable gate : int;
+      (** pushes with [key < gate] belong in the ring; above every ring
+          key and at most every heap key *)
+  mutable hkeys : int array;  (** overflow heap: time keys *)
+  mutable hpks : int array;   (** overflow heap: tie-breaks *)
+  mutable hsize : int;        (** items in the heap *)
+  mutable size : int;         (** items in the queue: [rsize + hsize] *)
+  mutable ring_hits : int;    (** pushes that took the ring *)
+  mutable heap_spills : int;  (** pushes that took the heap *)
 }
 (** The representation is exposed for {!Engine}'s hot path: one push and
     one pop per simulated event cannot afford call boundaries, so the
     engine reads the ring head and retires ring items with direct field
     access, calling into this module only to sort-insert
-    ({!ring_insert}), to file past the gate ({!push_overflow}) and to
+    ({!ring_insert}), to overflow past the gate ({!push_overflow}) and to
     refill an empty ring ({!advance}). Everyone else should treat the
     type as abstract and use {!push}/{!peek_key}/{!pop}. *)
 
 val create : unit -> t
 
 val ring_target : int
-(** Soft ring-size bound: while the wheels are empty, appends grow the
-    ring up to this size before overflowing into the wheel levels. *)
+(** Soft ring-size bound: while the heap is empty, pushes grow the ring
+    up to this size before overflowing into the heap. *)
 
 val key_of_time : float -> int
 (** Order-preserving integer encoding of a non-negative time. *)
@@ -68,16 +57,20 @@ val ring_insert : t -> int -> int -> unit
 (** Sorted-insert into the ring, growing it if full and bumping the
     gate on a tail append. Hot-path building block: the caller has
     already decided the item belongs in the ring ([key < gate], or the
-    wheels and heap are empty) and has accounted for it in [size]. *)
+    heap is empty and the ring below {!ring_target}) and has accounted
+    for it in [size]. *)
 
 val push_overflow : t -> int -> int -> unit
-(** File an item the caller has ruled out of the ring ([key >= gate],
-    wheels/heap non-empty) into L1/L2/heap. Does not touch [size];
-    after it, callers must {!advance} if the ring is empty. *)
+(** Push an item the caller has ruled out of the ring ([key >= gate],
+    and the heap non-empty or the ring at {!ring_target}) onto the heap,
+    counting a heap spill. Does not touch [size]. The ring is never
+    empty here: an empty ring means an empty queue, which takes the ring
+    branch. *)
 
 val advance : t -> unit
-(** Refill an empty ring from the wheels/heap. Precondition:
-    [size > 0]. Postcondition: [rsize > 0]. *)
+(** Refill an empty ring from the heap: its minimum key, with every
+    item sharing it. Precondition: [size > 0]. Postcondition:
+    [rsize > 0]. *)
 
 val peek_key : t -> int
 (** Key of the minimum item, or [max_int] when empty ([max_int] never
@@ -96,8 +89,5 @@ val is_empty : t -> bool
 val ring_hits : t -> int
 (** Pushes that went straight into the sorted ring (fast path). *)
 
-val wheel_hits : t -> int
-(** Pushes filed into an L1/L2 bucket. *)
-
 val heap_spills : t -> int
-(** Pushes that fell through to the far-future heap. *)
+(** Pushes that overflowed into the heap. *)

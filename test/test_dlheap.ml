@@ -378,7 +378,7 @@ let test_mode_stream ~sub ~costs ~params ~deferred digest () =
   Alcotest.(check string) "stream digest" digest (Digest.to_hex (Digest.string s))
 
 (* Digests recorded before chunk records were recycled and bins linked
-   through a sentinel; exact_fit = false matches the default by design. *)
+   through a sentinel. *)
 let mode_streams =
   let d = Dlheap.default_params and glibc = Core.Costs.glibc in
   let main ?(costs = glibc) ?(deferred = false) params = test_mode_stream ~sub:false ~costs ~params ~deferred in
@@ -390,7 +390,6 @@ let mode_streams =
       main ~deferred:true
         { d with use_fastbins = true; defer_coalescing = true }
         "51936d9a366a7e8f58e10adb9dc1517c" );
-    ("no exact fit", main { d with exact_fit = false } "05545f37d150f407f80e1ca02f880566");
     ("solaris costs", main ~costs:Core.Costs.solaris d "e207e1fd675e55da812429e01dfb7bb0");
     ( "sub-heap to exhaustion",
       test_mode_stream ~sub:true ~costs:glibc ~deferred:false

@@ -1,8 +1,7 @@
-(* Property suite for the dlheap small-bin fast path. Its contract is
-   transparency: the exact-fit LIFO stacks and the bin-occupancy bitmap
-   may only change host-side work, never the addresses handed out or
-   the simulated time charged. Checked here over randomized inputs,
-   plus one golden scripted address stream pinning the exact-fit
+(* Property suite for dlheap's bins: a random alloc/free/realloc/
+   memalign/calloc mix, checked op by op against a live-block model and
+   [validate] with the default params and with coalescing deferred,
+   plus one golden scripted address stream pinning the small-bin
    layout. The same random op mix, spread over several threads, then
    runs against every allocator, checked and under each fault plan, on
    four CPUs and oversubscribed on one or two. *)
@@ -54,12 +53,8 @@ let ops_arb =
 (* Replay [ops] against a fresh ptmalloc over a dlheap with [params].
    The model is the live list: every block's request size, usable size
    and alignment are checked as it appears, and the whole set is
-   checked pairwise-disjoint after every operation. Returns the
-   fingerprint the transparency property compares: every address the
-   allocator returned, in order, plus the simulated clock at the end
-   (so a fast path that charged even one cycle differently fails). *)
+   checked pairwise-disjoint after every operation. *)
 let run_ops ~params ops =
-  let out = Buffer.create 512 in
   let m = M.create ~seed:1 config in
   let p = M.create_proc m () in
   let pt = Core.Ptmalloc.make p ~params () in
@@ -86,10 +81,6 @@ let run_ops ~params ops =
            in
            walk spans
          in
-         let note addr =
-           Buffer.add_string out (string_of_int addr);
-           Buffer.add_char out ';'
-         in
          (* plain = certainly a raw chunk address (safe to usable_size);
             memalign results, and realloc results derived from them,
             may sit at an offset inside their chunk *)
@@ -104,7 +95,6 @@ let run_ops ~params ops =
              (match op with
              | Malloc n ->
                  let a = alloc.A.malloc ctx n in
-                 note a;
                  check (a mod 8 = 0) "malloc misaligned";
                  check (alloc.A.usable_size a >= n) "usable < request";
                  Hashtbl.replace plain a ();
@@ -121,7 +111,6 @@ let run_ops ~params ops =
                    let was_plain = Hashtbl.mem plain a in
                    drop a;
                    let b = A.realloc alloc ctx a n in
-                   note b;
                    if was_plain || b <> a then begin
                      check (alloc.A.usable_size b >= n) "realloc usable < request";
                      Hashtbl.replace plain b ();
@@ -132,12 +121,10 @@ let run_ops ~params ops =
              | Memalign (k, n) ->
                  let align = 1 lsl k in
                  let a = A.memalign alloc ctx ~alignment:align n in
-                 note a;
                  check (a mod align = 0) "memalign misaligned";
                  live := (a, n) :: !live
              | Calloc (c, n) ->
                  let a = A.calloc alloc ctx ~count:c ~size:n in
-                 note a;
                  Hashtbl.replace plain a ();
                  live := (a, alloc.A.usable_size a) :: !live);
              disjoint ();
@@ -149,35 +136,26 @@ let run_ops ~params ops =
             in deferred mode forces binned-free bookkeeping to agree
             with the bitmap all the way down. *)
          List.iter (fun (a, _) -> A.free_aligned alloc ctx a) !live;
-         (match alloc.A.validate () with
+         match alloc.A.validate () with
          | Ok () -> ()
-         | Error msg -> check false ("final validate: " ^ msg));
-         Buffer.add_string out (Printf.sprintf "t=%.17g" (M.now_ns m))));
+         | Error msg -> check false ("final validate: " ^ msg)));
   M.run m;
-  (match !fail with
+  match !fail with
   | Some msg -> QCheck.Test.fail_reportf "%s" msg
-  | None -> ());
-  Buffer.contents out
-
-let prop_exact_fit_transparent =
-  QCheck.Test.make ~name:"exact-fit fast path is address- and cost-transparent"
-    ~count:60 ops_arb (fun ops ->
-      let fast = run_ops ~params:{ Dlheap.default_params with exact_fit = true } ops in
-      let slow = run_ops ~params:{ Dlheap.default_params with exact_fit = false } ops in
-      if fast <> slow then
-        QCheck.Test.fail_reportf "streams diverge:\n  on : %s\n  off: %s" fast slow;
-      true)
+  | None -> ()
 
 let prop_deferred_mode_valid =
   QCheck.Test.make ~name:"deferred coalescing keeps the heap valid" ~count:60
     ops_arb (fun ops ->
       (* run_ops validates after every op and after the final drain;
-         reaching the end is the property *)
-      ignore
-        (run_ops ~params:{ Dlheap.default_params with defer_coalescing = true } ops);
+         reaching the end is the property, on the default heap and with
+         coalescing deferred *)
+      List.iter
+        (fun params -> run_ops ~params ops)
+        [ Dlheap.default_params; { Dlheap.default_params with defer_coalescing = true } ];
       true)
 
-(* --- golden address stream (exact mode) -------------------------------- *)
+(* --- golden address stream (default params) ---------------------------- *)
 
 (* A scripted small-bin workout with pinned addresses: first-touch
    carving from top, LIFO reuse out of the 48-byte bin, exact binmap
@@ -207,7 +185,7 @@ let test_golden_stream () =
          let _pin = alloc 40 in
          Dlheap.free heap ctx a;
          Dlheap.free heap ctx c;
-         (* 48-byte bin now holds c then a (LIFO): exact-fit pops c first *)
+         (* 48-byte bin now holds c then a (LIFO): the bin search pops c first *)
          Alcotest.(check int) "LIFO head is the last free" c (alloc 40);
          Alcotest.(check int) "then the earlier free" a (alloc 40);
          Dlheap.free heap ctx b;
@@ -358,9 +336,8 @@ let oversubscribed_case =
       if !preempts = 0 then Alcotest.fail "preempt-storm never injected" )
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_exact_fit_transparent;
-    QCheck_alcotest.to_alcotest prop_deferred_mode_valid;
-    Alcotest.test_case "golden exact-fit address stream" `Quick test_golden_stream;
+  [ QCheck_alcotest.to_alcotest prop_deferred_mode_valid;
+    Alcotest.test_case "golden small-bin address stream" `Quick test_golden_stream;
     QCheck_alcotest.to_alcotest prop_mix_every_allocator;
     QCheck_alcotest.to_alcotest prop_mix_under_faults;
     oversubscribed_case;

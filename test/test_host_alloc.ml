@@ -11,6 +11,7 @@ module B1 = Core.Bench1
 module B2 = Core.Bench2
 module S = Core.Server
 module Obs = Core.Obs
+module Tw = Mb_sim.Timing_wheel
 
 (* Host minor words of [f ()]'s second run: the first grows tables. *)
 let minor_words f =
@@ -168,6 +169,52 @@ let test_fig8_spin_walk_ceiling () =
   if walked > 100_000 then
     Alcotest.failf "fig8 walked %d probe steps one at a time (ceiling 100K)" walked
 
+(* An idle engine: about 100 words, its queue's arrays still empty.
+   Wheel levels of 256-slot bucket arrays took it to 1,674. *)
+let test_engine_create_ceiling () =
+  let words = minor_words (fun () -> ignore (Core.Engine.create () : Core.Engine.t)) in
+  if words > 200. then
+    Alcotest.failf "Engine.create allocated %.0f minor words (ceiling 200)" words
+
+(* The deep queue perfbench prices as sim.wheel_far_push_pop: 4,096
+   events pending, each pop followed by a push 1 us to 0.3 s later, so
+   most pushes overflow the ring. About 0.04 words per pop/push pair;
+   filing the overflow into wheel buckets and harvesting them took
+   19.9. *)
+let test_deep_queue_ceiling () =
+  let depth = 4096 and ops = 50_000 in
+  let rng = Core.Rng.create ~seed:17 in
+  let deltas = Array.init 4096 (fun _ -> 1e3 +. Core.Rng.float rng (3e8 -. 1e3)) in
+  (* The keys are worked out once, so the measured loop does no float
+     arithmetic of its own. *)
+  let keys = Array.make (depth + ops) 0 in
+  let w = Tw.create () in
+  for i = 0 to depth - 1 do
+    keys.(i) <- Tw.key_of_time deltas.(i);
+    Tw.push w keys.(i) i
+  done;
+  for i = depth to depth + ops - 1 do
+    let t = Tw.time_of_key (Tw.peek_key w) in
+    Tw.pop w;
+    keys.(i) <- Tw.key_of_time (t +. deltas.(i mod 4096));
+    Tw.push w keys.(i) i
+  done;
+  let words =
+    minor_words (fun () ->
+        let w = Tw.create () in
+        for i = 0 to depth - 1 do
+          Tw.push w keys.(i) i
+        done;
+        for i = depth to depth + ops - 1 do
+          ignore (Tw.peek_key w : int);
+          Tw.pop w;
+          Tw.push w keys.(i) i
+        done)
+  in
+  let per_pair = words /. float_of_int ops in
+  if per_pair > 1. then
+    Alcotest.failf "deep queue allocated %.2f minor words per pop/push pair (ceiling 1)" per_pair
+
 let suite =
   [ Alcotest.test_case "fig8 kernel under 0.25M words" `Quick test_fig8_ceiling;
     Alcotest.test_case "contended lock under 10 words/op" `Quick test_contended_lock_ceiling;
@@ -175,4 +222,6 @@ let suite =
     Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
     Alcotest.test_case "server-open under 160K words" `Quick test_server_open_ceiling;
     Alcotest.test_case "fig8 spins walk under 100K steps" `Quick test_fig8_spin_walk_ceiling;
+    Alcotest.test_case "Engine.create under 200 words" `Quick test_engine_create_ceiling;
+    Alcotest.test_case "deep queue under 1 word/pair" `Quick test_deep_queue_ceiling;
   ]

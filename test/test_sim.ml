@@ -90,8 +90,6 @@ let test_at_past_raises () =
   let e = Engine.create () in
   let past = Invalid_argument "Engine.at: time in the past" in
   Alcotest.check_raises "NaN before run" past (fun () -> Engine.at e nan ignore);
-  Alcotest.check_raises "NaN cancellable" past (fun () ->
-      ignore (Engine.at_cancel e nan ignore : unit -> unit));
   Engine.at e 5. (fun () ->
       Alcotest.check_raises "past" past (fun () -> Engine.at e 1. ignore);
       Alcotest.check_raises "NaN" past (fun () -> Engine.at e nan ignore));

@@ -1,19 +1,18 @@
-(* Property tests for the hierarchical timing wheel and the engine
-   queue built on it: pop order must be exactly (time, seq) — identical
-   to a sorted reference — under random push/pop interleavings that
-   cross bucket boundaries, cascade L2 epochs, and spill to the
-   far-future heap; the engine must fire its events in that order
-   whether they were scheduled before the run or by firing events; and
-   engine-level cancellation must skip exactly the cancelled events
-   without disturbing the rest. *)
+(* Property tests for the event queue (a sorted ring plus one overflow
+   heap) and the engine built on it: pop order must be exactly
+   (time, seq) — identical to a sorted reference — under random
+   push/pop interleavings, from an empty queue and from a full ring
+   with equal times on both sides of the ring/heap boundary; and the
+   engine must fire its events in that order whether they were
+   scheduled before the run or by firing events. *)
 
 module Tw = Mb_sim.Timing_wheel
 module Engine = Mb_sim.Engine
 module Obs = Mb_obs.Recorder
 
-(* Times that stress every layer: heavy ties, exact L1 (2^10 ns) and
-   L2 (2^18 ns) bucket edges and their neighbours, multi-epoch wraps,
-   far-heap spills, and the 2^52 precision cliff. *)
+(* Times with heavy ties, multiples of 2^10 and 2^18 ns and their
+   neighbours, spreads from nanoseconds to seconds, and times past
+   2^52 ns, where a nanosecond is a whole ulp. *)
 let time_gen =
   QCheck.Gen.(
     oneof
@@ -31,45 +30,76 @@ let time_gen =
 
 let time_arb = QCheck.make ~print:string_of_float time_gen
 
+(* Every queue property runs 100 times longer under QCHECK_LONG=1: no
+   workload leaves the ring, so these are all the heap path gets. *)
+let long_factor = 100
+
 (* --- timing wheel vs sorted (key, pk) list --------------------------- *)
 
-let wheel_ops_gen =
-  (* true -> push at the given time; false -> pop (time ignored) *)
-  QCheck.(list_of_size Gen.(int_range 0 500) (pair bool time_arb))
+(* Push [prefill] in order, then run [ops] (true -> push at the given
+   time; false -> pop, time ignored), checking every pop against a
+   sorted (key, pk) list. *)
+let matches_sorted_model ?(prefill = []) ops =
+  let w = Tw.create () in
+  let model = ref [] in
+  let seq = ref 0 in
+  let push time =
+    let key = Tw.key_of_time time and pk = !seq in
+    incr seq;
+    Tw.push w key pk;
+    let rec insert = function
+      | [] -> [ (key, pk) ]
+      | ((k, p) as hd) :: tl ->
+          if key < k || (key = k && pk < p) then (key, pk) :: hd :: tl else hd :: insert tl
+    in
+    model := insert !model;
+    Tw.length w = List.length !model
+  in
+  List.for_all push prefill
+  && List.for_all
+       (fun (is_push, time) ->
+         if is_push then push time
+         else
+           match !model with
+           | [] -> Tw.is_empty w && Tw.peek_key w = max_int && Tw.peek_pk w = max_int
+           | (k, p) :: tl ->
+               let ok = Tw.peek_key w = k && Tw.peek_pk w = p in
+               Tw.pop w;
+               model := tl;
+               ok)
+       ops
 
 let prop_wheel_fuzz_vs_model =
-  QCheck.Test.make ~name:"wheel push/pop fuzz matches sorted model" ~count:300 wheel_ops_gen
-    (fun ops ->
-      let w = Tw.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun (is_push, time) ->
-          if is_push then begin
-            let key = Tw.key_of_time time and pk = !seq in
-            incr seq;
-            Tw.push w key pk;
-            let rec insert = function
-              | [] -> [ (key, pk) ]
-              | ((k, p) as hd) :: tl ->
-                  if key < k || (key = k && pk < p) then (key, pk) :: hd :: tl
-                  else hd :: insert tl
-            in
-            model := insert !model;
-            Tw.length w = List.length !model
-          end
-          else
-            match !model with
-            | [] -> Tw.is_empty w && Tw.peek_key w = max_int && Tw.peek_pk w = max_int
-            | (k, p) :: tl ->
-                let ok = Tw.peek_key w = k && Tw.peek_pk w = p in
-                Tw.pop w;
-                model := tl;
-                ok)
-        ops)
+  QCheck.Test.make ~name:"wheel push/pop fuzz matches sorted model" ~count:300 ~long_factor
+    QCheck.(list_of_size Gen.(int_range 0 500) (pair bool time_arb))
+    (fun ops -> matches_sorted_model ops)
+
+(* Aimed at the ring/heap boundary: the ring starts full at 100 ns, so
+   later pushes spill to the heap; pushes outnumber pops 3:2, so the
+   queue stays deep; and a handful of times, near and past 2^52 ns,
+   make refills meet ties. A refill that moved only the heap root
+   into the ring would let a later equal-time push overtake the
+   root's equal-time siblings still in the heap. *)
+let boundary_time_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun k -> float_of_int (100 + k)) (int_bound 8);
+        map (fun k -> 4503599627370496. +. float_of_int k) (int_bound 3);
+      ])
+
+let prop_wheel_boundary_fuzz =
+  QCheck.Test.make ~name:"wheel ring/heap boundary fuzz matches sorted model" ~count:300
+    ~long_factor
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 500)
+        (pair
+           (make ~print:string_of_bool Gen.(frequency [ (3, return true); (2, return false) ]))
+           (make ~print:string_of_float boundary_time_gen)))
+    (fun ops -> matches_sorted_model ~prefill:(List.init Tw.ring_target (fun _ -> 100.)) ops)
 
 let prop_wheel_drain_sorted =
-  QCheck.Test.make ~name:"wheel full drain is (time, seq) sorted" ~count:300
+  QCheck.Test.make ~name:"wheel full drain is (time, seq) sorted" ~count:300 ~long_factor
     QCheck.(list_of_size Gen.(int_range 0 400) time_arb)
     (fun times ->
       let w = Tw.create () in
@@ -88,9 +118,9 @@ let prop_wheel_drain_sorted =
       in
       drain [] = expected)
 
-(* Counters split pushes into exactly three destinations: ascending
+(* Counters split pushes into exactly two destinations: ascending
    appends fill the ring to its target size, then overflow into the
-   wheels; a far-future time spills to the heap. *)
+   heap. *)
 let test_wheel_counters () =
   let w = Tw.create () in
   let n = Tw.ring_target + 16 in
@@ -98,31 +128,21 @@ let test_wheel_counters () =
     Tw.push w (Tw.key_of_time (float_of_int (i * 1024))) i
   done;
   Tw.push w (Tw.key_of_time (4503599627370496. +. 1e10)) n;
-  Alcotest.(check int) "all pushes counted" (n + 1)
-    (Tw.ring_hits w + Tw.wheel_hits w + Tw.heap_spills w);
+  Alcotest.(check int) "all pushes counted" (n + 1) (Tw.ring_hits w + Tw.heap_spills w);
   Alcotest.(check int) "ring absorbed up to its target" Tw.ring_target (Tw.ring_hits w);
-  Alcotest.(check bool) "overflow went to the wheels" true (Tw.wheel_hits w >= 1);
-  Alcotest.(check bool) "far time spilled to heap" true (Tw.heap_spills w >= 1);
+  Alcotest.(check int) "the rest spilled to the heap" (n + 1 - Tw.ring_target) (Tw.heap_spills w);
   let rec drain n = if Tw.is_empty w then n else (Tw.pop w; drain (n + 1)) in
   Alcotest.(check int) "drains fully" (n + 1) (drain 0)
 
 (* --- engine queue vs (time, insertion) model ------------------------- *)
 
-(* An event is scheduled with [Engine.at] (kind 0), with [at_cancel]
-   and left armed (1), or with [at_cancel] and cancelled at once (2).
-   Top-level events are scheduled before the run at absolute times;
+(* Top-level events are scheduled before the run at absolute times;
    when one fires, it schedules its children [dt] after its own time.
-   Up to 200 top-level events keep far more than [ring_target] pending,
-   and [time_gen] reaches past 2^52 ns, so the engine's overflow,
-   cascade and far-heap branches all run — no workload leaves the
-   ring. *)
-let kind_gen = QCheck.Gen.int_bound 2
-
+   Up to 200 top-level events keep far more than [ring_target]
+   pending, so the engine's overflow and refill branches run — no
+   workload leaves the ring. *)
 let engine_events_gen =
-  QCheck.(
-    list_of_size Gen.(int_range 0 200)
-      (triple time_arb (make kind_gen)
-         (list_of_size Gen.(int_bound 2) (pair time_arb (make kind_gen)))))
+  QCheck.(list_of_size Gen.(int_range 0 200) (pair time_arb (list_of_size Gen.(int_bound 2) time_arb)))
 
 module Model = Map.Make (struct
   type t = float * int
@@ -130,53 +150,45 @@ module Model = Map.Make (struct
 end)
 
 (* Reference: a map ordered by (time, insertion index), popped minimum
-   first. Cancelled events still take an index, as they take a
-   sequence number in the engine. *)
+   first. *)
 let model_firing_order events =
   let pending = ref Model.empty and next = ref 0 in
-  let schedule time kind kids =
-    pending := Model.add (time, !next) (kind, kids) !pending;
+  let schedule time kids =
+    pending := Model.add (time, !next) kids !pending;
     incr next
   in
-  List.iter (fun (time, kind, kids) -> schedule time kind kids) events;
+  List.iter (fun (time, kids) -> schedule time kids) events;
   let fired = ref [] in
   while not (Model.is_empty !pending) do
-    let ((time, id) as k), (kind, kids) = Model.min_binding !pending in
+    let ((time, id) as k), kids = Model.min_binding !pending in
     pending := Model.remove k !pending;
-    if kind <> 2 then begin
-      fired := id :: !fired;
-      List.iter (fun (dt, kind) -> schedule (time +. dt) kind []) kids
-    end
+    fired := id :: !fired;
+    List.iter (fun dt -> schedule (time +. dt) []) kids
   done;
   List.rev !fired
 
 let engine_firing_order ?obs events =
   let e = Engine.create ?obs () in
   let log = ref [] and next = ref 0 in
-  let schedule time kind on_fire =
+  let schedule time on_fire =
     let id = !next in
     incr next;
-    let fire () =
-      log := id :: !log;
-      on_fire ()
-    in
-    match kind with
-    | 0 -> Engine.at e time fire
-    | 1 -> ignore (Engine.at_cancel e time fire : unit -> unit)
-    | _ -> Engine.at_cancel e time fire ()
+    Engine.at e time (fun () ->
+        log := id :: !log;
+        on_fire ())
   in
   List.iter
-    (fun (time, kind, kids) ->
-      schedule time kind (fun () ->
+    (fun (time, kids) ->
+      schedule time (fun () ->
           let now = Engine.now e in
-          List.iter (fun (dt, kind) -> schedule (now +. dt) kind ignore) kids))
+          List.iter (fun dt -> schedule (now +. dt) ignore) kids))
     events;
   Engine.run e;
   (e, List.rev !log)
 
 let prop_engine_queue_vs_model =
   QCheck.Test.make ~name:"engine fires events in (time, insertion) order" ~count:200
-    engine_events_gen
+    ~long_factor engine_events_gen
     (fun events -> snd (engine_firing_order events) = model_firing_order events)
 
 (* A fixed deep, far-reaching schedule: the queue's counters must show
@@ -187,7 +199,7 @@ let test_engine_queue_overflows () =
         (* ascending, so the ring fills to its target first; the far
            tail must come last or its gate would pull everything in *)
         let time = if i >= 290 then 4503599627370496. +. float_of_int i else float_of_int (i * 977) in
-        (time, i mod 3, [ (float_of_int (i * 31), 0) ]))
+        (time, [ float_of_int (i * 31) ]))
   in
   let obs = Obs.create ~trace:false ~metrics:true () in
   let e, order = engine_firing_order ~obs events in
@@ -195,52 +207,33 @@ let test_engine_queue_overflows () =
   Engine.flush_observations e;
   let c = Obs.counter obs in
   Alcotest.(check int) "every push counted" (c "sched.shard.pushes")
-    (c "sched.shard.ring_hits" + c "sched.shard.wheel_hits" + c "sched.shard.heap_spills");
-  Alcotest.(check bool) "filed into the wheels" true (c "sched.shard.wheel_hits" > 0);
-  Alcotest.(check bool) "spilled to the far heap" true (c "sched.shard.heap_spills" > 0)
+    (c "sched.shard.ring_hits" + c "sched.shard.heap_spills");
+  Alcotest.(check bool) "spilled to the heap" true (c "sched.shard.heap_spills" > 0)
 
-(* --- engine-level: cancellation and the pinned schedule ---------------- *)
-
-let test_at_cancel () =
+(* Equal times past 2^52 ns, through the engine: 64 events at t = 0..63
+   fill the ring, so A, B and C go to the heap, and when A fires it
+   schedules D at its own time. D was scheduled last, so it fires
+   last. A refill that moved only A into the ring put the gate past
+   their time while B and C were still in the heap: B came in at the
+   next refill, D then took the ring as a push below the gate, and C
+   fired after it (A B D C). *)
+let test_far_ties_keep_seq_order () =
   let e = Engine.create () in
   let log = ref [] in
-  let fire tag = fun () -> log := tag :: !log in
-  Engine.at e 10. (fire "a");
-  let cancel_b = Engine.at_cancel e 20. (fire "b") in
-  let cancel_c = Engine.at_cancel e 30. (fire "c") in
-  Engine.at e 40. (fire "d");
-  cancel_b ();
-  cancel_b ();  (* idempotent *)
+  let fire tag () = log := tag :: !log in
+  for i = 0 to 63 do
+    Engine.at e (float_of_int i) ignore
+  done;
+  let far = 4503599627370496. +. 1e10 in
+  Engine.at e far (fun () ->
+      fire "A" ();
+      Engine.at e (Engine.now e) (fire "D"));
+  Engine.at e far (fire "B");
+  Engine.at e far (fire "C");
   Engine.run e;
-  cancel_c ();  (* after firing: harmless no-op *)
-  Alcotest.(check (list string)) "cancelled event skipped, rest fire in order"
-    [ "a"; "c"; "d" ] (List.rev !log)
+  Alcotest.(check (list string)) "(time, seq) order" [ "A"; "B"; "C"; "D" ] (List.rev !log)
 
-let prop_engine_cancel_fuzz =
-  (* Events at random times; a random subset is cancellable and
-     cancelled up front. Fired order must equal the (time, insertion)
-     order of the survivors. *)
-  QCheck.Test.make ~name:"random cancellations leave survivors' schedule intact" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 60) (pair bool (map float_of_int (int_bound 20))))
-    (fun events ->
-      let e = Engine.create () in
-      let log = ref [] in
-      let cancels = ref [] in
-      List.iteri
-        (fun i (cancelled, time) ->
-          if cancelled then
-            cancels := Engine.at_cancel e time (fun () -> log := i :: !log) :: !cancels
-          else Engine.at e time (fun () -> log := i :: !log))
-        events;
-      List.iter (fun cancel -> cancel ()) !cancels;
-      Engine.run e;
-      let expected =
-        List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2)
-          (List.filteri (fun _ (c, _) -> not c) (List.mapi (fun i (c, t) -> (c, (t, i))) events)
-          |> List.map snd)
-        |> List.map snd
-      in
-      List.rev !log = expected)
+(* --- engine-level: the pinned schedule ---------------------------------- *)
 
 (* One multi-process program and its event log, recorded literally:
    the schedule is pinned across commits, so a change to the engine's
@@ -269,11 +262,11 @@ let test_engine_schedule_pinned () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_wheel_fuzz_vs_model;
+    QCheck_alcotest.to_alcotest prop_wheel_boundary_fuzz;
     QCheck_alcotest.to_alcotest prop_wheel_drain_sorted;
     Alcotest.test_case "push counters cover all destinations" `Quick test_wheel_counters;
     QCheck_alcotest.to_alcotest prop_engine_queue_vs_model;
     Alcotest.test_case "engine queue leaves the ring" `Quick test_engine_queue_overflows;
-    Alcotest.test_case "at_cancel skips exactly the cancelled" `Quick test_at_cancel;
-    QCheck_alcotest.to_alcotest prop_engine_cancel_fuzz;
+    Alcotest.test_case "equal far times fire in seq order" `Quick test_far_ties_keep_seq_order;
     Alcotest.test_case "engine schedule matches recorded log" `Quick test_engine_schedule_pinned;
   ]
