@@ -49,15 +49,15 @@ let factory_arg =
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
-let jobs_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let jobs_arg =
   Arg.(value & opt (some pos_int) None
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Run on a pool of $(docv) domains (default: $(b,MALLOC_REPRO_JOBS) or all \
@@ -578,7 +578,7 @@ let report_cmd =
     print_string (Core.Suite.Report.render ~last h)
   in
   let last =
-    Arg.(value & opt int 8 & info [ "last" ] ~docv:"N" ~doc:"Sessions to include (newest N).")
+    Arg.(value & opt pos_int 8 & info [ "last" ] ~docv:"N" ~doc:"Sessions to include (newest N).")
   in
   let csv =
     Arg.(value & opt (some string) None
@@ -598,7 +598,7 @@ let gate_cmd =
         if not v.Core.Suite.Gate.ok then Stdlib.exit 1
   in
   let last =
-    Arg.(value & opt int 5
+    Arg.(value & opt pos_int 5
          & info [ "last" ] ~docv:"N" ~doc:"Baseline window: median over the last $(docv) \
                                            same-host sessions before the newest.")
   in

@@ -18,11 +18,28 @@ let last_n n xs =
   let len = List.length xs in
   if len <= n then xs else List.filteri (fun i _ -> i >= len - n) xs
 
+(* A ratio limit of 1.0 or less fails a flat trend, and NaN or infinity
+   passes anything (no ratio exceeds either); a self-test factor in
+   that range injects no regression. *)
+let ratio_error name r =
+  if Float.is_finite r && r > 1.0 then None
+  else Some (Printf.sprintf "gate: %s must be a finite ratio above 1.0, got %g" name r)
+
 let check ?(last = 5) ?(threshold = 1.25) ?(gc_threshold = 1.25) ?scale_first
     (history : History.t) =
-  match List.rev history.History.sessions with
-  | [] -> Error "gate: history holds no sessions"
-  | fresh :: earlier_rev ->
+  let arg_error =
+    if last < 1 then Some (Printf.sprintf "gate: last must be at least 1 session, got %d" last)
+    else
+      List.find_map Fun.id
+        [ ratio_error "threshold" threshold;
+          ratio_error "gc_threshold" gc_threshold;
+          Option.bind scale_first (ratio_error "scale_first");
+        ]
+  in
+  match (arg_error, List.rev history.History.sessions) with
+  | Some e, _ -> Error e
+  | None, [] -> Error "gate: history holds no sessions"
+  | None, fresh :: earlier_rev ->
       let fresh =
         match (scale_first, fresh.History.cells) with
         | Some factor, (key, c) :: rest ->
@@ -101,8 +118,7 @@ let check ?(last = 5) ?(threshold = 1.25) ?(gc_threshold = 1.25) ?scale_first
         in
         (* A cell every baseline session recorded but the fresh one
            dropped: suite specs do change deliberately, so this warns
-           rather than fails — unlike compare.exe, whose two files are
-           supposed to describe the same kernel set. *)
+           rather than fails. *)
         let dropped =
           match baselines with
           | [] -> []

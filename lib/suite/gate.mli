@@ -1,5 +1,4 @@
-(** The trend-aware CI regression gate: {!Compare} generalized from a
-    file pair to the session history.
+(** The trend-aware CI regression gate over the session history.
 
     The fresh session (the newest in the history) is compared against
     a baseline built from the last [n] earlier sessions recorded {e on
@@ -41,5 +40,8 @@ val check :
     (both default 1.25). [?scale_first] is the self-test hook: multiply
     the fresh session's first cell's ns/run by this factor before
     gating, so CI can assert the gate {e demonstrably fails} on a
-    synthetic regression without doctoring the history file. [Error]
-    when the history holds no sessions at all. *)
+    synthetic regression without doctoring the history file. [Error],
+    naming the argument, when [last < 1] or when [threshold],
+    [gc_threshold] or [scale_first] is NaN, infinite or at most 1.0 (a
+    gate that would pass anything, or fail a flat trend); also when the
+    history holds no sessions at all. *)

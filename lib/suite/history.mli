@@ -1,5 +1,5 @@
-(** The per-session result history: what turns the bench harness from a
-    one-shot tool into a continuous-benchmarking system.
+(** The per-session result history: what turns suite runs from
+    one-shot measurements into a continuous-benchmarking system.
 
     Every suite run gets a session id; its per-cell results (host
     ns/run, host GC minor words/run, selected simulation counters, and

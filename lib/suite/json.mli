@@ -1,12 +1,11 @@
 (** A minimal JSON value: just enough for the suite layer's artifacts.
 
-    The history file, the bench harness's [BENCH_kernels.json] and the
-    gate reports are all plain JSON written by this repo, so the parser
-    only has to be {e correct}, not lenient: it reads standard JSON
-    (objects, arrays, strings with escapes, numbers, booleans, null)
-    and rejects everything else with a character position. Object
-    field order is preserved, which keeps appended history files
-    diff-friendly. *)
+    The session history and the benchmark's declaration are plain JSON
+    written by this repo, so the parser only has to be {e correct}, not
+    lenient: it reads standard JSON (objects, arrays, strings with
+    escapes, numbers, booleans, null) and rejects everything else with
+    a character position. Object field order is preserved, which keeps
+    appended history files diff-friendly. *)
 
 type t =
   | Null

@@ -5,8 +5,6 @@ type exp_registry = {
   exp_run : string -> quick:bool -> seed:int -> (unit -> exp_result) option;
 }
 
-(* Keep in sync with the bench harness's headline set: the history file
-   and BENCH_kernels.json should disagree about a counter's name never. *)
 let headline_counters =
   [ "alloc.mallocs";
     "alloc.lock.acquired";

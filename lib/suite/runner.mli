@@ -1,7 +1,7 @@
 (** Expands a {!Spec} through the existing domain pool and meters each
     cell for the {!History} file.
 
-    A run has two phases, mirroring the bench harness:
+    A run has two phases:
 
     {b Phase A — execute and print.} Every cell runs once and prints
     its result block. When the suite is {e pure} — every fault plan is
@@ -38,8 +38,8 @@ type exp_registry = {
     ({!Core.Experiments.suite_registry} builds it). *)
 
 val headline_counters : string list
-(** The simulation counters phase B records per cell — the same
-    headline set the bench harness embeds in [BENCH_kernels.json]. *)
+(** The simulation counters phase B records per cell, by their
+    observation-registry names. *)
 
 val run :
   ?jobs:int ->

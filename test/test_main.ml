@@ -21,5 +21,4 @@ let () =
       ("extensions", Test_extensions.suite);
       ("experiments", Test_experiments.suite);
       ("suite", Test_suite.suite);
-      ("compare", Test_compare.suite);
     ]

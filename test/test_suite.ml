@@ -316,6 +316,38 @@ let test_gate_singleton_shared_set_uses_raw_ratios () =
   Alcotest.(check bool) "raw 2x fails" false v.Gate.ok;
   Alcotest.(check bool) "warns about the degenerate set" true (v.Gate.warnings <> [])
 
+let test_gate_pair_shared_set_uses_raw_ratios () =
+  (* Two shared cells: normalizing by their median would pass k2
+     (1.40 / 1.20 = 1.17); the guard gates on the raw 1.40. *)
+  let v =
+    gate_exn
+      [ session "a" [ ("k1", cell 100. 10.); ("k2", cell 100. 10.) ];
+        session "b" [ ("k1", cell 100. 10.); ("k2", cell 140. 10.) ];
+      ]
+  in
+  Alcotest.(check bool) "raw 1.4x fails" false v.Gate.ok;
+  Alcotest.(check (list string)) "names k2" [ "k2" ] v.Gate.regressions;
+  Alcotest.(check bool) "warns about the degenerate set" true
+    (List.exists (fun w -> contains w "too few") v.Gate.warnings)
+
+let test_gate_no_shared_cells_fails () =
+  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" [ ("other", cell 100. 10.) ] ] in
+  Alcotest.(check bool) "fails" false v.Gate.ok;
+  Alcotest.(check bool) "says so" true
+    (List.exists (fun l -> contains l "no cells in common") v.Gate.lines)
+
+let test_gate_dropped_cell_warns () =
+  let v =
+    gate_exn
+      [ session "a" (four_cells Fun.id);
+        session "b" (four_cells Fun.id);
+        session "fresh" (List.remove_assoc "k4" (four_cells Fun.id));
+      ]
+  in
+  Alcotest.(check bool) "ok" true v.Gate.ok;
+  Alcotest.(check bool) "warned about the dropped cell" true
+    (List.exists (fun w -> contains w "k4" && contains w "dropped") v.Gate.warnings)
+
 let test_gate_gc_regression_is_raw () =
   let fresh =
     [ ("k1", cell 100. 20.); ("k2", cell 200. 10.); ("k3", cell 300. 10.);
@@ -336,6 +368,23 @@ let test_gate_empty_history_errors () =
   match Gate.check { History.sessions = [] } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty history should be a usage error"
+
+(* Each of these would let the gate pass anything (NaN, infinity, an
+   empty window) or fail a flat trend (a ratio limit of 1.0). *)
+let test_gate_rejects_degenerate_arguments () =
+  let h = { History.sessions = [ session "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] } in
+  List.iter
+    (fun (call, arg, result) ->
+      match result with
+      | Error e -> Alcotest.(check bool) (call ^ " names its argument") true (contains e arg)
+      | Ok _ -> Alcotest.failf "%s accepted" call)
+    [ ("~last:0", "last", Gate.check ~last:0 h);
+      ("~threshold:nan", "threshold", Gate.check ~threshold:Float.nan h);
+      ("~threshold:infinity", "threshold", Gate.check ~threshold:Float.infinity h);
+      ("~threshold:1.0", "threshold", Gate.check ~threshold:1.0 h);
+      ("~gc_threshold:nan", "gc_threshold", Gate.check ~gc_threshold:Float.nan h);
+      ("~scale_first:nan", "scale_first", Gate.check ~scale_first:Float.nan h);
+    ]
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -441,9 +490,13 @@ let suite =
     Alcotest.test_case "gate warns on fresh-only cells" `Quick test_gate_fresh_only_warns;
     Alcotest.test_case "gate vacuous pass on new host" `Quick test_gate_no_same_host_baseline_is_vacuous_pass;
     Alcotest.test_case "gate singleton shared set" `Quick test_gate_singleton_shared_set_uses_raw_ratios;
+    Alcotest.test_case "gate pair shared set" `Quick test_gate_pair_shared_set_uses_raw_ratios;
+    Alcotest.test_case "gate no shared cells fails" `Quick test_gate_no_shared_cells_fails;
+    Alcotest.test_case "gate warns on dropped cells" `Quick test_gate_dropped_cell_warns;
     Alcotest.test_case "gate GC regression is raw" `Quick test_gate_gc_regression_is_raw;
     Alcotest.test_case "gate self-test scales first cell" `Quick test_gate_self_test_scales_first_cell;
     Alcotest.test_case "gate empty history errors" `Quick test_gate_empty_history_errors;
+    Alcotest.test_case "gate rejects degenerate arguments" `Quick test_gate_rejects_degenerate_arguments;
     Alcotest.test_case "report renders all cells" `Quick test_report_renders_all_cells;
     Alcotest.test_case "runner pure suite" `Quick test_runner_pure_suite_runs_cells;
     Alcotest.test_case "runner forces ok under faults" `Quick test_runner_forces_ok_under_faults;
