@@ -123,24 +123,29 @@ let faults_arg =
                  plain one.")
 
 (* Turn observation/checking/fault-injection on for the duration of
-   [f], then drain the collected recorders, checkers and injectors into
-   the requested sinks. With no flag, [f] runs on the disabled path
-   untouched; --gc-stats only snapshots Gc counters around [f], so it
-   composes with either path without perturbing it. *)
+   [f], then drain the finished runs once into the requested sinks. With
+   no flag, [f] runs on the disabled path untouched; --gc-stats only
+   snapshots Gc counters around [f], so it composes with either path
+   without perturbing it. *)
 let with_observation ~trace ~metrics ~gc_stats ?(check = false) ?(faults = None) f =
+  let module Arm = Core.Arm in
   let gc_before = if gc_stats then Some (Gc.quick_stat ()) else None in
   let check_failed = ref false in
   let result =
-    if trace = None && (not metrics) && (not check) && faults = None then f ()
+    let arm = { Arm.trace = trace <> None; metrics; check; faults } in
+    if arm = Arm.off then f ()
     else begin
-      Core.Obs.Ctl.set { Core.Obs.Ctl.trace = trace <> None; metrics };
-      Core.Check.Ctl.arm check;
-      Core.Fault.Ctl.arm faults;
+      Arm.set arm;
       let finish () =
-        Core.Obs.Ctl.set Core.Obs.Ctl.off;
-        Core.Check.Ctl.arm false;
-        Core.Fault.Ctl.arm None;
-        let runs = Core.Obs.Collect.drain () in
+        Arm.set Arm.off;
+        let drained = Arm.drain () in
+        (* the drained runs whose instrument [get] is on, labelled *)
+        let keep on get =
+          List.filter_map
+            (fun (r : Arm.run) -> if on (get r) then Some (r.label, get r) else None)
+            drained
+        in
+        let runs = keep Core.Obs.Recorder.enabled (fun r -> r.recorder) in
         (match trace with
         | Some path ->
             Core.Obs.Trace_json.write_file path runs;
@@ -150,7 +155,7 @@ let with_observation ~trace ~metrics ~gc_stats ?(check = false) ?(faults = None)
         | None -> ());
         if metrics then Core.Metrics.print runs;
         if check then begin
-          let checked = Core.Check.Collect.drain () in
+          let checked = keep Core.Check.Checker.armed (fun r -> r.checker) in
           let total =
             List.fold_left
               (fun acc (_, c) -> acc + Core.Check.Checker.finding_count c)
@@ -172,7 +177,7 @@ let with_observation ~trace ~metrics ~gc_stats ?(check = false) ?(faults = None)
         | None -> ()
         | Some (plan, seed) ->
             let module I = Core.Fault.Injector in
-            let stormed = Core.Fault.Collect.drain () in
+            let stormed = keep I.armed (fun r -> r.injector) in
             List.iter
               (fun (label, inj) ->
                 Printf.printf

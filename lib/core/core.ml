@@ -20,6 +20,7 @@ module Paper_data = Paper_data
 module Engine = Mb_sim.Engine
 module Int_table = Mb_sim.Int_table
 module Machine = Mb_machine.Machine
+module Arm = Mb_machine.Arm
 module Configs = Mb_machine.Configs
 module Address_space = Mb_vm.Address_space
 module Coherence = Mb_cache.Coherence
@@ -51,8 +52,29 @@ module Larson = Mb_workload.Larson
    the trend-aware regression gate. *)
 module Suite = Mb_suite
 
-(* Observability. *)
-module Obs = Mb_obs
+(* Observability. [Obs.Ctl] and [Obs.Collect] are perfbench's view of
+   {!Arm}, kept until the benchmark moves to [Arm] itself: they hold no
+   state, and [Collect.drain] drains every run but returns only the
+   observed ones. *)
+module Obs = struct
+  include Mb_obs
+
+  module Ctl = struct
+    type mode = { trace : bool; metrics : bool }
+
+    let off = { trace = false; metrics = false }
+
+    let set { trace; metrics } = Arm.set { (Arm.current ()) with Arm.trace; metrics }
+  end
+
+  module Collect = struct
+    let drain () =
+      List.filter_map
+        (fun (r : Arm.run) -> if Recorder.enabled r.recorder then Some (r.label, r.recorder) else None)
+        (Arm.drain ())
+  end
+end
+
 module Check = Mb_check
 module Fault = Mb_fault
 module Metrics = Mb_report.Metrics

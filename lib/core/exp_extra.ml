@@ -2,6 +2,7 @@ module Bench1 = Mb_workload.Bench1
 module Server = Mb_workload.Server
 module Trace = Mb_workload.Trace
 module Factory = Mb_workload.Factory
+module Obs_hook = Mb_workload.Obs_hook
 module Configs = Mb_machine.Configs
 module Machine = Mb_machine.Machine
 module Summary = Mb_stats.Summary
@@ -198,6 +199,9 @@ let ablate_bkl opts =
               done))
     in
     Machine.run m;
+    Obs_hook.publish m [ alloc ] ~label:(fun () ->
+        Printf.sprintf "ablate-bkl %s bkl=%b it=%d seed=%d" (Configs.label machine) with_bkl iters
+          opts.seed);
     List.fold_left (fun acc w -> acc +. (Machine.elapsed_ns w /. 1e6)) 0. workers
       /. float_of_int (List.length workers)
   in
@@ -252,6 +256,9 @@ let ablate_crowding opts =
           ())
     in
     Machine.run m;
+    Obs_hook.publish m [ alloc ] ~label:(fun () ->
+        Printf.sprintf "ablate-crowding %s mmap_fallback=%b blocks=%d seed=%d"
+          (Configs.label machine) mmap_fallback live_blocks opts.seed);
     let grew = alloc.A.stats.Mb_alloc.Astats.grow_failures in
     let mmapped = alloc.A.stats.Mb_alloc.Astats.mmapped_chunks in
     (!outcome, grew, mmapped, Machine.elapsed_ns th /. 1e6)
@@ -310,6 +317,9 @@ let ablate_fastbins opts =
     (match alloc.A.validate () with
     | Ok () -> ()
     | Error msg -> failwith ("ablate-fastbins: " ^ msg));
+    Obs_hook.publish m [ alloc ] ~label:(fun () ->
+        Printf.sprintf "ablate-fastbins %s fastbins=%b it=%d seed=%d"
+          (Configs.label Configs.dual_pentium_pro) use_fastbins iters opts.seed);
     Machine.elapsed_ns th /. float_of_int iters
   in
   let classic = time false and fast = time true in
@@ -499,6 +509,9 @@ let trace_replay opts =
     (match alloc.A.validate () with
     | Ok () -> ()
     | Error msg -> failwith (factory.Factory.label ^ ": " ^ msg));
+    Obs_hook.publish m [ alloc ] ~label:(fun () ->
+        Printf.sprintf "trace-replay %s %s ops=%d seed=%d" factory.Factory.label
+          (Configs.label machine) ops opts.seed);
     (factory.Factory.label, Machine.elapsed_ns th /. 1e9, alloc.A.stats.Mb_alloc.Astats.live_bytes)
   in
   let rows = List.map replay_with factories in
@@ -640,6 +653,9 @@ let ablate_deferred opts =
     (match alloc.A.validate () with
     | Ok () -> ()
     | Error msg -> failwith ("ablate-deferred: " ^ msg));
+    Obs_hook.publish m [ alloc ] ~label:(fun () ->
+        Printf.sprintf "ablate-deferred %s deferred=%b it=%d seed=%d"
+          (Configs.label Configs.dual_pentium_pro) defer_coalescing iters opts.seed);
     Machine.elapsed_ns th /. float_of_int iters
   in
   let classic = time false and deferred = time true in

@@ -112,3 +112,10 @@ let table =
 let by_name name = List.assoc_opt name table
 
 let names = List.map fst table
+
+let label config =
+  match List.find_opt (fun (_, preset) -> preset = config) table with
+  | Some (name, _) -> name
+  | None ->
+      let digest = Digest.to_hex (Digest.string (Marshal.to_string config [ Marshal.No_sharing ])) in
+      Printf.sprintf "%dx%gMHz-%s" config.Machine.cpus config.Machine.mhz (String.sub digest 0 8)

@@ -27,3 +27,9 @@ val by_name : string -> Machine.config option
     "dual_ultrasparc", "uni_k6"). *)
 
 val names : string list
+
+val label : Machine.config -> string
+(** A run label's name for [config]: the preset's name when [config]
+    equals a preset, otherwise its CPU count and clock plus a digest of
+    every field, e.g. ["4x500MHz-1f0c2a9e"]. Equal configs get equal
+    labels and different configs different ones. *)

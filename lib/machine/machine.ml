@@ -260,7 +260,7 @@ let exact_jump x d k =
   let y = x +. (float_of_int k *. d) in
   if jump_is_exact x (low_bit_exp d) y then Some y else None
 
-let create ?(seed = 42) ?obs ?check ?fault (config : config) =
+let create ?(seed = 42) (config : config) =
   if config.cpus <= 0 then invalid_arg "Machine.create: cpus <= 0";
   if config.mhz <= 0. then invalid_arg "Machine.create: mhz <= 0";
   if not (Float.is_finite config.mhz) then invalid_arg "Machine.create: mhz not finite";
@@ -287,9 +287,15 @@ let create ?(seed = 42) ?obs ?check ?fault (config : config) =
   nonneg "minor_fault_cycles" config.minor_fault_cycles;
   nonneg "thread_spawn_cycles" config.thread_spawn_cycles;
   let cycle_ns = 1000. /. config.mhz in
-  let obs = match obs with Some r -> r | None -> Mb_obs.Ctl.recorder () in
-  let check = match check with Some c -> c | None -> Mb_check.Ctl.checker () in
-  let fault = match fault with Some f -> f | None -> Mb_fault.Ctl.injector () in
+  let arm = Arm.current () in
+  let obs =
+    if arm.trace || arm.metrics then Obs.create ~trace:arm.trace ~metrics:arm.metrics ()
+    else Obs.null
+  in
+  let check = if arm.check then Check.create () else Check.null in
+  let fault =
+    match arm.faults with None -> Fault.null | Some (plan, seed) -> Fault.create ~plan ~seed
+  in
   let engine = Engine.create ~obs () in
   { config;
     engine;

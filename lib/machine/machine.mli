@@ -51,24 +51,14 @@ val default_config : config
 (** A generic 2-CPU machine; presets for the paper's hosts live in
     {!Configs}. *)
 
-val create :
-  ?seed:int ->
-  ?obs:Mb_obs.Recorder.t ->
-  ?check:Mb_check.Checker.t ->
-  ?fault:Mb_fault.Injector.t ->
-  config ->
-  t
+val create : ?seed:int -> config -> t
 (** Fresh machine. Equal seeds and programs give identical runs.
-    [obs] is the machine's observation recorder; it defaults to
-    {!Mb_obs.Ctl.recorder}[ ()], i.e. disabled unless the process-wide
-    observation mode is on. [check] is the machine's dynamic
-    correctness checker and likewise defaults to
-    {!Mb_check.Ctl.checker}[ ()]. Neither consumes simulated time, so
-    observed/checked runs compute the same results as bare ones.
-    [fault] is the machine's fault injector, defaulting to
-    {!Mb_fault.Ctl.injector}[ ()] ({!Mb_fault.Injector.null} unless a
-    [--faults] plan is armed); when disarmed every injection site is a
-    dead branch and output is byte-identical to a faultless build.
+    The machine's {!observer}, {!checker} and {!fault} injector come
+    from the {!Arm} setting at this call: fresh instruments for the
+    channels that are on, the null ones otherwise. None of them
+    consumes simulated time or randomness, so armed runs compute the
+    same results as bare ones, and with nothing armed every
+    instrumentation site is a dead branch.
     @raise Invalid_argument naming the field when [cpus] is not
     positive, [mhz] or [quantum_us] is not positive and finite,
     [op_jitter] is not in [\[0, 1)] (NaN and infinity included), or a

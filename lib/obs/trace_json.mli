@@ -12,8 +12,9 @@
     both properties the test suite relies on. *)
 
 val to_string : (string * Recorder.t) list -> string
-(** Render labeled recorders (as returned by {!Collect.drain}) to a
-    complete JSON document. *)
+(** Render labeled recorders (the observed runs of
+    [Mb_machine.Arm.drain], in drain order) to a complete JSON
+    document. *)
 
 val write_file : string -> (string * Recorder.t) list -> unit
 (** [write_file path runs] writes {!to_string}[ runs] to [path]. *)

@@ -1,8 +1,8 @@
 (** Rendering of observed counters ({!Mb_obs.Recorder} metrics) as a
     fixed-width table or CSV.
 
-    The input is what {!Mb_obs.Collect.drain} returns: labelled recorders,
-    one per observed run, already sorted by label. *)
+    The input is the observed runs of [Mb_machine.Arm.drain]: labelled
+    recorders, one per observed run, already sorted by label. *)
 
 val to_table : (string * Mb_obs.Recorder.t) list -> Table.t
 (** One row per (run, counter) pair in drain order, followed by a totals

@@ -1,3 +1,5 @@
+module Arm = Mb_machine.Arm
+
 type exp_result = { print : unit -> unit; ok : bool }
 
 type exp_registry = {
@@ -17,19 +19,20 @@ let headline_counters =
     "vm.mmap_calls"
   ]
 
-(* Fault arming is process-global, so a faulted cell gets the whole
-   context to itself (the serial path below). *)
+(* Arming is process-global, so a faulted cell gets the whole context
+   to itself (the serial path below). *)
 let with_cell_ctx (cell : Spec.cell) f =
   match cell.Spec.fault with
   | None -> f ()
-  | Some _ as plan ->
-      Mb_fault.Ctl.arm plan;
+  | Some _ as faults ->
+      let outer = Arm.current () in
+      Arm.set { outer with Arm.faults };
       Fun.protect
         ~finally:(fun () ->
-          Mb_fault.Ctl.arm None;
-          (* the storm's injectors are this cell's private business;
-             don't leak them into the caller's fault report *)
-          ignore (Mb_fault.Collect.drain ()))
+          Arm.set outer;
+          (* the storm's runs are this cell's private business; don't
+             leak them into the caller's report *)
+          ignore (Arm.drain ()))
         f
 
 (* --- one compiled cell -------------------------------------------------- *)
@@ -263,10 +266,14 @@ let run ?jobs ~registry (spec : Spec.t) =
                     done;
                     let w1 = Gc.minor_words () in
                     let t1 = Unix.gettimeofday () in
-                    Mb_obs.Ctl.set { Mb_obs.Ctl.trace = false; metrics = true };
+                    let armed = Arm.current () in
+                    Arm.set { armed with Arm.metrics = true };
                     ignore (comp.kernel ());
-                    let totals = Mb_obs.Recorder.totals (Mb_obs.Collect.drain ()) in
-                    Mb_obs.Ctl.set Mb_obs.Ctl.off;
+                    Arm.set armed;
+                    let totals =
+                      Mb_obs.Recorder.totals
+                        (List.map (fun (r : Arm.run) -> (r.label, r.recorder)) (Arm.drain ()))
+                    in
                     ( cell,
                       { History.ok;
                         ns_per_run = (t1 -. t0) *. 1e9 /. float_of_int reps;

@@ -90,11 +90,11 @@ let run params =
       | Ok () -> ()
       | Error msg -> failwith (Printf.sprintf "Bench1: heap invariant broken: %s" msg))
     allocators;
-  Obs_hook.publish m allocators
-    ~label:
-      (Printf.sprintf "bench1 %s %s w=%d it=%d sz=%d seed=%d" params.factory.Factory.label
-         (match params.mode with Threads -> "threads" | Processes -> "processes")
-         params.workers params.iterations params.size params.seed);
+  Obs_hook.publish m allocators ~label:(fun () ->
+      Printf.sprintf "bench1 %s %s %s w=%d it=%d sz=%d seed=%d" params.factory.Factory.label
+        (Mb_machine.Configs.label params.machine)
+        (match params.mode with Threads -> "threads" | Processes -> "processes")
+        params.workers params.iterations params.size params.seed);
   let elapsed_s = List.map (fun th -> M.elapsed_ns th /. 1e9) threads in
   let scale = float_of_int params.paper_iterations /. float_of_int params.iterations in
   let makespan_cycles = M.now_ns m /. M.cycles_to_ns m 1.0 in

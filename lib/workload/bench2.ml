@@ -106,10 +106,11 @@ let run params =
   (match alloc.A.validate () with
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "Bench2: heap invariant broken: %s" msg));
-  Obs_hook.publish m [ alloc ]
-    ~label:
-      (Printf.sprintf "bench2 %s t=%d r=%d obj=%d seed=%d" params.factory.Factory.label
-         params.threads params.rounds params.objects_per_thread params.seed);
+  Obs_hook.publish m [ alloc ] ~label:(fun () ->
+      Printf.sprintf "bench2 %s %s t=%d r=%d obj=%d repl=%d sz=%d seed=%d"
+        params.factory.Factory.label (Mb_machine.Configs.label params.machine) params.threads
+        params.rounds params.objects_per_thread params.replacements_per_round params.size
+        params.seed);
   let vm = M.proc_vm proc in
   { params;
     minor_faults = As.minor_faults vm;

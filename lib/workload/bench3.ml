@@ -101,10 +101,10 @@ let run params =
   in
   ignore main;
   M.run m;
-  Obs_hook.publish m [ alloc ]
-    ~label:
-      (Printf.sprintf "bench3 %s t=%d sz=%d aligned=%b seed=%d" factory.Factory.label
-         params.threads params.object_size params.aligned params.seed);
+  Obs_hook.publish m [ alloc ] ~label:(fun () ->
+      Printf.sprintf "bench3 %s %s t=%d sz=%d writes=%d loop=%d seed=%d" factory.Factory.label
+        (Mb_machine.Configs.label params.machine) params.threads params.object_size params.writes
+        params.loop_cycles params.seed);
   let elapsed_s =
     List.fold_left (fun acc w -> max acc (M.elapsed_ns w /. 1e9)) 0. !workers
   in

@@ -5,8 +5,21 @@ type t = {
   create : Mb_machine.Machine.proc -> A.Allocator.t;
 }
 
+(* "ptmalloc", plus what sets this instance apart from the default:
+   run labels must tell its simulations apart. *)
+let ptmalloc_label ?costs ?max_arenas () =
+  let costs =
+    match costs with
+    | Some c when c <> A.Costs.glibc ->
+        let digest = Digest.to_hex (Digest.string (Marshal.to_string c [ Marshal.No_sharing ])) in
+        " costs-" ^ String.sub digest 0 8
+    | _ -> ""
+  in
+  let arenas = match max_arenas with Some n -> Printf.sprintf " arenas<=%d" n | None -> "" in
+  "ptmalloc" ^ costs ^ arenas
+
 let ptmalloc ?costs ?max_arenas () =
-  { label = "ptmalloc";
+  { label = ptmalloc_label ?costs ?max_arenas ();
     create =
       (fun proc ->
         let costs = match costs with Some c -> c | None -> A.Costs.glibc in
@@ -16,7 +29,7 @@ let ptmalloc ?costs ?max_arenas () =
 let ptmalloc_introspect ?costs ?max_arenas () =
   let instances : (string, A.Ptmalloc.t) Hashtbl.t = Hashtbl.create 4 in
   let factory =
-    { label = "ptmalloc";
+    { label = ptmalloc_label ?costs ?max_arenas ();
       create =
         (fun proc ->
           let costs = match costs with Some c -> c | None -> A.Costs.glibc in

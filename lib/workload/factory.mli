@@ -4,6 +4,9 @@
 
 type t = {
   label : string;
+      (** the allocator's name; a non-default {!ptmalloc} adds its
+          options, as in ["ptmalloc arenas<=1"], so that run labels tell
+          its simulations apart *)
   create : Mb_machine.Machine.proc -> Mb_alloc.Allocator.t;
 }
 

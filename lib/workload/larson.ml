@@ -123,10 +123,11 @@ let run params =
   (match alloc.A.validate () with
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "Larson: heap invariant broken: %s" msg));
-  Obs_hook.publish m [ alloc ]
-    ~label:
-      (Printf.sprintf "larson %s t=%d r=%d seed=%d" params.factory.Factory.label params.threads
-         params.rounds params.seed);
+  Obs_hook.publish m [ alloc ] ~label:(fun () ->
+      Printf.sprintf "larson %s %s t=%d r=%d slots=%d ops=%d sz=%d-%d seed=%d"
+        params.factory.Factory.label (Mb_machine.Configs.label params.machine) params.threads
+        params.rounds params.slots_per_thread params.ops_per_round params.min_size
+        params.max_size params.seed);
   let vm = M.proc_vm proc in
   let elapsed_s = M.elapsed_ns main /. 1e9 in
   let total_ops = params.threads * params.rounds * params.ops_per_round in

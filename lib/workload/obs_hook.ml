@@ -1,12 +1,8 @@
 module M = Mb_machine.Machine
 module A = Mb_alloc.Allocator
 
-let publish ~label m allocators =
+let publish m allocators ~label =
   let obs = M.observer m in
-  if Mb_obs.Recorder.enabled obs then begin
+  if Mb_obs.Recorder.enabled obs then
     List.iter (fun a -> Mb_alloc.Astats.publish a.A.stats obs) allocators;
-    Mb_obs.Collect.publish ~label obs
-  end;
-  let chk = M.checker m in
-  if Mb_check.Checker.armed chk then Mb_check.Collect.publish ~label chk;
-  Mb_fault.Collect.publish ~label (M.fault m)
+  Mb_machine.Arm.publish ~label obs (M.checker m) (M.fault m)

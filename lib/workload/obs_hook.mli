@@ -1,18 +1,17 @@
-(** Shared post-run observation hook for the workload drivers.
+(** Shared post-run hook for the workload drivers.
 
     Every workload calls {!publish} once after {!Mb_machine.Machine.run}
-    returns: it folds the allocators' {!Mb_alloc.Astats} counters into the
-    machine's recorder and hands the recorder to {!Mb_obs.Collect} under a
-    label describing the run's parameters; if the machine's dynamic
-    checker is armed, the checker is likewise handed to
-    {!Mb_check.Collect} under the same label, and an armed fault
-    injector to {!Mb_fault.Collect}. A no-op when the machine is
-    unobserved, unchecked and unstormed, so workloads stay oblivious to
-    whether anyone is watching. *)
+    returns: it folds the allocators' {!Mb_alloc.Astats} counters into
+    the machine's recorder when the run is observed, and hands the
+    machine's recorder, checker and fault injector to
+    {!Mb_machine.Arm.publish} as one run. With nothing armed it formats
+    no label and keeps nothing, so workloads stay oblivious to whether
+    anyone is watching. *)
 
 val publish :
-  label:string -> Mb_machine.Machine.t -> Mb_alloc.Allocator.t list -> unit
-(** [publish ~label m allocators] — see above. [label] should encode the
-    workload name and distinguishing parameters; the collector sorts by it
-    when draining, which is what keeps sink output deterministic under the
-    parallel experiment pool. *)
+  Mb_machine.Machine.t -> Mb_alloc.Allocator.t list -> label:(unit -> string) -> unit
+(** [publish m allocators ~label] — see above. [label ()] must name the
+    workload, the machine ({!Mb_machine.Configs.label}) and every
+    parameter that changes the simulation: {!Mb_machine.Arm.drain}
+    sorts by it, and equal labels must mean equal runs for sink output
+    to be the same at every pool width. *)

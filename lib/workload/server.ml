@@ -538,17 +538,18 @@ let run params =
              ~class_counts:(fun c -> class_counts.(class_index c)))
   in
   (match requests with None -> () | Some rs -> publish_request_counters m rs);
-  let label =
-    match params.open_loop with
-    | None ->
-        Printf.sprintf "server %s t=%d req=%d conn=%d seed=%d" params.factory.Factory.label
-          params.threads params.requests_per_thread params.connections params.seed
-    | Some op ->
-        Printf.sprintf "server %s %s %s req=%d conn=%d seed=%d" params.factory.Factory.label
-          (Arrivals.to_string op.process) (model_label op.model) op.total_requests
-          params.connections params.seed
-  in
-  Obs_hook.publish m [ raw_alloc ] ~label;
+  Obs_hook.publish m [ raw_alloc ] ~label:(fun () ->
+      let common =
+        Printf.sprintf "server %s %s t=%d conn=%d think=%d latency=%b"
+          params.factory.Factory.label (Mb_machine.Configs.label params.machine) params.threads
+          params.connections params.think_cycles params.probe_latency
+      in
+      match params.open_loop with
+      | None -> Printf.sprintf "%s req=%d seed=%d" common params.requests_per_thread params.seed
+      | Some op ->
+          Printf.sprintf "%s %s %s req=%d churn=%d mix=%d:%d seed=%d" common
+            (Arrivals.to_string op.process) (model_label op.model) op.total_requests
+            op.churn_mean_requests op.read_pct op.write_pct params.seed);
   let per_thread_s = List.map (fun w -> M.elapsed_ns w /. 1e9) !workers in
   let slowest_worker_ns = List.fold_left (fun acc w -> Float.max acc (M.elapsed_ns w)) 0. !workers in
   let elapsed_s =

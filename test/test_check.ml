@@ -6,15 +6,26 @@
 module M = Core.Machine
 module Engine = Core.Engine
 module Checker = Core.Check.Checker
+module Arm = Core.Arm
 module B1 = Core.Bench1
 
 let two_cpu = { M.default_config with M.cpus = 2; op_jitter = 0. }
 
 let kinds c = List.map (fun f -> f.Checker.kind) (Checker.findings c)
 
+(* Run [f] with checking armed, then disarm and discard any published
+   run. *)
+let checking f =
+  Arm.set { Arm.off with Arm.check = true };
+  Fun.protect
+    ~finally:(fun () ->
+      Arm.set Arm.off;
+      ignore (Arm.drain ()))
+    f
+
 let armed_machine ?(seed = 7) config =
-  let check = Checker.create () in
-  (M.create ~seed ~check config, check)
+  let m = checking (fun () -> M.create ~seed config) in
+  (m, M.checker m)
 
 (* A mapped, thread-shareable address every process has. *)
 let shared_addr = M.libc_data_address + 0x400
@@ -31,13 +42,18 @@ let test_null_checker_records_nothing () =
   Alcotest.(check int) "no findings" 0 (Checker.finding_count c);
   Alcotest.(check int) "empty list" 0 (List.length (Checker.findings c))
 
+(* The run registry, seen from checking: a run whose only instrument is
+   a checker is kept, an unarmed run is not, and [drain] sorts by label. *)
 let test_collect_sorts_and_skips_disarmed () =
-  ignore (Core.Check.Collect.drain ());
-  Core.Check.Collect.publish ~label:"ignored" Checker.null;
-  Alcotest.(check int) "disarmed not kept" 0 (Core.Check.Collect.pending ());
-  Core.Check.Collect.publish ~label:"b-run" (Checker.create ());
-  Core.Check.Collect.publish ~label:"a-run" (Checker.create ());
-  let labels = List.map fst (Core.Check.Collect.drain ()) in
+  ignore (Arm.drain ());
+  Arm.publish ~label:(fun () -> "ignored") Core.Obs.Recorder.null Checker.null
+    Core.Fault.Injector.null;
+  Alcotest.(check int) "disarmed not kept" 0 (List.length (Arm.drain ()));
+  Arm.publish ~label:(fun () -> "b-run") Core.Obs.Recorder.null (Checker.create ())
+    Core.Fault.Injector.null;
+  Arm.publish ~label:(fun () -> "a-run") Core.Obs.Recorder.null (Checker.create ())
+    Core.Fault.Injector.null;
+  let labels = List.map (fun r -> r.Arm.label) (Arm.drain ()) in
   Alcotest.(check (list string)) "drain sorted by label" [ "a-run"; "b-run" ] labels
 
 (* --- race detection ----------------------------------------------------- *)
@@ -229,14 +245,13 @@ let test_checking_does_not_perturb () =
   in
   let dark = B1.run params in
   let lit =
-    Core.Check.Ctl.arm true;
-    Fun.protect
-      ~finally:(fun () -> Core.Check.Ctl.arm false)
-      (fun () -> B1.run params)
+    checking (fun () ->
+        let r = B1.run params in
+        (match Arm.drain () with
+        | [ run ] -> Alcotest.(check int) "bench1 is clean" 0 (Checker.finding_count run.Arm.checker)
+        | runs -> Alcotest.failf "expected 1 checked run, got %d" (List.length runs));
+        r)
   in
-  (match Core.Check.Collect.drain () with
-  | [ (_, c) ] -> Alcotest.(check int) "bench1 is clean" 0 (Checker.finding_count c)
-  | runs -> Alcotest.failf "expected 1 checked run, got %d" (List.length runs));
   List.iter2
     (fun a b -> Alcotest.(check (float 0.)) "identical elapsed" a b)
     dark.B1.elapsed_s lit.B1.elapsed_s;

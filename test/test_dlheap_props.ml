@@ -12,6 +12,7 @@ module A = Core.Allocator
 module R = Core.Obs.Recorder
 module Checker = Core.Check.Checker
 module Fault = Core.Fault.Injector
+module Arm = Core.Arm
 
 let config = { M.default_config with M.cpus = 1; op_jitter = 0. }
 
@@ -220,12 +221,14 @@ let mix_arb ~threads =
     QCheck.Gen.(pair (int_bound 10_000) (list_size (int_range 1 threads) (list_size (int_range 1 40) op)))
 
 (* Replay the mix on a fresh [name] allocator on [machine] with the
-   checker armed and [fault] injecting, drain the pool from a thread
+   checker armed and [faults] injecting, drain the pool from a thread
    that joins the workers, and require a valid heap, no findings and no
-   live bytes. Returns how many operations degraded on [Alloc_failure]. *)
-let run_mix ?(machine = Core.Configs.quad_xeon) ~fault name (seed, threads) =
-  let check = Checker.create () in
-  let m = M.create ~seed ~check ~fault machine in
+   live bytes. Returns how many operations degraded on [Alloc_failure],
+   and the machine's injector. *)
+let run_mix ?(machine = Core.Configs.quad_xeon) ?faults name (seed, threads) =
+  Arm.set { Arm.off with Arm.check = true; faults };
+  let m = Fun.protect ~finally:(fun () -> Arm.set Arm.off) (fun () -> M.create ~seed machine) in
+  let check = M.checker m in
   let p = M.create_proc m () in
   let alloc = (Option.get (Core.Factory.by_name name)).Core.Factory.create p in
   let pool = ref [] and degraded = ref 0 in
@@ -268,7 +271,7 @@ let run_mix ?(machine = Core.Configs.quad_xeon) ~fault name (seed, threads) =
   if Checker.finding_count check > 0 then fail "%d checker finding(s)" (Checker.finding_count check);
   let live = alloc.A.stats.Core.Astats.live_bytes in
   if live <> 0 then fail "%d live bytes after the drain" live;
-  !degraded
+  (!degraded, M.fault m)
 
 let prop_mix_every_allocator =
   QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150
@@ -276,7 +279,7 @@ let prop_mix_every_allocator =
     (fun mix ->
       List.iter
         (fun name ->
-          let degraded = run_mix ~fault:Fault.null name mix in
+          let degraded, _ = run_mix name mix in
           if degraded > 0 then
             QCheck.Test.fail_reportf "%s: %d failures without a fault plan" name degraded)
         Core.Factory.names;
@@ -289,7 +292,7 @@ let prop_mix_under_faults =
       List.iter
         (fun (_, plan) ->
           List.iter
-            (fun name -> ignore (run_mix ~fault:(Fault.create ~plan ~seed) name mix : int))
+            (fun name -> ignore (run_mix ~faults:(plan, seed) name mix : int * Fault.t))
             Core.Factory.names)
         Core.Fault.Plan.all;
       true)
@@ -312,13 +315,12 @@ let prop_mix_oversubscribed =
         (fun machine ->
           List.iter
             (fun name ->
-              let degraded = run_mix ~machine ~fault:Fault.null name mix in
+              let degraded, _ = run_mix ~machine name mix in
               if degraded > 0 then
                 QCheck.Test.fail_reportf "%s: %d failures without a fault plan" name degraded;
               List.iter
                 (fun (_, plan) ->
-                  let fault = Fault.create ~plan ~seed in
-                  ignore (run_mix ~machine ~fault name mix : int);
+                  let _, fault = run_mix ~machine ~faults:(plan, seed) name mix in
                   preempts := !preempts + Fault.injected_preempt fault)
                 Core.Fault.Plan.all)
             Core.Factory.names)

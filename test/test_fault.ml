@@ -6,7 +6,18 @@ module M = Core.Machine
 module A = Core.Allocator
 module Fault = Core.Fault.Injector
 module Plan = Core.Fault.Plan
+module Arm = Core.Arm
 module B2 = Core.Bench2
+
+(* Run [f] with [plan] armed, then disarm and discard any published
+   run. *)
+let with_plan plan seed f =
+  Arm.set { Arm.off with Arm.faults = Some (plan, seed) };
+  Fun.protect
+    ~finally:(fun () ->
+      Arm.set Arm.off;
+      ignore (Arm.drain ()))
+    f
 
 (* --- plan parsing ------------------------------------------------------- *)
 
@@ -52,13 +63,19 @@ let test_null_injector_is_inert () =
   done;
   Alcotest.(check int) "nothing injected" 0 (Fault.injected i)
 
+(* The run registry, seen from fault injection: a run whose only
+   instrument is an injector is kept, an unarmed run is not, and [drain]
+   sorts by label. *)
 let test_collect_sorts_and_skips_disarmed () =
-  ignore (Core.Fault.Collect.drain ());
-  Core.Fault.Collect.publish ~label:"ignored" Fault.null;
-  Alcotest.(check int) "disarmed not kept" 0 (Core.Fault.Collect.pending ());
-  Core.Fault.Collect.publish ~label:"b-run" (Fault.create ~plan:Plan.Slow_lock ~seed:1);
-  Core.Fault.Collect.publish ~label:"a-run" (Fault.create ~plan:Plan.Slow_lock ~seed:2);
-  let labels = List.map fst (Core.Fault.Collect.drain ()) in
+  ignore (Arm.drain ());
+  Arm.publish ~label:(fun () -> "ignored") Core.Obs.Recorder.null Core.Check.Checker.null
+    Fault.null;
+  Alcotest.(check int) "disarmed not kept" 0 (List.length (Arm.drain ()));
+  Arm.publish ~label:(fun () -> "b-run") Core.Obs.Recorder.null Core.Check.Checker.null
+    (Fault.create ~plan:Plan.Slow_lock ~seed:1);
+  Arm.publish ~label:(fun () -> "a-run") Core.Obs.Recorder.null Core.Check.Checker.null
+    (Fault.create ~plan:Plan.Slow_lock ~seed:2);
+  let labels = List.map (fun r -> r.Arm.label) (Arm.drain ()) in
   Alcotest.(check (list string)) "drain sorted by label" [ "a-run"; "b-run" ] labels
 
 (* --- qcheck: same plan+seed => identical injected-event sequence -------- *)
@@ -108,8 +125,7 @@ let always_failing_allocator attempts =
     }
 
 let test_retry_bounds_when_armed () =
-  let fault = Fault.create ~plan:Plan.Flaky_reserve ~seed:5 in
-  let m = M.create ~seed:3 ~fault M.default_config in
+  let m = with_plan Plan.Flaky_reserve 5 (fun () -> M.create ~seed:3 M.default_config) in
   let p = M.create_proc m () in
   let attempts = ref 0 in
   let alloc = always_failing_allocator attempts in
@@ -151,11 +167,6 @@ let test_no_retry_when_disarmed () =
 
 (* --- workloads degrade gracefully under pressure ------------------------ *)
 
-let with_plan plan seed f =
-  ignore (Core.Fault.Collect.drain ());
-  Core.Fault.Ctl.arm (Some (plan, seed));
-  Fun.protect ~finally:(fun () -> Core.Fault.Ctl.arm None) f
-
 let quick_bench2 factory =
   { B2.default with
     B2.threads = 3;
@@ -180,9 +191,8 @@ let test_bench2_survives_oom_pressure () =
     (fun (factory : Core.Factory.t) ->
       with_plan Plan.Oom_pressure 1 (fun () ->
           let r = B2.run (quick_bench2 factory) in
-          let published = Core.Fault.Collect.drain () in
           let injected =
-            List.fold_left (fun acc (_, i) -> acc + Fault.injected i) 0 published
+            List.fold_left (fun acc run -> acc + Fault.injected run.Arm.injector) 0 (Arm.drain ())
           in
           Alcotest.(check bool)
             (factory.Core.Factory.label ^ ": pressure actually injected")
@@ -207,7 +217,6 @@ let test_spawn_survives_flaky_reserve () =
         ignore (M.spawn p (fun ctx -> M.work_exact ctx 1_000; incr finished))
       done;
       M.run m;
-      ignore (Core.Fault.Collect.drain ());
       Alcotest.(check int) "every thread ran despite vetoed stack maps" 32 !finished)
 
 let suite =

@@ -10,7 +10,7 @@ module A = Core.Allocator
 module B1 = Core.Bench1
 module B2 = Core.Bench2
 module S = Core.Server
-module Obs = Core.Obs
+module Arm = Core.Arm
 module Tw = Mb_sim.Timing_wheel
 
 (* Host minor words of [f ()]'s second run: the first grows tables. *)
@@ -154,16 +154,16 @@ let test_server_open_ceiling () =
    walks 1.81M. Host time cannot be gated here, so this count holds the
    jumps in place. *)
 let test_fig8_spin_walk_ceiling () =
-  Obs.Ctl.set { Obs.Ctl.trace = false; metrics = true };
+  Arm.set { Arm.off with Arm.metrics = true };
   let walked =
     Fun.protect
       ~finally:(fun () ->
-        Obs.Ctl.set Obs.Ctl.off;
-        ignore (Obs.Collect.drain ()))
+        Arm.set Arm.off;
+        ignore (Arm.drain ()))
       (fun () ->
         ignore (B2.run fig8 : B2.result);
-        match Obs.Collect.drain () with
-        | [ (_, r) ] -> Obs.Recorder.counter r "sched.spin_steps_walked"
+        match Arm.drain () with
+        | [ run ] -> Core.Obs.Recorder.counter run.Arm.recorder "sched.spin_steps_walked"
         | runs -> Alcotest.failf "expected one published run, got %d" (List.length runs))
   in
   if walked > 100_000 then

@@ -4,22 +4,23 @@
 
 module Obs = Core.Obs
 module R = Obs.Recorder
+module Arm = Core.Arm
 module B1 = Core.Bench1
 
-(* Run [f] with the process-wide observation mode set, then restore the
-   disabled default and discard anything left in the collector so tests
-   cannot leak state into each other. *)
-let with_mode mode f =
-  Obs.Ctl.set mode;
+(* Run [f] with observation armed as given, then restore the disabled
+   default and discard any run left in the registry so tests cannot leak
+   state into each other. *)
+let with_mode ~trace ~metrics f =
+  Arm.set { Arm.off with Arm.trace; metrics };
   Fun.protect
     ~finally:(fun () ->
-      Obs.Ctl.set Obs.Ctl.off;
-      ignore (Obs.Collect.drain ()))
+      Arm.set Arm.off;
+      ignore (Arm.drain ()))
     f
 
 let drain_one () =
-  match Obs.Collect.drain () with
-  | [ run ] -> run
+  match Arm.drain () with
+  | [ run ] -> (run.Arm.label, run.Arm.recorder)
   | runs -> Alcotest.failf "expected exactly one published run, got %d" (List.length runs)
 
 (* --- recorder unit behaviour ------------------------------------------- *)
@@ -52,15 +53,23 @@ let test_counter_arithmetic () =
     [ ("a", 84); ("b", 2); ("c", 18) ]
     totals
 
+(* The run registry, seen from observation: a run whose only instrument
+   is a recorder is kept, an unarmed run is neither kept nor labelled,
+   and [drain] sorts by label and empties the registry. *)
 let test_collect_sorts_and_skips_disabled () =
-  with_mode Obs.Ctl.off @@ fun () ->
-  Obs.Collect.publish ~label:"ignored" R.null;
-  Alcotest.(check int) "disabled not kept" 0 (Obs.Collect.pending ());
-  let b = R.create () and a = R.create () in
-  Obs.Collect.publish ~label:"b-run" b;
-  Obs.Collect.publish ~label:"a-run" a;
-  let labels = List.map fst (Obs.Collect.drain ()) in
-  Alcotest.(check (list string)) "drain sorted by label" [ "a-run"; "b-run" ] labels
+  let module Checker = Core.Check.Checker in
+  let module Injector = Core.Fault.Injector in
+  ignore (Arm.drain ());
+  Arm.publish
+    ~label:(fun () -> Alcotest.fail "an unarmed run's label was formatted")
+    R.null Checker.null Injector.null;
+  Alcotest.(check int) "disabled not kept" 0 (List.length (Arm.drain ()));
+  Arm.publish ~label:(fun () -> "b-run") (R.create ()) Checker.null Injector.null;
+  Arm.publish ~label:(fun () -> "a-run") (R.create ()) Checker.null Injector.null;
+  Alcotest.(check (list string))
+    "drain sorted by label" [ "a-run"; "b-run" ]
+    (List.map (fun r -> r.Arm.label) (Arm.drain ()));
+  Alcotest.(check int) "drain empties the registry" 0 (List.length (Arm.drain ()))
 
 (* --- hand-computed counters -------------------------------------------- *)
 
@@ -69,7 +78,7 @@ let test_collect_sorts_and_skips_disabled () =
    each counter is computable on paper. *)
 let test_serial_bench1_counters () =
   let iterations = 500 in
-  with_mode { Obs.Ctl.trace = false; metrics = true } @@ fun () ->
+  with_mode ~trace:false ~metrics:true @@ fun () ->
   let _ =
     B1.run
       { B1.default with
@@ -96,7 +105,7 @@ let test_serial_bench1_counters () =
 let test_contended_run_splits_acquisitions () =
   (* Two workers against one serial lock: heavy contention, but however it
      resolves, contended + uncontended must partition all acquisitions. *)
-  with_mode { Obs.Ctl.trace = false; metrics = true } @@ fun () ->
+  with_mode ~trace:false ~metrics:true @@ fun () ->
   let _ =
     B1.run
       { B1.default with
@@ -208,7 +217,7 @@ let traced_bench1 () =
   drain_one ()
 
 let test_trace_json_parses () =
-  with_mode { Obs.Ctl.trace = true; metrics = false } @@ fun () ->
+  with_mode ~trace:true ~metrics:false @@ fun () ->
   let label, r = traced_bench1 () in
   let doc = Obs.Trace_json.to_string [ (label, r) ] in
   (try check_json doc
@@ -246,7 +255,7 @@ let field_of line key =
       if !stop = start then None else Some (float_of_string (String.sub line start (!stop - start))))
 
 let test_trace_timestamps_monotone_per_lane () =
-  with_mode { Obs.Ctl.trace = true; metrics = false } @@ fun () ->
+  with_mode ~trace:true ~metrics:false @@ fun () ->
   let label, r = traced_bench1 () in
   Alcotest.(check bool) "traced something" true (R.event_count r > 0);
   Alcotest.(check bool) "both workers have lanes" true (List.length (R.lanes r) >= 2);
@@ -312,9 +321,9 @@ let test_observation_does_not_perturb () =
   in
   let dark = B1.run params in
   let lit =
-    with_mode { Obs.Ctl.trace = true; metrics = true } @@ fun () ->
+    with_mode ~trace:true ~metrics:true @@ fun () ->
     let r = B1.run params in
-    Alcotest.(check int) "run was observed" 1 (Obs.Collect.pending ());
+    Alcotest.(check int) "run was observed" 1 (List.length (Arm.drain ()));
     r
   in
   List.iter2

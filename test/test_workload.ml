@@ -61,6 +61,38 @@ let test_bench2_more_threads_more_faults () =
   Alcotest.(check bool) "object pages scale with threads" true
     (f3 - f1 >= 2 * per_thread_pages * 8 / 10)
 
+(* The labels of the runs [run] publishes with metrics armed. *)
+let published_labels run =
+  Core.Arm.set { Core.Arm.off with Core.Arm.metrics = true };
+  Fun.protect
+    ~finally:(fun () ->
+      Core.Arm.set Core.Arm.off;
+      ignore (Core.Arm.drain ()))
+    (fun () ->
+      run ();
+      List.map (fun r -> r.Core.Arm.label) (Core.Arm.drain ()))
+
+(* Armed reports sort runs by label, so two different simulations must
+   never share one: the order of equal labels is the pool's. *)
+let test_labels_tell_runs_apart () =
+  let distinct what run_a run_b =
+    match (published_labels run_a, published_labels run_b) with
+    | [ a ], [ b ] ->
+        if a = b then Alcotest.failf "%s: both runs are labelled %S" what a
+    | a, b -> Alcotest.failf "%s: published %d and %d runs" what (List.length a) (List.length b)
+  in
+  let b1 params () = ignore (B1.run params : B1.result) in
+  let b2 params () = ignore (B2.run params : B2.result) in
+  distinct "bench1 machine"
+    (b1 { small_b1 with B1.machine = Core.Configs.dual_pentium_pro })
+    (b1 { small_b1 with B1.machine = Core.Configs.quad_xeon });
+  distinct "bench1 arena cap"
+    (b1 { small_b1 with B1.factory = Core.Factory.ptmalloc () })
+    (b1 { small_b1 with B1.factory = Core.Factory.ptmalloc ~max_arenas:1 () });
+  distinct "bench2 replacements"
+    (b2 small_b2)
+    (b2 { small_b2 with B2.replacements_per_round = small_b2.B2.replacements_per_round + 1 })
+
 let test_paper_predictor_formula () =
   Alcotest.(check (float 1e-9)) "t=1,r=1" (14. +. 1.1 +. 127.6) (B2.paper_predictor ~threads:1 ~rounds:1);
   Alcotest.(check (float 1e-9)) "t=7,r=80" (14. +. (1.1 *. 560.) +. (127.6 *. 7.))
@@ -386,6 +418,7 @@ let suite =
     Alcotest.test_case "bench2 runs" `Quick test_bench2_runs_and_counts;
     Alcotest.test_case "bench2 deterministic" `Quick test_bench2_deterministic;
     Alcotest.test_case "bench2 thread scaling" `Quick test_bench2_more_threads_more_faults;
+    Alcotest.test_case "run labels tell runs apart" `Quick test_labels_tell_runs_apart;
     Alcotest.test_case "paper predictor formula" `Quick test_paper_predictor_formula;
     Alcotest.test_case "fit predictor" `Quick test_fit_predictor_recovers;
     Alcotest.test_case "bench3 aligned clean" `Quick test_bench3_aligned_is_clean;
