@@ -70,18 +70,23 @@ let realloc t ctx addr new_size =
     end
   end
 
-let instrument t =
-  (* Origins-aware free: a raw [free] of a memalign'd user address must
-     release the chunk it was carved from, exactly as {!free_aligned}
-     does — without this, workloads that mix memalign blocks into a
-     plain free path corrupt the simulated heap. *)
-  let free_raw ctx user =
+(* Origins-aware free: a raw [free] of a memalign'd user address must
+   release the chunk it was carved from, exactly as {!free_aligned}
+   does — without this, workloads that mix memalign blocks into a plain
+   free path corrupt the simulated heap. While the table is empty (no
+   memalign'd block is live), the probe is skipped. *)
+let free_routed t ctx user =
+  if Hashtbl.length t.origins = 0 then t.free ctx user
+  else
     match Hashtbl.find_opt t.origins user with
     | Some raw ->
         Hashtbl.remove t.origins user;
         t.free ctx raw
     | None -> t.free ctx user
-  in
+
+(* [instrument]'s wrappers for a machine whose checker or injector is
+   armed. *)
+let armed_wrappers t =
   (* Retry-with-backoff under an armed fault plan: an [Alloc_failure]
      from the underlying allocator (a vetoed or genuinely exhausted
      reservation) backs off in {e simulated} time — so schedules stay
@@ -122,7 +127,7 @@ let instrument t =
   in
   let free ctx user =
     let chk = M.ctx_check ctx in
-    if not (Check.armed chk) then free_raw ctx user
+    if not (Check.armed chk) then free_routed t ctx user
     else begin
       let tid = M.tid ctx in
       (* A double-free is recorded and suppressed (on_free returns
@@ -132,8 +137,23 @@ let instrument t =
         Check.enter_runtime chk ~tid;
         Fun.protect
           ~finally:(fun () -> Check.exit_runtime chk ~tid)
-          (fun () -> free_raw ctx user)
+          (fun () -> free_routed t ctx user)
       end
     end
   in
   { t with malloc; free }
+
+(* A machine's checker and injector are fixed when it is created, so
+   with neither armed the wrappers would only ever take their unarmed
+   branches: leave them out. *)
+let instrument proc t =
+  let m = M.proc_machine proc in
+  if Check.armed (M.checker m) || Fault.armed (M.fault m) then armed_wrappers t
+  else
+    { t with
+      malloc =
+        (fun ctx size ->
+          if size > max_request then out_of_memory ~bytes:size t.name;
+          t.malloc ctx size);
+      free = (fun ctx user -> free_routed t ctx user);
+    }

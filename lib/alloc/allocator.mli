@@ -47,8 +47,9 @@ val max_request : int
     beyond every simulated address space, and small enough that no
     chunk-size or page round-up of it can overflow. *)
 
-val instrument : t -> t
-(** [instrument t] is [t] with [malloc]/[free] wrapped for correctness:
+val instrument : Mb_machine.Machine.proc -> t -> t
+(** [instrument proc t] is [t], the allocator of process [proc], with
+    [malloc]/[free] wrapped for correctness:
 
     - [malloc] of more than {!max_request} bytes raises
       [Alloc_failure] before the allocator sees it, as glibc fails a
@@ -70,8 +71,16 @@ val instrument : t -> t
 
     Every concrete allocator constructor applies this to what it
     returns. The wrapper shares the inner allocator's state (stats,
-    origins, validate), and with checking off it adds one hashtable
-    lookup per free and one comparison per malloc. *)
+    origins, validate).
+
+    A machine's checker and injector are fixed when it is created, so
+    [instrument] reads the arming of [proc]'s machine once, here. With
+    neither armed, [malloc] is [t.malloc] behind the {!max_request}
+    comparison, and [free] is the origins-routed [t.free], which reads
+    the table's length and probes it only when it is not empty (when
+    {!memalign} has left an entry). With either armed, every call takes
+    the checked and fault-tolerant path above and reads the instruments
+    from its [ctx]. *)
 
 (** {1 Derived entry points}
 

@@ -61,6 +61,13 @@ type kind =
 type t = {
   proc : M.proc;
   costs : Costs.t;
+  (* [costs] scaled once, at creation: a heap's costs never change. *)
+  malloc_cost : int;
+  free_cost : int;
+  split_cost : int;
+  coalesce_cost : int;
+  deferred_free_cost : int;
+  fastbin_cost : int;
   mutable params : params;
   stats : Astats.t;
   kind : kind;
@@ -93,7 +100,10 @@ let rec large_bin_index size idx lo width =
   if idx >= nbins - 1 then nbins - 1
   else begin
     let doubling_end = 2 * lo in
-    if size < doubling_end then min (nbins - 1) (idx + ((size - lo) / width))
+    if size < doubling_end then begin
+      let i = idx + ((size - lo) / width) in
+      if i < nbins - 1 then i else nbins - 1
+    end
     else large_bin_index size (idx + 4) doubling_end (width * 2)
   end
 
@@ -120,50 +130,46 @@ let fastbin_index size = (size - min_chunk_bytes) / align
 
 let fastbin_cycles = 85
 
-let chunk_size_for request = max min_chunk_bytes ((request + header_bytes + align - 1) / align * align)
+let chunk_size_for request =
+  let c = (request + header_bytes + align - 1) / align * align in
+  if c > min_chunk_bytes then c else min_chunk_bytes
 
-let create_main proc ~costs ~params ~stats =
+(* A main heap's segment starts at its first growth; a sub-heap's at
+   its region. *)
+let make proc ~costs ~params ~stats kind =
+  let base = match kind with Main -> -1 | Sub s -> s.region_base in
   { proc;
     costs;
+    malloc_cost = Costs.apply costs costs.Costs.malloc_base;
+    free_cost = Costs.apply costs costs.Costs.free_base;
+    split_cost = Costs.apply costs costs.Costs.split;
+    coalesce_cost = Costs.apply costs costs.Costs.coalesce;
+    deferred_free_cost = Costs.apply costs costs.Costs.deferred_free;
+    fastbin_cost = Costs.apply costs fastbin_cycles;
     params;
     stats;
-    kind = Main;
+    kind;
     bins = Array.make nbins nil;
     binmap_small = 0;
     binmap_large = 0;
     fastbins = Array.make nfastbins nil;
     chunks = Int_table.create ~initial:256 ();
     mm_chunks = Int_table.create ~initial:16 ();
-    top = { taddr = 0; tsize = 0; tprev_size = 0 };
-    seg_base = -1;
-    initialized = false;
+    top = { taddr = (if base < 0 then 0 else base); tsize = 0; tprev_size = 0 };
+    seg_base = base;
+    initialized = base >= 0;
     spare = nil;
     probes = 0;
   }
+
+let create_main proc ~costs ~params ~stats = make proc ~costs ~params ~stats Main
 
 let create_sub ctx ~costs ~params ~stats =
   match M.mmap ctx ~len:params.sub_heap_bytes with
   | None -> None
   | Some region_base ->
-      let t =
-        { proc = M.proc ctx;
-          costs;
-          params;
-          stats;
-          kind = Sub { region_base; region_len = params.sub_heap_bytes; sub_brk = region_base };
-          bins = Array.make nbins nil;
-          binmap_small = 0;
-          binmap_large = 0;
-          fastbins = Array.make nfastbins nil;
-          chunks = Int_table.create ~initial:256 ();
-          mm_chunks = Int_table.create ~initial:16 ();
-          top = { taddr = region_base; tsize = 0; tprev_size = 0 };
-          seg_base = region_base;
-          initialized = true;
-          spare = nil;
-          probes = 0;
-        }
-      in
+      let kind = Sub { region_base; region_len = params.sub_heap_bytes; sub_brk = region_base } in
+      let t = make (M.proc ctx) ~costs ~params ~stats kind in
       stats.Astats.arenas_created <- stats.Astats.arenas_created + 1;
       Some t
 
@@ -342,7 +348,7 @@ let split_chunk t ctx c size =
     Int_table.set t.chunks rem.addr rem;
     set_prev_size t (rem.addr + rem.size) rem.size;
     let probes = bin_insert t rem in
-    M.work ctx (Costs.apply t.costs t.costs.Costs.split);
+    M.work ctx t.split_cost;
     charge_probes t ctx probes;
     M.write_mem ctx rem.addr
   end
@@ -384,7 +390,7 @@ let coalesce_and_bin t ctx c =
       retire t c;
       p.size <- p.size + c.size;
       set_prev_size t (p.addr + p.size) p.size;
-      M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
+      M.work ctx t.coalesce_cost;
       M.write_mem ctx p.addr;
       p
     end
@@ -397,7 +403,7 @@ let coalesce_and_bin t ctx c =
     t.top.taddr <- c.addr;
     t.top.tsize <- t.top.tsize + c.size;
     t.top.tprev_size <- c.prev_size;
-    M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
+    M.work ctx t.coalesce_cost;
     M.write_mem ctx c.addr;
     maybe_trim t ctx
   end
@@ -408,7 +414,7 @@ let coalesce_and_bin t ctx c =
         retire t n;
         c.size <- c.size + n.size;
         set_prev_size t (c.addr + c.size) c.size;
-        M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce)
+        M.work ctx t.coalesce_cost
     | _ | (exception Not_found) -> ());
     let probes = bin_insert t c in
     charge_probes t ctx probes;
@@ -524,17 +530,17 @@ let malloc t ctx request =
     t.fastbins.(idx) <- c.fd;
     c.fd <- nil;
     c.in_fastbin <- false;
-    M.work ctx (Costs.apply t.costs fastbin_cycles);
+    M.work ctx t.fastbin_cost;
     M.write_mem ctx c.addr;
     Astats.record_malloc t.stats (c.size - header_bytes);
     c.addr + header_bytes
   end
   else if csize >= t.params.mmap_threshold then begin
-    M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
+    M.work ctx t.malloc_cost;
     malloc_mmapped t ctx csize
   end
   else begin
-    M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
+    M.work ctx t.malloc_cost;
     let idx = bin_index csize in
     let c = search_bins t idx csize in
     charge_probes t ctx t.probes;
@@ -570,7 +576,7 @@ let malloc t ctx request =
 let free t ctx user =
   let caddr = user - header_bytes in
   if Int_table.mem t.mm_chunks caddr then begin
-    M.work ctx (Costs.apply t.costs t.costs.Costs.free_base);
+    M.work ctx t.free_cost;
     let len = Int_table.find_exn t.mm_chunks caddr in
     Int_table.remove t.mm_chunks caddr;
     M.munmap ctx caddr ~len;
@@ -588,7 +594,7 @@ let free t ctx user =
     Astats.record_free t.stats (c.size - header_bytes);
     if t.params.use_fastbins && c.size <= fastbin_limit then begin
       (* Fast path: no coalescing, the chunk stays marked in use. *)
-      M.work ctx (Costs.apply t.costs fastbin_cycles);
+      M.work ctx t.fastbin_cost;
       let idx = fastbin_index c.size in
       c.in_fastbin <- true;
       c.fd <- t.fastbins.(idx);
@@ -601,7 +607,7 @@ let free t ctx user =
          [consolidate_deferred] pass when the heap would otherwise
          grow. The next request of its size takes it straight back
          from the bin. *)
-      M.work ctx (Costs.apply t.costs t.costs.Costs.deferred_free);
+      M.work ctx t.deferred_free_cost;
       t.stats.Astats.deferred_frees <- t.stats.Astats.deferred_frees + 1;
       c.is_free <- true;
       let probes = bin_insert t c in
@@ -609,7 +615,7 @@ let free t ctx user =
       M.write_mem ctx c.addr
     end
     else begin
-      M.work ctx (Costs.apply t.costs t.costs.Costs.free_base);
+      M.work ctx t.free_cost;
       c.is_free <- true;
       coalesce_and_bin t ctx c
     end

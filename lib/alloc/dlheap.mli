@@ -56,7 +56,10 @@ val min_chunk_bytes : int
 
 val create_main : Mb_machine.Machine.proc -> costs:Costs.t -> params:params -> stats:Astats.t -> t
 (** The process's primary heap, growing at the break. Lazy: the first
-    allocation performs the initial [sbrk]. *)
+    allocation performs the initial [sbrk]. A heap's costs never
+    change, so each fixed charge is scaled ({!Costs.apply}) once, here
+    and in {!create_sub}; only the bin-probe charge, which grows with
+    the probe count, is scaled when it is charged. *)
 
 val create_sub :
   Mb_machine.Machine.ctx -> costs:Costs.t -> params:params -> stats:Astats.t -> t option

@@ -20,7 +20,6 @@ type heap = {
 
 type t = {
   proc : M.proc;
-  costs : Costs.t;
   stats : Astats.t;
   heaps : heap array;              (* heaps.(0) is the global heap *)
   owners : (int, superblock) Hashtbl.t;  (* block addr -> superblock *)
@@ -30,7 +29,7 @@ type t = {
   mm_large : (int, int) Hashtbl.t;
   mutable nsuperblocks : int;
   mutable transfers : int;
-  op_cycles : int;
+  op_cycles : int;  (* scaled once, at creation *)
 }
 
 (* Size classes: 8-byte steps to 64, then powers of two to half a
@@ -60,7 +59,6 @@ let make proc ?(costs = Costs.glibc) ?heap_count ?(superblock_bytes = 8192) ?(em
     }
   in
   { proc;
-    costs;
     stats = Astats.create ();
     heaps = Array.init (heap_count + 1) mk_heap;
     owners = Hashtbl.create 1024;
@@ -70,7 +68,7 @@ let make proc ?(costs = Costs.glibc) ?heap_count ?(superblock_bytes = 8192) ?(em
     mm_large = Hashtbl.create 16;
     nsuperblocks = 0;
     transfers = 0;
-    op_cycles = 50;
+    op_cycles = Costs.apply costs 50;
   }
 
 let heap_of_thread t tid = 1 + (tid mod (Array.length t.heaps - 1))
@@ -122,7 +120,7 @@ let move_superblock t sb src dst =
 
 let malloc t ctx size =
   if size <= 0 then invalid_arg "Hoard.malloc: size <= 0";
-  M.work ctx (Costs.apply t.costs t.op_cycles);
+  M.work ctx t.op_cycles;
   if size > large_threshold t then begin
     let len = (size + 4095) / 4096 * 4096 in
     match M.mmap ctx ~len with
@@ -193,7 +191,7 @@ let enforce_invariant t heap ctx =
   end
 
 let free t ctx user =
-  M.work ctx (Costs.apply t.costs t.op_cycles);
+  M.work ctx t.op_cycles;
   match Hashtbl.find_opt t.mm_large user with
   | Some len ->
       Hashtbl.remove t.mm_large user;
@@ -274,7 +272,7 @@ let transfers_to_global t = t.transfers
 let held_bytes t = Array.fold_left (fun acc h -> acc + h.held) 0 t.heaps
 
 let allocator t =
-  Allocator.instrument
+  Allocator.instrument t.proc
   { Allocator.name = "hoard";
     malloc = (fun ctx size -> malloc t ctx size);
     free = (fun ctx user -> free t ctx user);

@@ -8,6 +8,7 @@ let nclasses = (class_limit / 8) + 1
 let class_of size = (size + 7) / 8
 
 type t = {
+  proc : M.proc;
   global : Dlheap.t;
   gmutex : M.Mutex.t;
   stats : Astats.t;        (* the facade's view *)
@@ -16,8 +17,7 @@ type t = {
   sizes : (int, int) Hashtbl.t;  (* user addr -> class bytes, for cached routing *)
   batch : int;
   cache_limit : int;
-  fast_cycles : int;  (* cache-hit path *)
-  costs : Costs.t;
+  fast_cycles : int;  (* cache-hit path, scaled once at creation *)
 }
 
 let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?(batch = 16) ?(cache_limit = 64) () =
@@ -25,7 +25,8 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?(batch =
   let heap_stats = Astats.create () in
   let global = Dlheap.create_main proc ~costs ~params ~stats:heap_stats in
   stats.Astats.arenas_created <- 1;
-  { global;
+  { proc;
+    global;
     gmutex = M.Mutex.create (M.proc_machine proc) ~name:"perthread-global" ~heap:true ();
     stats;
     heap_stats;
@@ -33,8 +34,7 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?(batch =
     sizes = Hashtbl.create 1024;
     batch;
     cache_limit;
-    fast_cycles = 40;
-    costs;
+    fast_cycles = Costs.apply costs 40;
   }
 
 let cache_for t tid =
@@ -71,7 +71,7 @@ let malloc t ctx size =
     let cls = class_of size in
     let cls_bytes = cls * 8 in
     let lists, counts = cache_for t (M.tid ctx) in
-    M.work ctx (Costs.apply t.costs t.fast_cycles);
+    M.work ctx t.fast_cycles;
     let user =
       match lists.(cls) with
       | user :: rest ->
@@ -106,7 +106,7 @@ let free t ctx user =
   | Some cls_bytes ->
       let cls = class_of cls_bytes in
       let lists, counts = cache_for t (M.tid ctx) in
-      M.work ctx (Costs.apply t.costs t.fast_cycles);
+      M.work ctx t.fast_cycles;
       Astats.record_free t.stats cls_bytes;
       lists.(cls) <- user :: lists.(cls);
       counts.(cls) <- counts.(cls) + 1;
@@ -139,7 +139,7 @@ let cached_objects t =
 let global_lock_acquisitions t = M.Mutex.acquisitions t.gmutex
 
 let allocator t =
-  Allocator.instrument
+  Allocator.instrument t.proc
   { Allocator.name = "perthread";
     malloc = (fun ctx size -> malloc t ctx size);
     free = (fun ctx user -> free t ctx user);

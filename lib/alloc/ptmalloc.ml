@@ -1,5 +1,4 @@
 module M = Mb_machine.Machine
-module Int_table = Mb_sim.Int_table
 module Rng = Mb_prng.Rng
 
 type arena = {
@@ -7,6 +6,8 @@ type arena = {
   mutex : M.Mutex.t;
   descriptor : int;  (* hot lock word; written on every op under the lock *)
   aindex : int;
+  mutable slot : int;  (* position in [t.arenas], set when appended;
+                          creations can finish out of [aindex] order *)
 }
 
 type t = {
@@ -20,8 +21,11 @@ type t = {
                                        appending an arena is amortized
                                        O(1) instead of an O(n) copy. *)
   mutable n_arenas : int;
-  tl_arena : arena Int_table.t;     (* thread id -> last-used arena;
-                                       probed on every malloc and free *)
+  mutable tl_slot : int array;      (* thread id -> slot of its last-used
+                                       arena, or -1; read on every malloc
+                                       and free. Tids are small
+                                       machine-wide counters, so this
+                                       grows on demand. *)
   mutable meta_base : int;          (* descriptor region; -1 until mapped *)
   meta_phase : int;                 (* per-run layout phase, 0..31 *)
   max_arenas : int option;
@@ -30,6 +34,8 @@ type t = {
                                        appended — guards the cap across
                                        the time arena setup consumes *)
   arena_init_cycles : int;
+  probe_cycles : int;  (* a scan's try of one other arena *)
+  owns_cycles : int;  (* [free]'s ownership test of one arena *)
 }
 
 let descriptor_stride = 16
@@ -45,6 +51,7 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_aren
       mutex = M.Mutex.create machine ~name:"arena-0" ~heap:true ();
       descriptor = main_descriptor;
       aindex = 0;
+      slot = 0;
     }
   in
   stats.Astats.arenas_created <- 1;
@@ -54,12 +61,14 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_aren
     stats;
     arenas = Array.make 4 main;  (* slots >= n_arenas are padding *)
     n_arenas = 1;
-    tl_arena = Int_table.create ~initial:16 ();
+    tl_slot = Array.make 16 (-1);
     meta_base = -1;
     meta_phase = Rng.int (M.rng machine) 32;
     max_arenas;
     arenas_reserved = 1;
-    arena_init_cycles = 2500;
+    arena_init_cycles = Costs.apply costs 2500;
+    probe_cycles = Costs.apply costs costs.Costs.bin_probe;
+    owns_cycles = Costs.apply costs 2;
   }
 
 let arena_count t = t.n_arenas
@@ -75,6 +84,7 @@ let push_arena t arena =
     Array.blit t.arenas 0 narr 0 cap;
     t.arenas <- narr
   end;
+  arena.slot <- t.n_arenas;
   t.arenas.(t.n_arenas) <- arena;
   t.n_arenas <- t.n_arenas + 1
 
@@ -85,8 +95,11 @@ let fold_arenas t f init =
   done;
   !acc
 
+(* Slot of the arena [tid] last used, or -1 if it has not allocated. *)
+let last_slot t tid = if tid < Array.length t.tl_slot then t.tl_slot.(tid) else -1
+
 let arena_of_thread t tid =
-  match Int_table.find_opt t.tl_arena tid with Some a -> Some a.aindex | None -> None
+  match last_slot t tid with -1 -> None | s -> Some t.arenas.(s).aindex
 
 let arena_live_chunks t =
   Array.to_list (Array.map (fun a -> Dlheap.live_chunks a.heap) (live_arenas t))
@@ -117,7 +130,7 @@ let create_arena t ctx =
   | Some _ | None -> (
       let aindex = t.arenas_reserved in
       t.arenas_reserved <- aindex + 1;
-      M.work ctx (Costs.apply t.costs t.arena_init_cycles);
+      M.work ctx t.arena_init_cycles;
       if t.meta_base < 0 then begin
         match M.mmap ctx ~len:4096 with
         | Some base -> if t.meta_base < 0 then t.meta_base <- base
@@ -135,6 +148,7 @@ let create_arena t ctx =
                   ~name:(Printf.sprintf "arena-%d" aindex) ~heap:true ();
               descriptor = t.meta_base + t.meta_phase + (descriptor_stride * (aindex - 1));
               aindex;
+              slot = -1;
             }
           in
           let obs = M.ctx_obs ctx in
@@ -153,12 +167,7 @@ let create_arena t ctx =
 (* The heart of ptmalloc: find an arena we can lock without waiting.
    Returns with the arena's mutex held. *)
 let acquire_arena t ctx =
-  let tid = M.tid ctx in
-  let preferred =
-    match Int_table.find_exn t.tl_arena tid with
-    | a -> a
-    | exception Not_found -> t.arenas.(0)
-  in
+  let preferred = match last_slot t (M.tid ctx) with -1 -> t.arenas.(0) | s -> t.arenas.(s) in
   if M.Mutex.try_lock preferred.mutex ctx then preferred
   else begin
     t.stats.Astats.contended_ops <- t.stats.Astats.contended_ops + 1;
@@ -167,7 +176,7 @@ let acquire_arena t ctx =
       else begin
         let a = t.arenas.(i) in
         if a != preferred then begin
-          M.work ctx (Costs.apply t.costs t.costs.Costs.bin_probe);
+          M.work ctx t.probe_cycles;
           if M.Mutex.try_lock a.mutex ctx then Some a else scan (i + 1)
         end
         else scan (i + 1)
@@ -185,13 +194,23 @@ let acquire_arena t ctx =
             preferred)
   end
 
+(* Record [arena] as the thread's last-used one; written only when it
+   changes. *)
 let remember t ctx arena =
   let tid = M.tid ctx in
-  (match Int_table.find_exn t.tl_arena tid with
-  | prev when prev == arena -> ()
-  | _ -> t.stats.Astats.arena_switches <- t.stats.Astats.arena_switches + 1
-  | exception Not_found -> ());
-  Int_table.set t.tl_arena tid arena
+  match last_slot t tid with
+  | s when s = arena.slot -> ()
+  | -1 ->
+      let len = Array.length t.tl_slot in
+      if tid >= len then begin
+        let grown = Array.make (if tid < 2 * len then 2 * len else tid + 1) (-1) in
+        Array.blit t.tl_slot 0 grown 0 len;
+        t.tl_slot <- grown
+      end;
+      t.tl_slot.(tid) <- arena.slot
+  | _ ->
+      t.stats.Astats.arena_switches <- t.stats.Astats.arena_switches + 1;
+      t.tl_slot.(tid) <- arena.slot
 
 let rec malloc_with t ctx arena size attempts =
   M.write_mem ctx arena.descriptor;
@@ -221,7 +240,7 @@ let malloc t ctx size =
 let rec owning_arena t ctx user n i =
   if i >= n then -1
   else begin
-    M.work ctx (Costs.apply t.costs 2);
+    M.work ctx t.owns_cycles;
     if Dlheap.owns t.arenas.(i).heap user then i else owning_arena t ctx user n (i + 1)
   end
 
@@ -230,11 +249,9 @@ let free t ctx user =
   | -1 -> invalid_arg "ptmalloc.free: address not owned by any arena"
   | i ->
       let arena = t.arenas.(i) in
-      let tid = M.tid ctx in
-      (match Int_table.find_exn t.tl_arena tid with
-      | a when a != arena -> t.stats.Astats.foreign_frees <- t.stats.Astats.foreign_frees + 1
-      | _ -> ()
-      | exception Not_found -> ());
+      (match last_slot t (M.tid ctx) with
+      | -1 -> ()
+      | s -> if s <> i then t.stats.Astats.foreign_frees <- t.stats.Astats.foreign_frees + 1);
       (* free must take the owning arena's lock and wait if necessary. *)
       if not (M.Mutex.try_lock arena.mutex ctx) then begin
         t.stats.Astats.contended_ops <- t.stats.Astats.contended_ops + 1;
@@ -314,7 +331,7 @@ let mallinfo t =
   }
 
 let allocator t =
-  Allocator.instrument
+  Allocator.instrument t.proc
   { Allocator.name = "ptmalloc";
     malloc = (fun ctx size -> malloc t ctx size);
     free = (fun ctx user -> free t ctx user);

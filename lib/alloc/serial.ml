@@ -1,6 +1,7 @@
 module M = Mb_machine.Machine
 
 type t = {
+  proc : M.proc;
   heap : Dlheap.t;
   mutex : M.Mutex.t;
   descriptor : int;  (* the allocator's hot lock word in libc data *)
@@ -11,7 +12,8 @@ let make proc ?(costs = Costs.solaris) ?(params = Dlheap.default_params) () =
   let stats = Astats.create () in
   let heap = Dlheap.create_main proc ~costs ~params ~stats in
   stats.Astats.arenas_created <- 1;
-  { heap;
+  { proc;
+    heap;
     mutex = M.Mutex.create (M.proc_machine proc) ~name:"malloc-lock" ~heap:true ();
     descriptor = M.libc_data_address + 0x100;
     stats;
@@ -36,7 +38,7 @@ let malloc t ctx size =
 let free t ctx user = with_lock t ctx (fun () -> Dlheap.free t.heap ctx user)
 
 let allocator t =
-  Allocator.instrument
+  Allocator.instrument t.proc
   { Allocator.name = "serial";
     malloc = (fun ctx size -> malloc t ctx size);
     free = (fun ctx user -> free t ctx user);

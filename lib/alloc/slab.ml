@@ -18,14 +18,13 @@ type cache = {
 
 type t = {
   proc : M.proc;
-  costs : Costs.t;
   stats : Astats.t;
   caches : (int, cache) Hashtbl.t;       (* obj_size -> cache *)
   objects : (int, slab) Hashtbl.t;       (* user addr -> owning slab *)
   slab_pages : int;
   large_threshold : int;
   mm_large : (int, int) Hashtbl.t;       (* large objects: user addr -> mapped len *)
-  op_cycles : int;
+  op_cycles : int;                       (* scaled once, at creation *)
 }
 
 (* Power-of-two size classes from 16 bytes, like the historical kmalloc. *)
@@ -35,14 +34,13 @@ let size_class size =
 
 let make proc ?(costs = Costs.glibc) ?(slab_pages = 4) () =
   { proc;
-    costs;
     stats = Astats.create ();
     caches = Hashtbl.create 16;
     objects = Hashtbl.create 1024;
     slab_pages;
     large_threshold = slab_pages * 4096 / 2;
     mm_large = Hashtbl.create 16;
-    op_cycles = 60;
+    op_cycles = Costs.apply costs 60;
   }
 
 let cache_for t cls =
@@ -91,7 +89,7 @@ let grow_cache t cache ctx =
 
 let malloc t ctx size =
   if size <= 0 then invalid_arg "Slab.malloc: size <= 0";
-  M.work ctx (Costs.apply t.costs t.op_cycles);
+  M.work ctx t.op_cycles;
   if size > t.large_threshold then begin
     let len = (size + 4095) / 4096 * 4096 in
     match M.mmap ctx ~len with
@@ -123,7 +121,7 @@ let malloc t ctx size =
   end
 
 let free t ctx user =
-  M.work ctx (Costs.apply t.costs t.op_cycles);
+  M.work ctx t.op_cycles;
   match Hashtbl.find_opt t.mm_large user with
   | Some len ->
       Hashtbl.remove t.mm_large user;
@@ -193,7 +191,7 @@ let slab_count t = Hashtbl.fold (fun _ c acc -> acc + c.nslabs) t.caches 0
 let cache_lock_contentions t = Hashtbl.fold (fun _ c acc -> acc + M.Mutex.contentions c.lock) t.caches 0
 
 let allocator t =
-  Allocator.instrument
+  Allocator.instrument t.proc
   { Allocator.name = "slab";
     malloc = (fun ctx size -> malloc t ctx size);
     free = (fun ctx user -> free t ctx user);

@@ -21,13 +21,6 @@ let add_args b args =
     args;
   Buffer.add_char b '}'
 
-(* One event object per line; [sep] handles the comma of the previous
-   line so the array never ends with a trailing comma. *)
-let emit b ~sep line =
-  if !sep then Buffer.add_string b ",\n" else Buffer.add_string b "\n";
-  sep := true;
-  Buffer.add_string b line
-
 let meta_line ~pid ?tid ~name ~value () =
   let b = Buffer.create 96 in
   Printf.bprintf b "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d" (escape name) pid;
@@ -48,15 +41,24 @@ let render ~pid (ev : Recorder.event) =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let to_string runs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
+(* The one writer: the document goes out line by line through [out],
+   so a file is streamed to its channel rather than first built whole
+   in memory. One event object per line; the comma of the previous line
+   goes out with the next, so the array never ends with a trailing
+   comma. *)
+let write out runs =
+  out "{\"traceEvents\":[";
   let sep = ref false in
+  let emit line =
+    out (if !sep then ",\n" else "\n");
+    sep := true;
+    out line
+  in
   List.iteri
     (fun pid (label, r) ->
-      emit b ~sep (meta_line ~pid ~name:"process_name" ~value:label ());
+      emit (meta_line ~pid ~name:"process_name" ~value:label ());
       List.iter
-        (fun (lane, name) -> emit b ~sep (meta_line ~pid ~tid:lane ~name:"thread_name" ~value:name ()))
+        (fun (lane, name) -> emit (meta_line ~pid ~tid:lane ~name:"thread_name" ~value:name ()))
         (Recorder.lanes r);
       (* Stable sort by (lane, start time): per-lane monotonicity in
          file order, and equal-time events keep emission order. *)
@@ -67,13 +69,17 @@ let to_string runs =
             else compare a.Recorder.ts_ns b.Recorder.ts_ns)
           (Recorder.events r)
       in
-      List.iter (fun ev -> emit b ~sep (render ~pid ev)) evs)
+      List.iter (fun ev -> emit (render ~pid ev)) evs)
     runs;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ns\"}\n";
+  out "\n],\"displayTimeUnit\":\"ns\"}\n"
+
+let to_string runs =
+  let b = Buffer.create 4096 in
+  write (Buffer.add_string b) runs;
   Buffer.contents b
 
 let write_file path runs =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string runs))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write (output_string oc) runs)
 
 let event_total runs = List.fold_left (fun acc (_, r) -> acc + Recorder.event_count r) 0 runs

@@ -17,7 +17,9 @@ val to_string : (string * Recorder.t) list -> string
     document. *)
 
 val write_file : string -> (string * Recorder.t) list -> unit
-(** [write_file path runs] writes {!to_string}[ runs] to [path]. *)
+(** [write_file path runs] writes {!to_string}[ runs] to [path], byte
+    for byte, one line at a time: the document is never held whole in
+    memory. *)
 
 val event_total : (string * Recorder.t) list -> int
 (** Total event count across runs (for the CLI's summary line). *)

@@ -418,6 +418,54 @@ let test_ptmalloc_fresh_arena_locked () =
   check_valid alloc;
   Alcotest.(check int) "live zero" 0 alloc.A.stats.Core.Astats.live_bytes
 
+(* A raw [free] of a memalign'd address releases the chunk it was carved
+   from, with nothing armed (the path that skips the origins probe while
+   the table is empty) and with the checker armed. Some alignments
+   exceed what each allocator gives anyway, so some blocks need the
+   routing. *)
+let test_memalign_raw_free () =
+  List.iter
+    (fun check ->
+      List.iter
+        (fun name ->
+          let factory = Option.get (Core.Factory.by_name name) in
+          let label = Printf.sprintf "%s%s" name (if check then " (checked)" else "") in
+          Core.Arm.set { Core.Arm.off with Core.Arm.check };
+          let m =
+            Fun.protect
+              ~finally:(fun () -> Core.Arm.set Core.Arm.off)
+              (fun () -> M.create ~seed:1 config)
+          in
+          Alcotest.(check bool)
+            (label ^ ": armed as asked")
+            check
+            (Core.Check.Checker.armed (M.checker m));
+          let p = M.create_proc m () in
+          let alloc = factory.Core.Factory.create p in
+          let routed = ref 0 in
+          ignore
+            (M.spawn p (fun ctx ->
+                 let blocks =
+                   List.concat_map
+                     (fun alignment ->
+                       List.map
+                         (fun size -> A.memalign alloc ctx ~alignment size)
+                         [ 8; 24; 100; 1000; 5000 ])
+                     [ 16; 64; 4096; 8192 ]
+                 in
+                 routed := Hashtbl.length alloc.A.origins;
+                 List.iter (fun u -> alloc.A.free ctx u) blocks)
+              : M.thread);
+          M.run m;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d block(s) needed routing" label !routed)
+            true (!routed > 0);
+          Alcotest.(check int) (label ^ ": origins drained") 0 (Hashtbl.length alloc.A.origins);
+          Alcotest.(check int) (label ^ ": live zero") 0 alloc.A.stats.Core.Astats.live_bytes;
+          check_valid alloc)
+        Core.Factory.names)
+    [ false; true ]
+
 let suite =
   generic_cases
   @ [ Alcotest.test_case "ptmalloc: 1 thread, 1 arena" `Quick test_ptmalloc_single_thread_one_arena;
@@ -438,6 +486,8 @@ let suite =
       Alcotest.test_case "aligned: padding overhead" `Quick test_padding_overhead;
       Alcotest.test_case "serial: lock counts" `Quick test_serial_lock_counts;
       Alcotest.test_case "oversized requests fail cleanly" `Quick test_oversized_requests_fail;
+      Alcotest.test_case "memalign then raw free, unarmed and checked" `Quick
+        test_memalign_raw_free;
       Alcotest.test_case "ptmalloc: fresh arena locked before publish" `Quick
         test_ptmalloc_fresh_arena_locked;
     ]

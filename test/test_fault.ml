@@ -110,8 +110,8 @@ let prop_same_seed_same_schedule =
 (* An allocator whose malloc always fails lets us count exactly how many
    attempts the instrument layer makes and how much simulated time the
    backoff consumes. *)
-let always_failing_allocator attempts =
-  A.instrument
+let always_failing_allocator p attempts =
+  A.instrument p
     { A.name = "failing";
       malloc =
         (fun _ctx size ->
@@ -128,7 +128,7 @@ let test_retry_bounds_when_armed () =
   let m = with_plan Plan.Flaky_reserve 5 (fun () -> M.create ~seed:3 M.default_config) in
   let p = M.create_proc m () in
   let attempts = ref 0 in
-  let alloc = always_failing_allocator attempts in
+  let alloc = always_failing_allocator p attempts in
   let raised = ref false in
   let elapsed = ref 0. in
   ignore
@@ -156,7 +156,7 @@ let test_no_retry_when_disarmed () =
   let m = M.create ~seed:3 M.default_config in
   let p = M.create_proc m () in
   let attempts = ref 0 in
-  let alloc = always_failing_allocator attempts in
+  let alloc = always_failing_allocator p attempts in
   let raised = ref false in
   ignore
     (M.spawn p (fun ctx ->
@@ -185,21 +185,29 @@ let all_factories =
   ]
 
 (* Bench2.run validates the heap before returning, so completing at all
-   asserts the invariants survived the injected failures. *)
+   asserts the invariants survived the injected failures. Every
+   allocator degrades some operations under this plan, and each one the
+   workload skipped is one the injectors counted as degraded; the
+   injectors may count more, since a thread spawn also degrades. *)
 let test_bench2_survives_oom_pressure () =
   List.iter
     (fun (factory : Core.Factory.t) ->
       with_plan Plan.Oom_pressure 1 (fun () ->
           let r = B2.run (quick_bench2 factory) in
-          let injected =
-            List.fold_left (fun acc run -> acc + Fault.injected run.Arm.injector) 0 (Arm.drain ())
-          in
+          let runs = Arm.drain () in
+          let sum f = List.fold_left (fun acc run -> acc + f run.Arm.injector) 0 runs in
+          let label = factory.Core.Factory.label in
           Alcotest.(check bool)
-            (factory.Core.Factory.label ^ ": pressure actually injected")
-            true (injected > 0);
+            (label ^ ": pressure actually injected")
+            true (sum Fault.injected > 0);
           Alcotest.(check bool)
-            (factory.Core.Factory.label ^ ": degradation counted, not crashed")
-            true (r.B2.degraded_ops >= 0)))
+            (Printf.sprintf "%s: degraded ops counted (%d)" label r.B2.degraded_ops)
+            true (r.B2.degraded_ops > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: degraded ops %d within the injectors' %d" label r.B2.degraded_ops
+               (sum Fault.degraded))
+            true
+            (r.B2.degraded_ops <= sum Fault.degraded)))
     all_factories
 
 let test_faults_off_results_unchanged () =

@@ -235,6 +235,25 @@ let test_trace_json_parses () =
     "event_total matches the recorder" (R.event_count r)
     (Obs.Trace_json.event_total [ (label, r) ])
 
+(* [write_file] streams the document line by line; its bytes must be
+   [to_string]'s, for two runs and for none. *)
+let test_trace_write_file_matches_to_string () =
+  with_mode ~trace:true ~metrics:false @@ fun () ->
+  let first = traced_bench1 () in
+  let second = traced_bench1 () in
+  List.iter
+    (fun runs ->
+      let path = Filename.temp_file "trace" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Obs.Trace_json.write_file path runs;
+          let written = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check string)
+            (Printf.sprintf "%d run(s): file bytes" (List.length runs))
+            (Obs.Trace_json.to_string runs) written))
+    [ [ first; second ]; [] ]
+
 (* Pull a numeric field like ["tid":3] out of one event line; [None] when
    the key is absent or its value is not a number. *)
 let field_of line key =
@@ -341,6 +360,8 @@ let suite =
     Alcotest.test_case "contended split partitions acquisitions" `Quick
       test_contended_run_splits_acquisitions;
     Alcotest.test_case "trace JSON parses" `Quick test_trace_json_parses;
+    Alcotest.test_case "trace file streams to_string's bytes" `Quick
+      test_trace_write_file_matches_to_string;
     Alcotest.test_case "timestamps monotone per lane" `Quick
       test_trace_timestamps_monotone_per_lane;
     QCheck_alcotest.to_alcotest prop_hostile_names_stay_json;
