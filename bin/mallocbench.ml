@@ -6,9 +6,7 @@
      bench3      the false-sharing microbenchmark
      server      the network-server workload
      experiment  regenerate a paper table/figure (or all of them)
-     suite       run a declarative benchmark suite, append a session
-     report      cross-session trend tables from the history file
-     gate        trend-aware regression gate over the history file
+     suite       run a declarative benchmark suite
      list        enumerate machines, allocators and experiments *)
 
 open Cmdliner
@@ -49,13 +47,17 @@ let factory_arg =
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
-let pos_int =
+let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1 "positive"
+
+let non_neg_int = int_at_least 0 "non-negative"
 
 let jobs_arg =
   Arg.(value & opt (some pos_int) None
@@ -64,7 +66,7 @@ let jobs_arg =
                  cores). Output is identical for any width.")
 
 let threads_arg default =
-  Arg.(value & opt int default & info [ "t"; "threads" ] ~doc:"Worker thread count.")
+  Arg.(value & opt pos_int default & info [ "t"; "threads" ] ~doc:"Worker thread count.")
 
 (* --- observation -------------------------------------------------------- *)
 
@@ -228,8 +230,8 @@ let bench1_cmd =
       r.Core.Bench1.ctx_switches r.Core.Bench1.lock_contended_ops r.Core.Bench1.arenas
       (100. *. r.Core.Bench1.utilization)
   in
-  let iterations = Arg.(value & opt int 50_000 & info [ "iterations" ] ~doc:"malloc/free pairs per worker.") in
-  let size = Arg.(value & opt int 512 & info [ "size" ] ~doc:"Request size in bytes.") in
+  let iterations = Arg.(value & opt pos_int 50_000 & info [ "iterations" ] ~doc:"malloc/free pairs per worker.") in
+  let size = Arg.(value & opt pos_int 512 & info [ "size" ] ~doc:"Request size in bytes.") in
   let processes = Arg.(value & flag & info [ "processes" ] ~doc:"One process per worker instead of threads.") in
   Cmd.v
     (Cmd.info "bench1" ~doc:"Multithread scalability: timed malloc/free loops")
@@ -261,10 +263,10 @@ let bench2_cmd =
       r.Core.Bench2.resident_pages r.Core.Bench2.arenas_created r.Core.Bench2.foreign_frees
       r.Core.Bench2.sbrk_calls r.Core.Bench2.mmap_calls
   in
-  let rounds = Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Thread generations per chain.") in
-  let objects = Arg.(value & opt int 10_000 & info [ "objects" ] ~doc:"Pre-allocated objects per thread.") in
-  let replacements = Arg.(value & opt int 2_200 & info [ "replacements" ] ~doc:"Replacements per round.") in
-  let size = Arg.(value & opt int 40 & info [ "size" ] ~doc:"Object size in bytes.") in
+  let rounds = Arg.(value & opt pos_int 4 & info [ "rounds" ] ~doc:"Thread generations per chain.") in
+  let objects = Arg.(value & opt pos_int 10_000 & info [ "objects" ] ~doc:"Pre-allocated objects per thread.") in
+  let replacements = Arg.(value & opt non_neg_int 2_200 & info [ "replacements" ] ~doc:"Replacements per round.") in
+  let size = Arg.(value & opt pos_int 40 & info [ "size" ] ~doc:"Object size in bytes.") in
   let machine_arg2 =
     Arg.(value & opt machine_conv Core.Configs.uni_k6
          & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"Machine preset.")
@@ -299,8 +301,8 @@ let bench3_cmd =
     Printf.printf "object addresses: %s\n"
       (String.concat ", " (List.map (Printf.sprintf "0x%x") r.Core.Bench3.addresses))
   in
-  let size = Arg.(value & opt int 40 & info [ "size" ] ~doc:"Object size (the paper sweeps 3-52).") in
-  let writes = Arg.(value & opt int 1_000_000 & info [ "writes" ] ~doc:"Writes per thread.") in
+  let size = Arg.(value & opt pos_int 40 & info [ "size" ] ~doc:"Object size (the paper sweeps 3-52).") in
+  let writes = Arg.(value & opt pos_int 1_000_000 & info [ "writes" ] ~doc:"Writes per thread.") in
   let aligned = Arg.(value & flag & info [ "aligned" ] ~doc:"Use the cache-line-aligning wrapper.") in
   let machine_arg3 =
     Arg.(value & opt machine_conv Core.Configs.quad_xeon
@@ -387,7 +389,7 @@ let server_cmd =
           p.Core.Server.op_stats
   in
   let requests =
-    Arg.(value & opt int 2_000
+    Arg.(value & opt pos_int 2_000
          & info [ "requests" ]
              ~doc:"Requests per worker (closed loop) or total arrivals (open loop).")
   in
@@ -418,12 +420,12 @@ let server_cmd =
                    $(b,thread-per-connection).")
   in
   let queue =
-    Arg.(value & opt int 1_024
+    Arg.(value & opt pos_int 1_024
          & info [ "queue" ] ~docv:"N"
              ~doc:"Pool model: bounded request-queue capacity; a full queue sheds arrivals.")
   in
   let churn =
-    Arg.(value & opt int 64
+    Arg.(value & opt non_neg_int 64
          & info [ "churn" ] ~docv:"N"
              ~doc:"Mean requests per connection lifetime before the connection closes and \
                    reopens (0 disables churn).")
@@ -483,8 +485,17 @@ let experiment_cmd =
        on matching fault-free reference numbers. *)
     if faults = None && not (List.for_all Core.Outcome.passed outcomes) then Stdlib.exit 1
   in
+  let exp_id_conv =
+    let parse s =
+      if List.mem s Core.Experiments.ids then Ok s
+      else
+        Error (`Msg (Printf.sprintf "unknown experiment %S (try: %s)" s
+                       (String.concat ", " Core.Experiments.ids)))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
+    Arg.(value & pos_all exp_id_conv [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced iteration counts.") in
   let csv_dir =
@@ -495,23 +506,13 @@ let experiment_cmd =
     Term.(const run $ ids $ quick $ seed_arg $ csv_dir $ jobs_arg $ trace_arg $ metrics_arg $ gc_stats_arg
           $ check_arg $ faults_arg)
 
-(* --- suite / report / gate ----------------------------------------------- *)
-
-let history_arg =
-  Arg.(value & opt string "BENCH_history.json"
-       & info [ "history" ] ~docv:"FILE"
-           ~doc:"Session history file. $(b,suite) appends to it; $(b,report) and \
-                 $(b,gate) read it.")
+(* --- suite ---------------------------------------------------------------- *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; Stdlib.exit 2) fmt
 
-let load_history path =
-  match Core.Suite.History.load path with Ok h -> h | Error e -> die "%s" e
-
 let suite_cmd =
-  let run file history jobs dry_run no_history =
+  let run file jobs dry_run =
     let module Spec = Core.Suite.Spec in
-    let module History = Core.Suite.History in
     let text =
       try In_channel.with_open_text file In_channel.input_all
       with Sys_error e -> die "suite: %s" e
@@ -525,37 +526,10 @@ let suite_cmd =
           List.iter (fun (c : Spec.cell) -> print_endline c.Spec.key) cells;
           Printf.printf "%d cell(s)\n" (List.length cells)
     end
-    else begin
-      let id = History.generate_id () in
-      let time_s = Unix.gettimeofday () in
+    else
       match Core.Suite.Runner.run ?jobs ~registry spec with
       | Error e -> die "%s" e
-      | Ok data ->
-          let mode = match spec.Spec.mode with `Quick -> "quick" | `Full -> "full" in
-          let host = History.current_host () in
-          let cells = List.map (fun ((c : Spec.cell), d) -> (c.Spec.key, d)) data in
-          Printf.printf "== session %s ==\n" id;
-          Printf.printf "suite %s (%s, seed %d) on %s\n" spec.Spec.name mode spec.Spec.seed
-            (History.host_to_string host);
-          List.iter
-            (fun (key, (d : History.cell_data)) ->
-              Printf.printf "%-44s %12.0f ns/run %14.0f minor w/run  %s\n" key
-                d.History.ns_per_run d.History.minor_words_per_run
-                (if d.History.ok then "ok" else "FAIL"))
-            cells;
-          let session =
-            { History.id; time_s; suite = spec.Spec.name; mode; seed = spec.Spec.seed; host; cells }
-          in
-          if not no_history then begin
-            match History.append history session with
-            | Ok h ->
-                Printf.printf "history: %s now holds %d session(s)\n" history
-                  (List.length h.History.sessions)
-            | Error e -> die "history: %s" e
-          end;
-          if List.exists (fun (_, (d : History.cell_data)) -> not d.History.ok) cells then
-            Stdlib.exit 1
-    end
+      | Ok cells -> if not (List.for_all snd cells) then Stdlib.exit 1
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"SUITE" ~doc:"Suite spec file.")
@@ -564,69 +538,9 @@ let suite_cmd =
     Arg.(value & flag
          & info [ "dry-run" ] ~doc:"Print the expanded cell keys and exit without running.")
   in
-  let no_history =
-    Arg.(value & flag & info [ "no-history" ] ~doc:"Run and print, but do not touch the history file.")
-  in
   Cmd.v
-    (Cmd.info "suite" ~doc:"Run a declarative benchmark suite and record a session")
-    Term.(const run $ file $ history_arg $ jobs_arg $ dry_run $ no_history)
-
-let report_cmd =
-  let run history last csv =
-    let h = load_history history in
-    (match csv with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Core.Suite.Report.to_csv ~last h));
-        Printf.printf "csv: -> %s\n" path);
-    print_string (Core.Suite.Report.render ~last h)
-  in
-  let last =
-    Arg.(value & opt pos_int 8 & info [ "last" ] ~docv:"N" ~doc:"Sessions to include (newest N).")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the long-format CSV export to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Render cross-session trend tables from the history")
-    Term.(const run $ history_arg $ last $ csv)
-
-let gate_cmd =
-  let run history last threshold gc_threshold self_test =
-    let h = load_history history in
-    match Core.Suite.Gate.check ~last ~threshold ~gc_threshold ?scale_first:self_test h with
-    | Error e -> die "%s" e
-    | Ok v ->
-        List.iter print_endline v.Core.Suite.Gate.lines;
-        if not v.Core.Suite.Gate.ok then Stdlib.exit 1
-  in
-  let last =
-    Arg.(value & opt pos_int 5
-         & info [ "last" ] ~docv:"N" ~doc:"Baseline window: median over the last $(docv) \
-                                           same-host sessions before the newest.")
-  in
-  let threshold =
-    Arg.(value & opt float 1.25
-         & info [ "threshold" ] ~docv:"R"
-             ~doc:"Fail a cell whose median-normalized ns/run ratio exceeds $(docv).")
-  in
-  let gc_threshold =
-    Arg.(value & opt float 1.25
-         & info [ "gc-threshold" ] ~docv:"R"
-             ~doc:"Fail a cell whose raw minor-words ratio exceeds $(docv).")
-  in
-  let self_test =
-    Arg.(value & opt (some float) None
-         & info [ "self-test" ] ~docv:"FACTOR"
-             ~doc:"Multiply the newest session's first cell's ns/run by $(docv) before \
-                   gating — CI uses this to prove the gate fails on a synthetic \
-                   regression.")
-  in
-  Cmd.v
-    (Cmd.info "gate" ~doc:"Trend-aware regression gate over the session history")
-    Term.(const run $ history_arg $ last $ threshold $ gc_threshold $ self_test)
+    (Cmd.info "suite" ~doc:"Run a declarative benchmark suite")
+    Term.(const run $ file $ jobs_arg $ dry_run)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -642,7 +556,6 @@ let main =
   let doc = "simulated reproduction of 'malloc() Performance in a Multithreaded Linux Environment'" in
   Cmd.group
     (Cmd.info "mallocbench" ~version:"1.0.0" ~doc)
-    [ bench1_cmd; bench2_cmd; bench3_cmd; server_cmd; experiment_cmd; suite_cmd; report_cmd;
-      gate_cmd; list_cmd ]
+    [ bench1_cmd; bench2_cmd; bench3_cmd; server_cmd; experiment_cmd; suite_cmd; list_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -48,8 +48,7 @@ module Latency = Mb_workload.Latency
 module Trace = Mb_workload.Trace
 module Larson = Mb_workload.Larson
 
-(* The suite layer: declarative benchmark suites, session history and
-   the trend-aware regression gate. *)
+(* The suite layer: declarative benchmark suites and their runner. *)
 module Suite = Mb_suite
 
 (* Observability. [Obs.Ctl] and [Obs.Collect] are perfbench's view of

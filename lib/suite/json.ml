@@ -22,24 +22,15 @@ let escape s =
     s;
   Buffer.contents b
 
-(* Integral values print as integers (counts, seeds, schema numbers);
-   everything else gets 12 significant digits, which round-trips the
-   measurements we store and stays readable in diffs. *)
+(* Integral values print as integers; everything else gets 12
+   significant digits. *)
 let num_to_string v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.12g" v
 
-let to_string ?indent t =
+let to_string t =
   let b = Buffer.create 256 in
-  let pad level =
-    match indent with
-    | None -> ()
-    | Some n ->
-        Buffer.add_char b '\n';
-        Buffer.add_string b (String.make (level * n) ' ')
-  in
-  let sep () = match indent with None -> "" | Some _ -> " " in
-  let rec go level = function
+  let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
     | Num v -> Buffer.add_string b (num_to_string v)
@@ -47,34 +38,27 @@ let to_string ?indent t =
         Buffer.add_char b '"';
         Buffer.add_string b (escape s);
         Buffer.add_char b '"'
-    | Arr [] -> Buffer.add_string b "[]"
     | Arr xs ->
         Buffer.add_char b '[';
         List.iteri
           (fun i x ->
             if i > 0 then Buffer.add_char b ',';
-            pad (level + 1);
-            go (level + 1) x)
+            go x)
           xs;
-        pad level;
         Buffer.add_char b ']'
-    | Obj [] -> Buffer.add_string b "{}"
     | Obj fields ->
         Buffer.add_char b '{';
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
-            pad (level + 1);
             Buffer.add_char b '"';
             Buffer.add_string b (escape k);
             Buffer.add_string b "\":";
-            Buffer.add_string b (sep ());
-            go (level + 1) v)
+            go v)
           fields;
-        pad level;
         Buffer.add_char b '}'
   in
-  go 0 t;
+  go t;
   Buffer.contents b
 
 (* --- parsing ------------------------------------------------------------ *)
@@ -124,8 +108,8 @@ let of_string s =
                     match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
                     | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
                     | Some code ->
-                        (* Non-ASCII escapes: emit UTF-8 (sufficient for the
-                           cpu_model strings this repo writes). *)
+                        (* Non-ASCII escapes: emit UTF-8 (the basic
+                           multilingual plane only). *)
                         if code < 0x800 then begin
                           Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
                           Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
@@ -214,12 +198,6 @@ let of_string s =
 (* --- accessors ---------------------------------------------------------- *)
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-let to_float = function Num v -> Some v | _ -> None
-
-let to_int = function
-  | Num v when Float.is_integer v -> Some (int_of_float v)
-  | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
 

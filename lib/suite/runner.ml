@@ -7,18 +7,6 @@ type exp_registry = {
   exp_run : string -> quick:bool -> seed:int -> (unit -> exp_result) option;
 }
 
-let headline_counters =
-  [ "alloc.mallocs";
-    "alloc.lock.acquired";
-    "alloc.lock.contended";
-    "alloc.arena.created";
-    "alloc.free.foreign";
-    "cache.invalidations";
-    "sched.ctx_switches";
-    "vm.sbrk_calls";
-    "vm.mmap_calls"
-  ]
-
 (* Arming is process-global, so a faulted cell gets the whole context
    to itself (the serial path below). *)
 let with_cell_ctx (cell : Spec.cell) f =
@@ -37,17 +25,11 @@ let with_cell_ctx (cell : Spec.cell) f =
 
 (* --- one compiled cell -------------------------------------------------- *)
 
-type compiled = {
-  exec : unit -> exp_result;
-  (* phase A: run once, return the printable result (pool tasks must not
-     print themselves — the joining domain prints, in expansion order) *)
-  kernel : unit -> (string * float) list;
-  (* phase B: run quietly, returning the request percentiles (open-loop
-     server cells) or [] *)
-}
-
 let scale ~quick ~q ~f = if quick then q else f
 
+(* A cell compiles to a thunk that runs it quietly and returns its
+   printable result: pool tasks must not print themselves, so the
+   joining domain prints, in expansion order. *)
 let compile ~registry ~quick (cell : Spec.cell) =
   let seed = cell.Spec.cell_seed in
   let key = cell.Spec.key in
@@ -67,21 +49,19 @@ let compile ~registry ~quick (cell : Spec.cell) =
         | None -> Error (Printf.sprintf "suite: unknown allocator %S in cell %s" name key))
     | None -> Error (Printf.sprintf "suite: cell %s carries no allocator" key)
   in
-  let bench run_and_print = Ok { exec = run_and_print; kernel = (fun () -> ignore (run_and_print ()); []) } in
   match cell.Spec.workload with
   | Spec.Exp_all -> Error (Printf.sprintf "suite: unexpanded exp:* cell %s" key)
   | Spec.Exp id -> (
       match registry.exp_run id ~quick ~seed with
       | None -> Error (Printf.sprintf "suite: unknown experiment id %S" id)
-      | Some thunk ->
-          Ok { exec = thunk; kernel = (fun () -> ignore (thunk ()); []) })
+      | Some thunk -> Ok thunk)
   | Spec.Bench1 -> (
       match (machine (), factory ()) with
       | Error e, _ | _, Error e -> Error e
       | Ok machine, Ok factory ->
           let module B1 = Mb_workload.Bench1 in
           let iterations = scale ~quick ~q:300 ~f:3000 in
-          bench (fun () ->
+          Ok (fun () ->
               let r =
                 B1.run
                   { B1.machine;
@@ -105,7 +85,7 @@ let compile ~registry ~quick (cell : Spec.cell) =
       | Error e, _ | _, Error e -> Error e
       | Ok machine, Ok factory ->
           let module B2 = Mb_workload.Bench2 in
-          bench (fun () ->
+          Ok (fun () ->
               let r =
                 B2.run
                   { B2.machine;
@@ -131,7 +111,7 @@ let compile ~registry ~quick (cell : Spec.cell) =
       | Ok machine, Ok factory ->
           let module B3 = Mb_workload.Bench3 in
           let writes = scale ~quick ~q:20_000 ~f:200_000 in
-          bench (fun () ->
+          Ok (fun () ->
               let r =
                 B3.run
                   { B3.default with
@@ -156,46 +136,36 @@ let compile ~registry ~quick (cell : Spec.cell) =
       | Error e, _ | _, Error e -> Error e
       | Ok machine, Ok factory ->
           let module S = Mb_workload.Server in
-          let run () =
-            S.run
-              { S.default with
-                S.machine;
-                seed;
-                factory;
-                threads = 4;
-                connections = 64;
-                open_loop =
-                  Some
-                    { S.process = Mb_workload.Arrivals.Poisson { rate_rps = 450_000. };
-                      total_requests = scale ~quick ~q:600 ~f:6000;
-                      model = S.Thread_pool { queue_capacity = 256 };
-                      churn_mean_requests = 32;
-                      read_pct = 60;
-                      write_pct = 25;
-                    };
-              }
-          in
-          let percentiles (r : S.result) =
-            match r.S.requests with
-            | None -> []
-            | Some q -> [ ("p50_ns", q.S.p50_ns); ("p95_ns", q.S.p95_ns); ("p99_ns", q.S.p99_ns) ]
-          in
           Ok
-            { exec =
-                (fun () ->
-                  let r = run () in
-                  { print =
-                      (fun () ->
-                        match r.S.requests with
-                        | Some q ->
-                            Printf.printf
-                              "%s: %d completed, %d dropped, p50 %.0f ns, p99 %.0f ns\n" key
-                              q.S.completed q.S.dropped q.S.p50_ns q.S.p99_ns
-                        | None -> Printf.printf "%s: no request stats\n" key);
-                    ok = true;
-                  });
-              kernel = (fun () -> percentiles (run ()));
-            })
+            (fun () ->
+              let r =
+                S.run
+                  { S.default with
+                    S.machine;
+                    seed;
+                    factory;
+                    threads = 4;
+                    connections = 64;
+                    open_loop =
+                      Some
+                        { S.process = Mb_workload.Arrivals.Poisson { rate_rps = 450_000. };
+                          total_requests = scale ~quick ~q:600 ~f:6000;
+                          model = S.Thread_pool { queue_capacity = 256 };
+                          churn_mean_requests = 32;
+                          read_pct = 60;
+                          write_pct = 25;
+                        };
+                  }
+              in
+              { print =
+                  (fun () ->
+                    match r.S.requests with
+                    | Some q ->
+                        Printf.printf "%s: %d completed, %d dropped, p50 %.0f ns, p99 %.0f ns\n"
+                          key q.S.completed q.S.dropped q.S.p50_ns q.S.p99_ns
+                    | None -> Printf.printf "%s: no request stats\n" key);
+                ok = true;
+              }))
 
 (* --- the run ------------------------------------------------------------ *)
 
@@ -219,14 +189,13 @@ let run ?jobs ~registry (spec : Spec.t) =
       match compile_all ~registry ~quick cells with
       | Error e -> Error e
       | Ok pairs ->
-          (* Phase A: execute and print every cell once. *)
           let oks =
             if pure cells then begin
               let fan pool =
                 let futures =
                   List.map
-                    (fun (cell, comp) ->
-                      Mb_parallel.Pool.submit pool ~key:cell.Spec.key comp.exec)
+                    (fun ((cell : Spec.cell), exec) ->
+                      Mb_parallel.Pool.submit pool ~key:cell.Spec.key exec)
                     pairs
                 in
                 List.map
@@ -242,46 +211,13 @@ let run ?jobs ~registry (spec : Spec.t) =
             end
             else
               List.map
-                (fun (cell, comp) ->
+                (fun ((cell : Spec.cell), exec) ->
                   with_cell_ctx cell (fun () ->
-                      let r = comp.exec () in
+                      let r = exec () in
                       r.print ();
                       (* pass thresholds don't apply mid-storm; graceful
                          completion is the bar, as for experiment --faults *)
                       cell.Spec.fault <> None || r.ok))
                 pairs
           in
-          (* Phase B: meter serially, in expansion order. *)
-          let reps = max 1 spec.Spec.repeats in
-          let data =
-            List.map2
-              (fun (cell, comp) ok ->
-                with_cell_ctx cell (fun () ->
-                    ignore (comp.kernel ());  (* warm-up: first-run table growth *)
-                    let pct = ref [] in
-                    let t0 = Unix.gettimeofday () in
-                    let w0 = Gc.minor_words () in
-                    for _ = 1 to reps do
-                      pct := comp.kernel ()
-                    done;
-                    let w1 = Gc.minor_words () in
-                    let t1 = Unix.gettimeofday () in
-                    let armed = Arm.current () in
-                    Arm.set { armed with Arm.metrics = true };
-                    ignore (comp.kernel ());
-                    Arm.set armed;
-                    let totals =
-                      Mb_obs.Recorder.totals
-                        (List.map (fun (r : Arm.run) -> (r.label, r.recorder)) (Arm.drain ()))
-                    in
-                    ( cell,
-                      { History.ok;
-                        ns_per_run = (t1 -. t0) *. 1e9 /. float_of_int reps;
-                        minor_words_per_run = (w1 -. w0) /. float_of_int reps;
-                        counters =
-                          List.filter (fun (k, _) -> List.mem k headline_counters) totals;
-                        percentiles = !pct;
-                      } )))
-              pairs oks
-          in
-          Ok data)
+          Ok (List.combine cells oks))

@@ -1,24 +1,13 @@
-(** Expands a {!Spec} through the existing domain pool and meters each
-    cell for the {!History} file.
+(** Expands a {!Spec} and runs every cell once, printing its result
+    block.
 
-    A run has two phases:
-
-    {b Phase A — execute and print.} Every cell runs once and prints
-    its result block. When the suite is {e pure} — every fault plan is
-    [none] — cells are fanned out over {!Mb_parallel.Pool} exactly
-    like the experiment registry (tasks print nothing; the joining
-    domain prints in expansion order), so a suite whose cells are the
-    registry produces output byte-identical to a direct registry run
-    at any pool width. Fault arming is process-global, so a suite that
-    arms faults runs its phase-A cells serially, each under its own
-    plan.
-
-    {b Phase B — meter.} Always serial, in expansion order: each cell
-    re-runs [repeats] times under wall-clock and [Gc.minor_words]
-    deltas, then once more with metrics observation armed to collect
-    the headline simulation counters. Open-loop server cells also
-    record their request-latency percentiles. Nothing prints; the
-    results become the session's {!History.cell_data}. *)
+    When the suite is {e pure} — every fault plan is [none] — cells
+    are fanned out over {!Mb_parallel.Pool} exactly like the experiment
+    registry (tasks print nothing; the joining domain prints in
+    expansion order), so a suite whose cells are the registry produces
+    output byte-identical to a direct registry run at any pool width.
+    Fault arming is process-global, so a suite that arms faults runs
+    its cells serially, each under its own plan. *)
 
 type exp_result = {
   print : unit -> unit;  (** prints the outcome block, e.g. [Outcome.print] *)
@@ -37,18 +26,15 @@ type exp_registry = {
     layer sees it only through this record
     ({!Core.Experiments.suite_registry} builds it). *)
 
-val headline_counters : string list
-(** The simulation counters phase B records per cell, by their
-    observation-registry names. *)
-
 val run :
   ?jobs:int ->
   registry:exp_registry ->
   Spec.t ->
-  ((Spec.cell * History.cell_data) list, string) result
-(** Runs the suite. [?jobs] forces a dedicated pool width for pure
-    suites (default: the global pool). Cells under an armed fault
-    plan report [ok = true] when they complete gracefully — the
-    paper's pass thresholds don't apply mid-storm, matching the
-    [experiment --faults] exit-gate rule. [Error] on expansion
-    failures (unknown experiment ids, colliding cell keys). *)
+  ((Spec.cell * bool) list, string) result
+(** Runs the suite and returns each cell with its ok bit, in expansion
+    order. [?jobs] forces a dedicated pool width for pure suites
+    (default: the global pool). Cells under an armed fault plan report
+    ok when they complete gracefully — the paper's pass thresholds
+    don't apply mid-storm, matching the [experiment --faults]
+    exit-gate rule. [Error] on expansion failures (unknown experiment
+    ids, colliding cell keys). *)

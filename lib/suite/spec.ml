@@ -8,7 +8,6 @@ type t = {
   allocators : string list;
   workloads : workload list;
   faults : (Mb_fault.Plan.t * int) option list;
-  repeats : int;
 }
 
 (* --- printing ----------------------------------------------------------- *)
@@ -31,7 +30,6 @@ let to_string t =
       line "allocators" t.allocators;
       line "workloads" (List.map workload_to_string t.workloads);
       line "faults" (List.map Mb_fault.Plan.to_string t.faults);
-      line "repeats" [ string_of_int t.repeats ];
     ]
   ^ "\n"
 
@@ -63,7 +61,7 @@ let known lineno what names name =
   if List.mem name names then name
   else failf lineno "unknown %s %S (try: %s)" what name (String.concat ", " names)
 
-let parse_pos_int lineno what = function
+let parse_int lineno what = function
   | [ v ] -> (
       match int_of_string_opt v with
       | Some n -> n
@@ -112,8 +110,7 @@ let of_string text =
         if
           not
             (List.mem k
-               [ "suite"; "mode"; "seed"; "machines"; "allocators"; "workloads"; "faults";
-                 "repeats" ])
+               [ "suite"; "mode"; "seed"; "machines"; "allocators"; "workloads"; "faults" ])
         then failf lineno "unknown directive %S" k;
         if Hashtbl.mem seen k then failf lineno "duplicate directive %S" k;
         Hashtbl.add seen k ())
@@ -143,14 +140,7 @@ let of_string text =
       | Some (_, [ "full" ]) -> `Full
       | Some (lineno, v) -> failf lineno "mode must be quick or full, got %S" (String.concat " " v)
     in
-    let seed = match take "seed" with None -> 1 | Some (l, v) -> parse_pos_int l "seed" v in
-    let repeats =
-      match take "repeats" with
-      | None -> 1
-      | Some (l, v) ->
-          let n = parse_pos_int l "repeats" v in
-          if n >= 1 then n else failf l "repeats must be >= 1, got %d" n
-    in
+    let seed = match take "seed" with None -> 1 | Some (l, v) -> parse_int l "seed" v in
     let axis keyword ~default ~parse ~to_str =
       match take keyword with
       | None -> default
@@ -177,7 +167,7 @@ let of_string text =
             (List.map (parse_workload lineno) values)
     in
     let faults = axis "faults" ~default:[ None ] ~parse:parse_fault ~to_str:Mb_fault.Plan.to_string in
-    Ok { name; mode; seed; machines; allocators; workloads; faults; repeats }
+    Ok { name; mode; seed; machines; allocators; workloads; faults }
   with Parse_error msg -> Error msg
 
 (* --- expansion ---------------------------------------------------------- *)
@@ -191,8 +181,8 @@ type cell = {
   cell_seed : int;
 }
 
-(* The key doubles as the history-file identifier and the CSV row
-   label, so it avoids spaces and commas: suffixes are '+'-joined. *)
+(* The key names the cell in error messages and in the bench cells'
+   printed lines, so it avoids spaces: suffixes are '+'-joined. *)
 let cell_key ~workload ~machine ~allocator ~fault =
   let b = Buffer.create 32 in
   Buffer.add_string b (workload_to_string workload);
@@ -257,8 +247,8 @@ let expand t ~exp_ids =
         t.workloads
     in
     (* Colliding keys (e.g. the same exp listed both explicitly and via
-       the exp wildcard) would overwrite each other in the history
-       object; reject them here where the message can say which. *)
+       the exp wildcard) would run and print the same cell twice;
+       reject them here where the message can say which. *)
     let rec dup seen = function
       | [] -> None
       | c :: rest -> if List.mem c.key seen then Some c.key else dup (c.key :: seen) rest

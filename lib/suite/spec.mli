@@ -14,15 +14,14 @@
     allocators ptmalloc serial
     workloads exp:* bench2 server
     faults none oom-pressure:7
-    repeats 1
     v}
 
     [suite] and [workloads] are required; every other directive has a
     default ([mode quick], [seed 1], [machines quad_xeon],
-    [allocators ptmalloc], [faults none], [repeats 1]).
+    [allocators ptmalloc], [faults none]).
     Directives may appear in any order but at most once, and the
     entries of each axis must be distinct (duplicate entries would
-    expand to colliding cell keys in the history file).
+    expand to colliding cell keys).
 
     {!of_string} and {!to_string} round-trip: parsing the printed form
     of a spec yields the same spec, which is what lets a suite file be
@@ -45,7 +44,6 @@ type t = {
   allocators : string list;  (** {!Mb_workload.Factory} names *)
   workloads : workload list;
   faults : (Mb_fault.Plan.t * int) option list;  (** [None] = no faults *)
-  repeats : int;  (** timed repetitions per cell in the metering phase *)
 }
 
 val of_string : string -> (t, string) result

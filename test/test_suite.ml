@@ -1,11 +1,8 @@
 (* Tests for the suite layer: the declarative spec (parse/print
    round-trip, line-numbered rejection, deterministic expansion), the
-   session history file, the trend-aware gate, and the runner. *)
+   runner, and the JSON reader. *)
 
 module Spec = Core.Suite.Spec
-module History = Core.Suite.History
-module Gate = Core.Suite.Gate
-module Report = Core.Suite.Report
 module Runner = Core.Suite.Runner
 module Json = Core.Suite.Json
 module Plan = Core.Fault.Plan
@@ -44,8 +41,7 @@ let spec_gen =
       (None
       :: List.map (fun (_, p) -> Some (p, 7)) Plan.all)
   in
-  let* repeats = int_range 1 5 in
-  return { Spec.name; mode; seed; machines; allocators; workloads; faults; repeats }
+  return { Spec.name; mode; seed; machines; allocators; workloads; faults }
 
 let prop_round_trip =
   QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:200
@@ -67,8 +63,7 @@ let test_parse_defaults () =
       Alcotest.(check int) "seed" 1 t.Spec.seed;
       Alcotest.(check (list string)) "machines" [ "quad_xeon" ] t.Spec.machines;
       Alcotest.(check (list string)) "allocators" [ "ptmalloc" ] t.Spec.allocators;
-      Alcotest.(check bool) "faults off" true (t.Spec.faults = [ None ]);
-      Alcotest.(check int) "repeats" 1 t.Spec.repeats
+      Alcotest.(check bool) "faults off" true (t.Spec.faults = [ None ])
 
 let test_parse_comments_and_blanks () =
   let text = "# header\n\nsuite s\n  # indented comment\nworkloads bench2\n\n" in
@@ -90,7 +85,7 @@ let test_parse_errors_carry_line_numbers () =
   expect_line 2 "suite s\nworkloads exp:* nonsense\n";
   expect_line 4 "suite s\nworkloads exp:*\nseed 1\nseed 2\n";
   expect_line 2 "suite s\nmachines quad_xeon quad_xeon\nworkloads exp:*\n";
-  expect_line 3 "suite s\nworkloads exp:*\nrepeats 0\n";
+  expect_line 3 "suite s\nworkloads exp:*\nseed x\n";
   expect_line 2 "suite s\nfaults maybe\nworkloads exp:*\n";
   expect_line 1 "suite two words\nworkloads exp:*\n";
   (* missing required directives report against the end of the file
@@ -175,230 +170,6 @@ let test_duplicate_cells_rejected () =
       | Ok _ -> Alcotest.fail "duplicate cell keys accepted"
       | Error _ -> ())
 
-(* --- history -------------------------------------------------------------- *)
-
-let sample_host = { History.cores = 4; cpu_model = "test cpu" }
-
-let cell ?(ok = true) ?(pct = []) ns words =
-  { History.ok;
-    ns_per_run = ns;
-    minor_words_per_run = words;
-    counters = [ ("alloc.mallocs", 42); ("vm.sbrk_calls", 3) ];
-    percentiles = pct;
-  }
-
-let session ?(host = sample_host) id cells =
-  { History.id; time_s = 1000.; suite = "s"; mode = "quick"; seed = 1; host; cells }
-
-let with_tmp f =
-  let path = Filename.temp_file "mb_history" ".json" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let test_history_round_trip () =
-  with_tmp @@ fun path ->
-  let t =
-    { History.sessions =
-        [ session "a" [ ("k1", cell 100. 10.); ("k2", cell ~pct:[ ("p50_ns", 5.) ] 200. 20.) ];
-          session "b" [ ("k1", cell ~ok:false 110. 11.) ];
-        ]
-    }
-  in
-  History.save path t;
-  match History.load path with
-  | Error e -> Alcotest.failf "reload failed: %s" e
-  | Ok t' ->
-      Alcotest.(check bool) "round-trips structurally" true (t = t');
-      Alcotest.(check int) "two sessions" 2 (List.length t'.History.sessions)
-
-let test_history_missing_and_future () =
-  (match History.load "/nonexistent/dir/h.json" with
-  | Ok t -> Alcotest.(check int) "missing file is empty history" 0 (List.length t.History.sessions)
-  | Error e -> Alcotest.failf "missing file should be Ok empty: %s" e);
-  with_tmp @@ fun path ->
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc "{\"schema\": 99, \"sessions\": []}");
-  match History.load path with
-  | Ok _ -> Alcotest.fail "future schema accepted"
-  | Error _ -> ()
-
-(* Older sessions carry a host "domains" field; the committed history
-   must keep loading, on the same host as today's writer. *)
-let test_history_legacy_host_domains () =
-  with_tmp @@ fun path ->
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc
-        "{\"schema\": 1, \"sessions\": [{\"id\": \"old\", \"time_s\": 1, \"suite\": \"s\", \
-         \"mode\": \"quick\", \"seed\": 1, \"host\": {\"cores\": 4, \"cpu_model\": \"test cpu\", \
-         \"domains\": 1}, \"cells\": {}}]}");
-  match History.load path with
-  | Error e -> Alcotest.failf "legacy host block rejected: %s" e
-  | Ok t ->
-      Alcotest.(check bool) "same host as today's writer" true
-        ((List.hd t.History.sessions).History.host = sample_host)
-
-let test_history_append () =
-  with_tmp @@ fun path ->
-  Sys.remove path;
-  (match History.append path (session "a" [ ("k", cell 1. 1.) ]) with
-  | Error e -> Alcotest.failf "first append: %s" e
-  | Ok t -> Alcotest.(check int) "one session" 1 (List.length t.History.sessions));
-  match History.append path (session "b" [ ("k", cell 2. 2.) ]) with
-  | Error e -> Alcotest.failf "second append: %s" e
-  | Ok t ->
-      Alcotest.(check (list string)) "chronological ids" [ "a"; "b" ]
-        (List.map (fun s -> s.History.id) t.History.sessions)
-
-(* --- gate ----------------------------------------------------------------- *)
-
-let gate_exn ?last ?threshold ?gc_threshold ?scale_first sessions =
-  match Gate.check ?last ?threshold ?gc_threshold ?scale_first { History.sessions } with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "gate errored: %s" e
-
-let four_cells f =
-  [ ("k1", cell (f 100.) 10.); ("k2", cell (f 200.) 10.); ("k3", cell (f 300.) 10.);
-    ("k4", cell (f 400.) 10.) ]
-
-let test_gate_passes_on_flat_trend () =
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" (four_cells (fun x -> x *. 1.05)) ] in
-  Alcotest.(check bool) "ok" true v.Gate.ok;
-  Alcotest.(check (list string)) "no regressions" [] v.Gate.regressions
-
-let test_gate_fails_on_25pc_regression () =
-  let fresh =
-    [ ("k1", cell 100. 10.); ("k2", cell 200. 10.); ("k3", cell 300. 10.);
-      ("k4", cell 520. 10.) ]  (* k4 regressed 30%, the rest are flat *)
-  in
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" fresh ] in
-  Alcotest.(check bool) "fails" false v.Gate.ok;
-  Alcotest.(check (list string)) "names k4" [ "k4" ] v.Gate.regressions
-
-let test_gate_normalizes_host_factor () =
-  (* Uniform 2x slowdown (a slower runner) is cancelled by the median;
-     the same 2x on a single cell is a regression. *)
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" (four_cells (fun x -> x *. 2.)) ] in
-  Alcotest.(check bool) "uniform slowdown passes" true v.Gate.ok
-
-let test_gate_median_baseline_rides_out_noise () =
-  (* One noisy session inside the window must not poison the baseline. *)
-  let v =
-    gate_exn
-      [ session "a" (four_cells Fun.id);
-        session "noisy" (four_cells (fun x -> x *. 10.));
-        session "c" (four_cells Fun.id);
-        session "fresh" (four_cells (fun x -> x *. 1.02));
-      ]
-  in
-  Alcotest.(check bool) "ok" true v.Gate.ok
-
-let test_gate_fresh_only_warns () =
-  let fresh = ("new", cell 999. 10.) :: four_cells Fun.id in
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" fresh ] in
-  Alcotest.(check bool) "ok" true v.Gate.ok;
-  Alcotest.(check bool) "warned about the fresh-only cell" true
-    (List.exists (fun w -> contains w "new") v.Gate.warnings)
-
-let test_gate_no_same_host_baseline_is_vacuous_pass () =
-  let other = { History.cores = 64; cpu_model = "other cpu" } in
-  let v = gate_exn [ session ~host:other "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] in
-  Alcotest.(check bool) "vacuous pass" true v.Gate.ok;
-  Alcotest.(check bool) "warns" true (v.Gate.warnings <> [])
-
-let test_gate_singleton_shared_set_uses_raw_ratios () =
-  (* One shared cell: median normalization would hide any regression
-     (ratio/median = 1.0 always); the guard gates on raw ratios. *)
-  let v =
-    gate_exn
-      [ session "a" [ ("k1", cell 100. 10.) ];
-        session "b" [ ("k1", cell 200. 10.) ];
-      ]
-  in
-  Alcotest.(check bool) "raw 2x fails" false v.Gate.ok;
-  Alcotest.(check bool) "warns about the degenerate set" true (v.Gate.warnings <> [])
-
-let test_gate_pair_shared_set_uses_raw_ratios () =
-  (* Two shared cells: normalizing by their median would pass k2
-     (1.40 / 1.20 = 1.17); the guard gates on the raw 1.40. *)
-  let v =
-    gate_exn
-      [ session "a" [ ("k1", cell 100. 10.); ("k2", cell 100. 10.) ];
-        session "b" [ ("k1", cell 100. 10.); ("k2", cell 140. 10.) ];
-      ]
-  in
-  Alcotest.(check bool) "raw 1.4x fails" false v.Gate.ok;
-  Alcotest.(check (list string)) "names k2" [ "k2" ] v.Gate.regressions;
-  Alcotest.(check bool) "warns about the degenerate set" true
-    (List.exists (fun w -> contains w "too few") v.Gate.warnings)
-
-let test_gate_no_shared_cells_fails () =
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" [ ("other", cell 100. 10.) ] ] in
-  Alcotest.(check bool) "fails" false v.Gate.ok;
-  Alcotest.(check bool) "says so" true
-    (List.exists (fun l -> contains l "no cells in common") v.Gate.lines)
-
-let test_gate_dropped_cell_warns () =
-  let v =
-    gate_exn
-      [ session "a" (four_cells Fun.id);
-        session "b" (four_cells Fun.id);
-        session "fresh" (List.remove_assoc "k4" (four_cells Fun.id));
-      ]
-  in
-  Alcotest.(check bool) "ok" true v.Gate.ok;
-  Alcotest.(check bool) "warned about the dropped cell" true
-    (List.exists (fun w -> contains w "k4" && contains w "dropped") v.Gate.warnings)
-
-let test_gate_gc_regression_is_raw () =
-  let fresh =
-    [ ("k1", cell 100. 20.); ("k2", cell 200. 10.); ("k3", cell 300. 10.);
-      ("k4", cell 400. 10.) ]  (* k1 doubles its minor words *)
-  in
-  let v = gate_exn [ session "a" (four_cells Fun.id); session "b" fresh ] in
-  Alcotest.(check bool) "fails" false v.Gate.ok;
-  Alcotest.(check (list string)) "gc regression on k1" [ "k1" ] v.Gate.gc_regressions
-
-let test_gate_self_test_scales_first_cell () =
-  let sessions = [ session "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] in
-  Alcotest.(check bool) "passes unscaled" true (gate_exn sessions).Gate.ok;
-  let v = gate_exn ~scale_first:3.0 sessions in
-  Alcotest.(check bool) "fails under self-test" false v.Gate.ok;
-  Alcotest.(check (list string)) "first cell flagged" [ "k1" ] v.Gate.regressions
-
-let test_gate_empty_history_errors () =
-  match Gate.check { History.sessions = [] } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty history should be a usage error"
-
-(* Each of these would let the gate pass anything (NaN, infinity, an
-   empty window) or fail a flat trend (a ratio limit of 1.0). *)
-let test_gate_rejects_degenerate_arguments () =
-  let h = { History.sessions = [ session "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] } in
-  List.iter
-    (fun (call, arg, result) ->
-      match result with
-      | Error e -> Alcotest.(check bool) (call ^ " names its argument") true (contains e arg)
-      | Ok _ -> Alcotest.failf "%s accepted" call)
-    [ ("~last:0", "last", Gate.check ~last:0 h);
-      ("~threshold:nan", "threshold", Gate.check ~threshold:Float.nan h);
-      ("~threshold:infinity", "threshold", Gate.check ~threshold:Float.infinity h);
-      ("~threshold:1.0", "threshold", Gate.check ~threshold:1.0 h);
-      ("~gc_threshold:nan", "gc_threshold", Gate.check ~gc_threshold:Float.nan h);
-      ("~scale_first:nan", "scale_first", Gate.check ~scale_first:Float.nan h);
-    ]
-
-(* --- report ---------------------------------------------------------------- *)
-
-let test_report_renders_all_cells () =
-  let h = { History.sessions = [ session "a" (four_cells Fun.id); session "b" (four_cells Fun.id) ] } in
-  let text = Report.render h in
-  List.iter
-    (fun k ->
-      if not (contains text k) then Alcotest.failf "report lost cell %s:\n%s" k text)
-    [ "k1"; "k2"; "k3"; "k4"; "s0"; "s-1" ];
-  let csv = Report.to_csv h in
-  Alcotest.(check int) "csv rows: header + 2 sessions x 4 cells" 9
-    (List.length (String.split_on_char '\n' (String.trim csv)))
-
 (* --- runner ---------------------------------------------------------------- *)
 
 let fake_registry ?(ok = fun _ -> true) ids =
@@ -419,19 +190,14 @@ let test_runner_pure_suite_runs_cells () =
   | Ok data ->
       Alcotest.(check (list string)) "registry order"
         [ "exp:a"; "exp:b"; "exp:c" ]
-        (List.map (fun (c, _) -> c.Spec.key) data);
-      List.iter
-        (fun (_, (d : History.cell_data)) ->
-          Alcotest.(check bool) "ok" true d.History.ok;
-          Alcotest.(check bool) "timed" true (d.History.ns_per_run >= 0.);
-          Alcotest.(check (list (pair string (float 0.)))) "no percentiles" [] d.History.percentiles)
-        data
+        (List.map (fun ((c : Spec.cell), _) -> c.Spec.key) data);
+      Alcotest.(check (list bool)) "ok" [ true; true; true ] (List.map snd data)
 
 let test_runner_forces_ok_under_faults () =
   let spec = spec_of_exn "suite s\nworkloads exp:a\nfaults oom-pressure:7\n" in
   match Runner.run ~registry:(fake_registry ~ok:(fun _ -> false) [ "a" ]) spec with
   | Error e -> Alcotest.failf "runner: %s" e
-  | Ok [ (_, d) ] -> Alcotest.(check bool) "graceful completion is the bar" true d.History.ok
+  | Ok [ (_, ok) ] -> Alcotest.(check bool) "graceful completion is the bar" true ok
   | Ok _ -> Alcotest.fail "expected one cell"
 
 let test_runner_reports_failing_checks () =
@@ -439,8 +205,7 @@ let test_runner_reports_failing_checks () =
   match Runner.run ~jobs:1 ~registry:(fake_registry ~ok:(fun id -> id = "a") [ "a"; "b" ]) spec with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok data ->
-      Alcotest.(check (list bool)) "per-cell ok" [ true; false ]
-        (List.map (fun (_, (d : History.cell_data)) -> d.History.ok) data)
+      Alcotest.(check (list bool)) "per-cell ok" [ true; false ] (List.map snd data)
 
 let test_runner_unknown_exp_id_errors () =
   let spec = spec_of_exn "suite s\nworkloads exp:zzz\n" in
@@ -479,25 +244,6 @@ let suite =
     Alcotest.test_case "expansion order and keys" `Quick test_expansion_order_and_keys;
     Alcotest.test_case "expansion is deterministic" `Quick test_expansion_is_deterministic;
     Alcotest.test_case "duplicate cells rejected" `Quick test_duplicate_cells_rejected;
-    Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
-    Alcotest.test_case "history missing/future schema" `Quick test_history_missing_and_future;
-    Alcotest.test_case "history ignores legacy host domains" `Quick test_history_legacy_host_domains;
-    Alcotest.test_case "history append" `Quick test_history_append;
-    Alcotest.test_case "gate passes flat trend" `Quick test_gate_passes_on_flat_trend;
-    Alcotest.test_case "gate fails 25% regression" `Quick test_gate_fails_on_25pc_regression;
-    Alcotest.test_case "gate normalizes host factor" `Quick test_gate_normalizes_host_factor;
-    Alcotest.test_case "gate medians out a noisy session" `Quick test_gate_median_baseline_rides_out_noise;
-    Alcotest.test_case "gate warns on fresh-only cells" `Quick test_gate_fresh_only_warns;
-    Alcotest.test_case "gate vacuous pass on new host" `Quick test_gate_no_same_host_baseline_is_vacuous_pass;
-    Alcotest.test_case "gate singleton shared set" `Quick test_gate_singleton_shared_set_uses_raw_ratios;
-    Alcotest.test_case "gate pair shared set" `Quick test_gate_pair_shared_set_uses_raw_ratios;
-    Alcotest.test_case "gate no shared cells fails" `Quick test_gate_no_shared_cells_fails;
-    Alcotest.test_case "gate warns on dropped cells" `Quick test_gate_dropped_cell_warns;
-    Alcotest.test_case "gate GC regression is raw" `Quick test_gate_gc_regression_is_raw;
-    Alcotest.test_case "gate self-test scales first cell" `Quick test_gate_self_test_scales_first_cell;
-    Alcotest.test_case "gate empty history errors" `Quick test_gate_empty_history_errors;
-    Alcotest.test_case "gate rejects degenerate arguments" `Quick test_gate_rejects_degenerate_arguments;
-    Alcotest.test_case "report renders all cells" `Quick test_report_renders_all_cells;
     Alcotest.test_case "runner pure suite" `Quick test_runner_pure_suite_runs_cells;
     Alcotest.test_case "runner forces ok under faults" `Quick test_runner_forces_ok_under_faults;
     Alcotest.test_case "runner reports failing checks" `Quick test_runner_reports_failing_checks;
