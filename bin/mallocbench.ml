@@ -61,9 +61,9 @@ let non_neg_int = int_at_least 0 "non-negative"
 
 let jobs_arg =
   Arg.(value & opt (some pos_int) None
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Run on a pool of $(docv) domains (default: $(b,MALLOC_REPRO_JOBS) or all \
-                 cores). Output is identical for any width.")
+       & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "MALLOC_REPRO_JOBS")
+           ~doc:"Run on a pool of $(docv) domains (default: all cores). Output is identical \
+                 for any width.")
 
 let threads_arg default =
   Arg.(value & opt pos_int default & info [ "t"; "threads" ] ~doc:"Worker thread count.")
@@ -462,11 +462,12 @@ let server_cmd =
 
 let experiment_cmd =
   let run ids quick seed csv_dir jobs trace metrics gc_stats check faults =
+    Option.iter Core.Pool.set_jobs jobs;
     let opts = { Core.Exp_common.quick; seed } in
     let only = match ids with [] -> None | ids -> Some ids in
     let outcomes =
       with_observation ~trace ~metrics ~gc_stats ~check ~faults (fun () ->
-          Core.Experiments.run_all ?jobs ?only opts)
+          Core.Experiments.run_all ?only opts)
     in
     (match csv_dir with
     | None -> ()
@@ -512,6 +513,7 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline s; Stdlib.exit 2) fmt
 
 let suite_cmd =
   let run file jobs dry_run =
+    Option.iter Core.Pool.set_jobs jobs;
     let module Spec = Core.Suite.Spec in
     let text =
       try In_channel.with_open_text file In_channel.input_all
@@ -527,7 +529,7 @@ let suite_cmd =
           Printf.printf "%d cell(s)\n" (List.length cells)
     end
     else
-      match Core.Suite.Runner.run ?jobs ~registry spec with
+      match Core.Suite.Runner.run ~registry spec with
       | Error e -> die "%s" e
       | Ok cells -> if not (List.for_all snd cells) then Stdlib.exit 1
   in

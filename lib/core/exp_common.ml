@@ -10,13 +10,12 @@ let quick_opts = { quick = true; seed = 1 }
 
 let pick opts ~full ~quick = if opts.quick then quick else full
 
-let bench1_runs ?pool params ~runs =
-  let pool = match pool with Some p -> p | None -> Pool.global () in
+let bench1_runs params ~runs =
   (* Each repeat is seeded independently, so the repeats are embarrassingly
      parallel; joining in submission order keeps the result list identical
      to the sequential List.init it replaces. *)
   let results =
-    Pool.map_list pool ~key:"bench1-run"
+    Pool.map_list (Pool.global ()) ~key:"bench1-run"
       ~f:(fun i () -> Bench1.run { params with Bench1.seed = params.Bench1.seed + (i * 101) })
       (List.init runs (fun _ -> ()))
   in

@@ -12,15 +12,14 @@ val quick_opts : opts
 val pick : opts -> full:'a -> quick:'a -> 'a
 
 val bench1_runs :
-  ?pool:Mb_parallel.Pool.t ->
   Mb_workload.Bench1.params ->
   runs:int ->
   Mb_stats.Summary.t list * Mb_workload.Bench1.result list
 (** Repeats a benchmark-1 configuration over [runs] seeds and summarizes
     each worker position's scaled time across runs (position 0 = first
-    worker, etc.), plus the raw results. The repeats run on [pool]
-    (default {!Mb_parallel.Pool.global}) and are joined in submission
-    order, so the result is independent of pool width. *)
+    worker, etc.), plus the raw results. The repeats run on
+    {!Mb_parallel.Pool.global} and are joined in submission order, so
+    the result is independent of pool width. *)
 
 val mean_of : Mb_stats.Summary.t list -> float
 (** Grand mean across the per-worker summaries. *)

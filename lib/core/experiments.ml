@@ -63,29 +63,25 @@ let suite_registry =
   }
 
 (* Every experiment is an independent deterministic computation, so the
-   registry fans out across a domain pool. Futures are joined — and
+   registry fans out across the domain pool. Futures are joined — and
    outcomes printed — in registry order from the calling domain, which
    makes the output byte-identical for any pool width (including the
-   sequential width-1 pool). *)
-let run_all ?jobs ?(echo = true) ?only opts =
+   sequential width 1). *)
+let run_all ?(echo = true) ?only opts =
   let selected =
     match only with
     | None -> all
     | Some wanted -> List.filter (fun (id, _) -> List.mem id wanted) all
   in
-  let run pool =
-    let futures =
-      List.map
-        (fun (id, runner) -> Mb_parallel.Pool.submit pool ~key:id (fun () -> runner opts))
-        selected
-    in
+  let pool = Mb_parallel.Pool.global () in
+  let futures =
     List.map
-      (fun future ->
-        let outcome = Mb_parallel.Pool.await pool future in
-        if echo then Outcome.print outcome;
-        outcome)
-      futures
+      (fun (id, runner) -> Mb_parallel.Pool.submit pool ~key:id (fun () -> runner opts))
+      selected
   in
-  match jobs with
-  | Some jobs -> Mb_parallel.Pool.with_pool ~jobs run
-  | None -> run (Mb_parallel.Pool.global ())
+  List.map
+    (fun future ->
+      let outcome = Mb_parallel.Pool.await pool future in
+      if echo then Outcome.print outcome;
+      outcome)
+    futures

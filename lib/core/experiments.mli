@@ -9,7 +9,8 @@ val paper_artifacts : (string * runner) list
 
 val extensions : (string * runner) list
 (** ablate-spin, ablate-arenas, ablate-atomics, shootout,
-    latency-uptime, trace-replay, slab. *)
+    latency-uptime, server-knee, trace-replay, slab, ablate-bkl,
+    ablate-fastbins, ablate-crowding, larson, ablate-deferred. *)
 
 val all : (string * runner) list
 
@@ -22,14 +23,13 @@ val suite_registry : Mb_suite.Runner.exp_registry
     order, plus a quiet runner per id whose [print] emits exactly what
     {!run_all} would echo for that experiment. *)
 
-val run_all :
-  ?jobs:int -> ?echo:bool -> ?only:string list -> Exp_common.opts -> Outcome.t list
+val run_all : ?echo:bool -> ?only:string list -> Exp_common.opts -> Outcome.t list
 (** Runs (a subset of) the registry, printing each outcome (unless
     [~echo:false]) and returning them in registry order.
 
-    Experiments execute on a domain pool: [?jobs] forces a dedicated
-    pool of that width for this call; otherwise the global pool is used
-    (width [MALLOC_REPRO_JOBS], default
-    [Domain.recommended_domain_count ()]). Results and printed output
-    are byte-identical for every width — parallelism only changes wall
+    Experiments, and the sweeps inside them, execute on
+    {!Mb_parallel.Pool.global}, whose width {!Mb_parallel.Pool.set_jobs}
+    sets (default [Domain.recommended_domain_count ()]; the CLI's
+    [--jobs] and [MALLOC_REPRO_JOBS]). Results and printed output are
+    byte-identical for every width — parallelism only changes wall
     clock. *)

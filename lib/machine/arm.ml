@@ -7,11 +7,19 @@ type t = {
 
 let off = { trace = false; metrics = false; check = false; faults = None }
 
-let state = Atomic.make off
+let setting = Domain.DLS.new_key (fun () -> off)
 
-let set t = Atomic.set state t
+let set t = Domain.DLS.set setting t
 
-let current () = Atomic.get state
+let current () = Domain.DLS.get setting
+
+let within t f =
+  let own = current () in
+  set t;
+  Fun.protect ~finally:(fun () -> set own) f
+
+(* A pool task runs under the setting its submitter had. *)
+let () = Mb_parallel.Pool.set_context (fun () -> within (current ()))
 
 type run = {
   label : string;

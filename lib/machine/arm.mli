@@ -1,21 +1,24 @@
 (** What new machines record, check and inject, and the registry of
     finished runs.
 
-    One process-wide setting arms all three instruments: the CLI's
-    [--trace], [--metrics], [--check] and [--faults] flags, the suite
-    runner's per-cell fault plan, or a test sets it {e before} the runs
-    it concerns. [Machine.create] reads it with one atomic load and
-    gives the new machine a fresh {!Mb_obs.Recorder.t},
-    {!Mb_check.Checker.t} and {!Mb_fault.Injector.t} for the channels
-    that are on, and the shared null instrument for each one that is
-    off. Instruments consume no simulated time or randomness, so an
-    armed run computes the same results as a bare one.
+    One setting arms all three instruments: the CLI's [--trace],
+    [--metrics], [--check] and [--faults] flags, the suite runner's
+    per-cell fault plan, or a test sets it {e before} the runs it
+    concerns. [Machine.create] reads it once and gives the new machine
+    a fresh {!Mb_obs.Recorder.t}, {!Mb_check.Checker.t} and
+    {!Mb_fault.Injector.t} for the channels that are on, and the shared
+    null instrument for each one that is off. Instruments consume no
+    simulated time or randomness, so an armed run computes the same
+    results as a bare one.
+
+    The setting is domain-local, and a {!Mb_parallel.Pool} task runs
+    under the setting its submitter had when it submitted the task,
+    whichever domain runs it. So tasks with different settings can
+    share the pool, and no workload or experiment has to forward the
+    setting to the runs it makes.
 
     Workloads {!publish} each finished run once; the arming caller
-    {!drain}s the registry once, after every run is joined. The setting
-    is one global rather than a per-run argument so that no workload or
-    experiment can forget to forward it; the price is that runs with
-    different settings cannot share the domain pool at the same time. *)
+    {!drain}s the registry once, after every run is joined. *)
 
 type t = {
   trace : bool;    (** record scheduling and lock events for the trace sink *)
@@ -25,13 +28,19 @@ type t = {
 }
 
 val off : t
-(** Nothing armed: the process default. *)
+(** Nothing armed: every domain's default. *)
 
 val set : t -> unit
-(** Replace the process-wide setting. Call before the runs it concerns
-    start, and not while a pool is running them. *)
+(** Replace the calling domain's setting. Call before the runs it
+    concerns start; pool tasks already submitted keep the setting they
+    were submitted under. *)
 
 val current : unit -> t
+(** The calling domain's setting. *)
+
+val within : t -> (unit -> 'a) -> 'a
+(** [within t f] runs [f] under [t] and then restores the calling
+    domain's setting, even if [f] raises. *)
 
 type run = {
   label : string;  (** the workload and every parameter that changes the simulation *)

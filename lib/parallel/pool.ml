@@ -7,9 +7,10 @@
    with any width.
 
    Determinism does not depend on scheduling: tasks are self-contained
-   computations and callers join futures in submission order, so result
-   order — and therefore all output printed by the joining domain — is
-   independent of which domain ran what when. *)
+   computations that run under their submitter's context, and callers
+   join futures in submission order, so result order — and therefore all
+   output printed by the joining domain — is independent of which domain
+   ran what when. *)
 
 type 'a state =
   | Pending
@@ -19,7 +20,8 @@ type 'a state =
 
 type 'a future = { key : string; mutable state : 'a state }
 
-type task = Task : 'a future * (unit -> 'a) -> task
+(* A queued task and the runner that installs its submitter's context. *)
+type task = Task : 'a future * ((unit -> unit) -> unit) * (unit -> 'a) -> task
 
 type t = {
   mutex : Mutex.t;
@@ -41,13 +43,15 @@ let take_locked t =
       Some task
   | None -> None
 
-(* Run a task outside the lock, then publish its result under it. *)
-let run_task t (Task (fut, f)) =
-  let result =
-    try Done (f ()) with e -> Raised (e, Printexc.get_raw_backtrace ())
-  in
+let compute f = try Done (f ()) with e -> Raised (e, Printexc.get_raw_backtrace ())
+
+(* Run a task outside the lock under its submitter's context, then
+   publish its result under the lock. *)
+let run_task t (Task (fut, within, f)) =
+  let result = ref Pending in
+  within (fun () -> result := compute f);
   Mutex.lock t.mutex;
-  fut.state <- result;
+  fut.state <- !result;
   t.in_flight <- t.in_flight - 1;
   Condition.broadcast t.done_;
   Mutex.unlock t.mutex
@@ -73,7 +77,6 @@ let rec worker_loop t =
       worker_loop t
 
 let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
   let t =
     { mutex = Mutex.create ();
       work = Condition.create ();
@@ -90,19 +93,21 @@ let create ~jobs =
 
 let jobs t = t.width
 
-let run_inline fut f =
-  fut.state <- (try Done (f ()) with e -> Raised (e, Printexc.get_raw_backtrace ()))
+let context = ref (fun () f -> f ())
+
+let set_context capture = context := capture
 
 let submit t ~key f =
   let fut = { key; state = Pending } in
-  if t.width <= 1 then run_inline fut f
+  if t.width <= 1 then fut.state <- compute f
   else begin
+    let within = !context () in
     Mutex.lock t.mutex;
     if t.stopping then begin
       Mutex.unlock t.mutex;
       invalid_arg (Printf.sprintf "Pool.submit %S: pool is shut down" key)
     end;
-    Queue.add (Task (fut, f)) t.queue;
+    Queue.add (Task (fut, within, f)) t.queue;
     Condition.signal t.work;
     Mutex.unlock t.mutex
   end;
@@ -162,40 +167,28 @@ let shutdown t =
     t.workers <- []
   end
 
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let default_jobs () =
-  match Sys.getenv_opt "MALLOC_REPRO_JOBS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "MALLOC_REPRO_JOBS=%S: expected a positive integer" s))
-
-(* The global pool may be demanded from several domains at once (a task
-   of an explicit pool calling a pooled helper), hence the lock. *)
+(* The global pool may be demanded from several domains at once (a
+   task calling a pooled helper), hence the lock. *)
 let global_lock = Mutex.create ()
 
 let global_pool = ref None
 
+let global_jobs = ref (Domain.recommended_domain_count ())
+
+let () = at_exit (fun () -> Option.iter shutdown !global_pool)
+
+let set_jobs n =
+  if n < 1 then invalid_arg "Pool.set_jobs: jobs < 1";
+  Mutex.protect global_lock (fun () ->
+      Option.iter shutdown !global_pool;
+      global_pool := None;
+      global_jobs := n)
+
 let global () =
-  Mutex.lock global_lock;
-  let t =
-    match !global_pool with
-    | Some t -> t
-    | None ->
-        let t = create ~jobs:(default_jobs ()) in
-        global_pool := Some t;
-        (* at_exit is domain-local: registering from a worker domain
-           would shut the global pool down when that worker is joined.
-           From any other domain, skip it — idle workers die with the
-           process. *)
-        if Domain.is_main_domain () then at_exit (fun () -> shutdown t);
-        t
-  in
-  Mutex.unlock global_lock;
-  t
+  Mutex.protect global_lock (fun () ->
+      match !global_pool with
+      | Some t -> t
+      | None ->
+          let t = create ~jobs:!global_jobs in
+          global_pool := Some t;
+          t)

@@ -7,22 +7,6 @@ type exp_registry = {
   exp_run : string -> quick:bool -> seed:int -> (unit -> exp_result) option;
 }
 
-(* Arming is process-global, so a faulted cell gets the whole context
-   to itself (the serial path below). *)
-let with_cell_ctx (cell : Spec.cell) f =
-  match cell.Spec.fault with
-  | None -> f ()
-  | Some _ as faults ->
-      let outer = Arm.current () in
-      Arm.set { outer with Arm.faults };
-      Fun.protect
-        ~finally:(fun () ->
-          Arm.set outer;
-          (* the storm's runs are this cell's private business; don't
-             leak them into the caller's report *)
-          ignore (Arm.drain ()))
-        f
-
 (* --- one compiled cell -------------------------------------------------- *)
 
 let scale ~quick ~q ~f = if quick then q else f
@@ -169,8 +153,6 @@ let compile ~registry ~quick (cell : Spec.cell) =
 
 (* --- the run ------------------------------------------------------------ *)
 
-let pure (cells : Spec.cell list) = List.for_all (fun c -> c.Spec.fault = None) cells
-
 let rec compile_all ~registry ~quick = function
   | [] -> Ok []
   | cell :: rest -> (
@@ -181,7 +163,7 @@ let rec compile_all ~registry ~quick = function
           | Error e -> Error e
           | Ok more -> Ok ((cell, compiled) :: more)))
 
-let run ?jobs ~registry (spec : Spec.t) =
+let run ~registry (spec : Spec.t) =
   match Spec.expand spec ~exp_ids:registry.exp_ids with
   | Error e -> Error e
   | Ok cells -> (
@@ -189,35 +171,30 @@ let run ?jobs ~registry (spec : Spec.t) =
       match compile_all ~registry ~quick cells with
       | Error e -> Error e
       | Ok pairs ->
-          let oks =
-            if pure cells then begin
-              let fan pool =
-                let futures =
-                  List.map
-                    (fun ((cell : Spec.cell), exec) ->
-                      Mb_parallel.Pool.submit pool ~key:cell.Spec.key exec)
-                    pairs
+          let pool = Mb_parallel.Pool.global () in
+          let futures =
+            List.map
+              (fun ((cell : Spec.cell), exec) ->
+                let exec =
+                  match cell.Spec.fault with
+                  | None -> exec
+                  | Some _ as faults -> fun () -> Arm.within { (Arm.current ()) with Arm.faults } exec
                 in
-                List.map
-                  (fun future ->
-                    let r = Mb_parallel.Pool.await pool future in
-                    r.print ();
-                    r.ok)
-                  futures
-              in
-              match jobs with
-              | Some jobs -> Mb_parallel.Pool.with_pool ~jobs fan
-              | None -> fan (Mb_parallel.Pool.global ())
-            end
-            else
-              List.map
-                (fun ((cell : Spec.cell), exec) ->
-                  with_cell_ctx cell (fun () ->
-                      let r = exec () in
-                      r.print ();
-                      (* pass thresholds don't apply mid-storm; graceful
-                         completion is the bar, as for experiment --faults *)
-                      cell.Spec.fault <> None || r.ok))
-                pairs
+                Mb_parallel.Pool.submit pool ~key:cell.Spec.key exec)
+              pairs
           in
+          let oks =
+            List.map2
+              (fun (cell : Spec.cell) future ->
+                let r = Mb_parallel.Pool.await pool future in
+                r.print ();
+                (* pass thresholds don't apply mid-storm; graceful
+                   completion is the bar, as for experiment --faults *)
+                cell.Spec.fault <> None || r.ok)
+              cells futures
+          in
+          (* the storms' runs are their cells' private business; don't
+             leak them into the caller's report *)
+          if List.exists (fun (c : Spec.cell) -> c.Spec.fault <> None) cells then
+            ignore (Arm.drain ());
           Ok (List.combine cells oks))

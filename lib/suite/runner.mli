@@ -1,13 +1,14 @@
 (** Expands a {!Spec} and runs every cell once, printing its result
     block.
 
-    When the suite is {e pure} — every fault plan is [none] — cells
-    are fanned out over {!Mb_parallel.Pool} exactly like the experiment
-    registry (tasks print nothing; the joining domain prints in
-    expansion order), so a suite whose cells are the registry produces
-    output byte-identical to a direct registry run at any pool width.
-    Fault arming is process-global, so a suite that arms faults runs
-    its cells serially, each under its own plan. *)
+    Cells are fanned out over {!Mb_parallel.Pool} exactly like the
+    experiment registry (tasks print nothing; the joining domain prints
+    in expansion order), so a suite whose cells are the registry
+    produces output byte-identical to a direct registry run at any pool
+    width. A cell with a fault plan runs under the caller's
+    {!Mb_machine.Arm} setting with that plan added; since a pool task
+    keeps the setting it was submitted under, faulted and plain cells
+    share the pool. *)
 
 type exp_result = {
   print : unit -> unit;  (** prints the outcome block, e.g. [Outcome.print] *)
@@ -26,15 +27,13 @@ type exp_registry = {
     layer sees it only through this record
     ({!Core.Experiments.suite_registry} builds it). *)
 
-val run :
-  ?jobs:int ->
-  registry:exp_registry ->
-  Spec.t ->
-  ((Spec.cell * bool) list, string) result
-(** Runs the suite and returns each cell with its ok bit, in expansion
-    order. [?jobs] forces a dedicated pool width for pure suites
-    (default: the global pool). Cells under an armed fault plan report
-    ok when they complete gracefully — the paper's pass thresholds
-    don't apply mid-storm, matching the [experiment --faults]
-    exit-gate rule. [Error] on expansion failures (unknown experiment
-    ids, colliding cell keys). *)
+val run : registry:exp_registry -> Spec.t -> ((Spec.cell * bool) list, string) result
+(** Runs the suite on {!Mb_parallel.Pool.global} and returns each cell
+    with its ok bit, in expansion order. Cells under an armed fault
+    plan report ok when they complete gracefully — the paper's pass
+    thresholds don't apply mid-storm, matching the [experiment
+    --faults] exit-gate rule. When any cell has a plan, the runs kept
+    in {!Mb_machine.Arm}'s registry are drained and dropped after the
+    last cell: a storm's runs do not reach the caller's report.
+    [Error] on expansion failures (unknown experiment ids, colliding
+    cell keys). *)

@@ -185,7 +185,7 @@ let spec_of_exn text =
 
 let test_runner_pure_suite_runs_cells () =
   let spec = spec_of_exn "suite s\nworkloads exp:*\n" in
-  match Runner.run ~jobs:2 ~registry:(fake_registry [ "a"; "b"; "c" ]) spec with
+  match Runner.run ~registry:(fake_registry [ "a"; "b"; "c" ]) spec with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok data ->
       Alcotest.(check (list string)) "registry order"
@@ -202,10 +202,48 @@ let test_runner_forces_ok_under_faults () =
 
 let test_runner_reports_failing_checks () =
   let spec = spec_of_exn "suite s\nworkloads exp:a exp:b\n" in
-  match Runner.run ~jobs:1 ~registry:(fake_registry ~ok:(fun id -> id = "a") [ "a"; "b" ]) spec with
+  match Runner.run ~registry:(fake_registry ~ok:(fun id -> id = "a") [ "a"; "b" ]) spec with
   | Error e -> Alcotest.failf "runner: %s" e
   | Ok data ->
       Alcotest.(check (list bool)) "per-cell ok" [ true; false ] (List.map snd data)
+
+(* Faulted and plain cells share the pool: each runs under its own
+   plan, as do the sweeps it submits, whichever domain runs them, and
+   the storms' runs are dropped. *)
+let test_runner_arms_each_cell () =
+  let module Arm = Core.Arm in
+  let faults () = (Arm.current ()).Arm.faults in
+  let seen = ref [] in
+  let registry =
+    { Runner.exp_ids = [ "a"; "b"; "c" ];
+      exp_run =
+        (fun id ~quick:_ ~seed:_ ->
+          Some
+            (fun () ->
+              let sweep =
+                Core.Pool.map_list (Core.Pool.global ()) ~key:"sweep"
+                  ~f:(fun _ () -> faults ())
+                  [ (); (); (); () ]
+              in
+              Option.iter
+                (fun (plan, seed) ->
+                  Arm.publish ~label:(fun () -> id) Core.Obs.Recorder.null
+                    Core.Check.Checker.null (Core.Fault.Injector.create ~plan ~seed))
+                (faults ());
+              let cell = faults () :: sweep in
+              (* [print] runs on the joining domain, in expansion order *)
+              { Runner.print = (fun () -> seen := cell :: !seen); ok = true }));
+    }
+  in
+  let spec = spec_of_exn "suite s\nworkloads exp:*\nfaults none oom-pressure:7\n" in
+  match Test_parallel.with_jobs 4 (fun () -> Runner.run ~registry spec) with
+  | Error e -> Alcotest.failf "runner: %s" e
+  | Ok data ->
+      let plans = List.map (fun ((c : Spec.cell), _) -> c.Spec.fault) data in
+      Alcotest.(check int) "three stormed cells" 3 (List.length (List.filter Option.is_some plans));
+      Alcotest.(check bool) "each cell and its sweep ran under its own plan" true
+        (List.map (fun plan -> List.init 5 (fun _ -> plan)) plans = List.rev !seen);
+      Alcotest.(check int) "the storms' runs are dropped" 0 (List.length (Arm.drain ()))
 
 let test_runner_unknown_exp_id_errors () =
   let spec = spec_of_exn "suite s\nworkloads exp:zzz\n" in
@@ -247,6 +285,7 @@ let suite =
     Alcotest.test_case "runner pure suite" `Quick test_runner_pure_suite_runs_cells;
     Alcotest.test_case "runner forces ok under faults" `Quick test_runner_forces_ok_under_faults;
     Alcotest.test_case "runner reports failing checks" `Quick test_runner_reports_failing_checks;
+    Alcotest.test_case "runner arms each cell on a shared pool" `Quick test_runner_arms_each_cell;
     Alcotest.test_case "runner unknown exp id" `Quick test_runner_unknown_exp_id_errors;
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
