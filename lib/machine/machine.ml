@@ -129,12 +129,11 @@ and spinner = {
   sth : thread;
   mutable smu : mutex;  (* the mutex of the current (or last) spin *)
   mutable srem : int;
-  mutable salive : bool;
-  mutable swake : bool;  (* a wake event is already queued at the next
-                            boundary, so release sites must not queue a
-                            second one *)
-  mutable spins : int;  (* spins registered so far *)
-  mutable expiries : int;  (* expiry events fired so far *)
+  mutable sexpire : Engine.handle;  (* the current spin's expiry event;
+                                       [no_event] once the spin is over *)
+  mutable swake : Engine.handle;  (* the wake event queued at the next
+                                     boundary, so release sites queue no
+                                     second one; [no_event] when none *)
   mutable sresume : unit -> unit;  (* the engine's per-process resume *)
   mutable wake_ev : unit -> unit;
   mutable expire_ev : unit -> unit;
@@ -438,7 +437,7 @@ let dispatch m cpu =
         let now = m.clock.Engine.time in
         th.hot.run_start_ns <- now;
         m.dcell.Engine.cell_time <- now +. cycles_to_ns m switch;
-        Engine.at_pending m.engine resume
+        ignore (Engine.at_pending m.engine resume : Engine.handle)
       end
 
 let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
@@ -650,21 +649,13 @@ let rec spin_on_steps mu th budget =
    which handles preemption.
 
    A thread reuses one registration for all its spins, so a finished
-   spin's leftover events must not act on the next one:
-   - A spin that ends early leaves its expiry queued, often past the
-     start of the thread's next spin. Every spin queues exactly one
-     expiry, and a thread's expiries fire in spin order: every spin has
-     the machine's budget, so a later spin's exhaustion boundary is never
-     earlier (float addition is monotone), and ties fire FIFO. So the
-     n-th expiry to fire belongs to the n-th spin, and only that one
-     acts.
-   - A spin that expires with a wake queued at its final boundary leaves
-     that wake behind. It fires before the thread can spin again: it was
-     queued before the expiry re-entered the thread, and whatever resumes
-     the thread later is queued after it. Within the expiry's own event
-     the thread takes a free lock, blocks on a held one, or pays a
-     lock op before retrying. It finds the spin retired and only clears
-     [swake]. *)
+   spin leaves nothing queued: a spin that a release ends cancels its
+   expiry, and a spin that expires cancels the wake left at its final
+   boundary. Every event a registration has queued therefore belongs
+   to its current spin. Left queued, either event would only run as a
+   no-op, so cancelling it moves no probe; it changes the engine's
+   final clock alone, which no longer lands on such a leftover after
+   the last thread's finish. *)
 
 let[@inline] spin_step_account th m fc =
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
@@ -724,9 +715,9 @@ let spin_advance m sp =
   done
 
 (* Retire the current spin: unregister it, keeping the other spinners
-   in entry order, and re-enter the thread. *)
+   in entry order, and re-enter the thread. The caller has already
+   dealt with the spin's expiry and wake. *)
 let spin_finish sp =
-  sp.salive <- false;
   let mu = sp.smu in
   let a = mu.spinners and n = mu.nspinners in
   let i = ref 0 in
@@ -740,36 +731,43 @@ let spin_finish sp =
 (* Wake event at one probe boundary: account this probe's step, then
    decide exactly as the chain's probe did — keep spinning (silently:
    the next release or the exhaustion event drives the next wake),
-   or re-enter the thread. *)
+   or cancel the spin's expiry and re-enter the thread. *)
 let spin_wake sp =
-  sp.swake <- false;
-  if sp.salive then begin
-    let mu = sp.smu in
-    let m = mu.mm in
-    let th = sp.sth in
-    let step = if sp.srem < 8 then sp.srem else 8 in
-    spin_step_account th m (float_of_int step);
-    th.hot.spin_base <- m.clock.Engine.time;
-    sp.srem <- sp.srem - step;
-    if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
-    then ()
-    else spin_finish sp
-  end
-
-(* Up-front event at the final probe boundary: if no release resumed
-   the spinner first, materialize the remaining no-op probes and
-   re-enter the thread with the budget exhausted. *)
-let spin_expire sp =
-  sp.expiries <- sp.expiries + 1;
-  if sp.expiries = sp.spins && sp.salive then begin
-    let m = sp.smu.mm in
-    let th = sp.sth in
-    spin_advance m sp;
-    spin_step_account th m (float_of_int sp.srem);
-    th.hot.spin_base <- m.clock.Engine.time;
-    sp.srem <- 0;
+  assert (sp.sexpire != Engine.no_event);
+  sp.swake <- Engine.no_event;
+  let mu = sp.smu in
+  let m = mu.mm in
+  let th = sp.sth in
+  let step = if sp.srem < 8 then sp.srem else 8 in
+  spin_step_account th m (float_of_int step);
+  th.hot.spin_base <- m.clock.Engine.time;
+  sp.srem <- sp.srem - step;
+  if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
+  then ()
+  else begin
+    Engine.cancel m.engine sp.sexpire;
+    sp.sexpire <- Engine.no_event;
     spin_finish sp
   end
+
+(* Up-front event at the final probe boundary: no release resumed the
+   spinner first, so materialize the remaining no-op probes, cancel a
+   wake queued at this same boundary, and re-enter the thread with the
+   budget exhausted. *)
+let spin_expire sp =
+  assert (sp.sexpire != Engine.no_event);
+  sp.sexpire <- Engine.no_event;
+  let m = sp.smu.mm in
+  let th = sp.sth in
+  spin_advance m sp;
+  spin_step_account th m (float_of_int sp.srem);
+  th.hot.spin_base <- m.clock.Engine.time;
+  sp.srem <- 0;
+  if sp.swake != Engine.no_event then begin
+    Engine.cancel m.engine sp.swake;
+    sp.swake <- Engine.no_event
+  end;
+  spin_finish sp
 
 (* Release hook, called right after [mu.owner <- None]: catch every
    registration up to now (all skipped boundaries were no-op probes —
@@ -782,11 +780,10 @@ let wake_spinners mu =
   for i = 0 to mu.nspinners - 1 do
     let sp = mu.spinners.(i) in
     spin_advance m sp;
-    if (not sp.swake) && sp.srem > 0 then begin
-      sp.swake <- true;
+    if sp.swake == Engine.no_event && sp.srem > 0 then begin
       let step = if sp.srem < 8 then sp.srem else 8 in
       m.dcell.Engine.cell_time <- sp.sth.hot.spin_base +. (float_of_int step *. m.mh.cycle_ns);
-      Engine.at_pending m.engine sp.wake_ev
+      sp.swake <- Engine.at_pending m.engine sp.wake_ev
     end
   done
 
@@ -798,10 +795,8 @@ let spinner_of th mu =
         { sth = th;
           smu = mu;
           srem = 0;
-          salive = false;
-          swake = false;
-          spins = 0;
-          expiries = 0;
+          sexpire = Engine.no_event;
+          swake = Engine.no_event;
           sresume = no_resume;
           wake_ev = no_resume;
           expire_ev = no_resume;
@@ -822,12 +817,10 @@ let spin_on mu th =
     if float_of_int (budget + 64) >= th.hot.quantum_left then spin_on_steps mu th budget
     else begin
       let sp = spinner_of th mu in
-      (* No leftover wake from the previous spin is still queued. *)
-      assert (not sp.swake);
+      (* The previous spin left nothing queued. *)
+      assert (sp.sexpire == Engine.no_event && sp.swake == Engine.no_event);
       sp.smu <- mu;
       sp.srem <- budget;
-      sp.salive <- true;
-      sp.spins <- sp.spins + 1;
       th.hot.spin_base <- m.clock.Engine.time;
       let n = mu.nspinners in
       if n = Array.length mu.spinners then begin
@@ -854,7 +847,7 @@ let spin_on mu th =
         m.spin_walked <- m.spin_walked + 1
       done;
       m.dcell.Engine.cell_time <- !t_end;
-      Engine.at_pending m.engine sp.expire_ev;
+      sp.sexpire <- Engine.at_pending m.engine sp.expire_ev;
       Engine.suspend m.engine sp.register
     end
   end

@@ -31,7 +31,9 @@ type clock = { mutable time : float }
    The wheel's tie-break is [pk = (seq lsl vbits) lor v]: sequence
    numbers are unique, so comparing pks compares seqs and the payload
    value rides along for free. seq gets 63 - vbits = 42 bits — engine
-   lifetimes are nowhere near that. *)
+   lifetimes are nowhere near that. Being unique, a thunk event's pk
+   is also its handle for [cancel]: it names the queued item and its
+   arena slot, and no later event reuses it. *)
 
 (* 2^slot_bits bounds the number of *pending* events; vbits adds the
    tag bit. *)
@@ -39,6 +41,11 @@ let slot_bits = 20
 let max_slots = 1 lsl slot_bits
 let vbits = slot_bits + 1
 let v_mask = (1 lsl vbits) - 1
+
+type handle = int
+
+(* No pk is negative. *)
+let no_event = -1
 
 type t = {
   clock : clock;  (* all-float: advancing the clock never boxes *)
@@ -194,12 +201,13 @@ let alloc_slot t payload =
    ring fast-path test and the bookkeeping are direct field accesses,
    with a single call into {!Timing_wheel} to do the actual insert —
    [Timing_wheel.push] would add a real call per event under dune's
-   [-opaque]. *)
+   [-opaque]. It returns unit, so that its own calls and the
+   continuation pushes that end in it stay tail calls; [at_pending]
+   works out its handle itself. *)
 let push_key t key v =
   let w = t.wheel in
   let pk = (t.next_seq lsl vbits) lor v in
   t.next_seq <- t.next_seq + 1;
-  w.Tw.size <- w.Tw.size + 1;
   if key < w.Tw.gate || (w.Tw.hsize = 0 && w.Tw.rsize < Tw.ring_target) then begin
     w.Tw.ring_hits <- w.Tw.ring_hits + 1;
     Tw.ring_insert w key pk
@@ -221,12 +229,23 @@ let[@inline] push_at t time v =
    fires. *)
 let at_pending t thunk =
   if not (t.scratch.cell_time >= t.clock.time) then invalid_arg "Engine.at: time in the past";
-  let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  push_at t t.scratch.cell_time ((slot lsl 1) lor 1)
+  let v = (alloc_slot t (Obj.repr (thunk : unit -> unit)) lsl 1) lor 1 in
+  (* The handle is the pk [push_key] is about to stamp. *)
+  let h = (t.next_seq lsl vbits) lor v in
+  push_at t t.scratch.cell_time v;
+  h
 
 let at t time thunk =
   t.scratch.cell_time <- time;
-  at_pending t thunk
+  ignore (at_pending t thunk : handle)
+
+(* The removal finds the event by its unique pk, so a handle whose
+   event already ran or was cancelled finds nothing, even when a later
+   event took its arena slot. *)
+let cancel t h =
+  if not (Tw.remove t.wheel h) then invalid_arg "Engine.cancel: event already ran or was cancelled";
+  Array.unsafe_set t.free t.free_top ((h land v_mask) lsr 1);
+  t.free_top <- t.free_top + 1
 
 let delay d = Effect.perform (Delay d)
 
@@ -492,7 +511,7 @@ let[@inline] exec_event t v =
    a float returned from a helper call would be boxed first). *)
 let run t =
   let w = t.wheel in
-  while w.Tw.size > 0 do
+  while w.Tw.rsize > 0 do
     let h = w.Tw.rhead in
     let key = Array.unsafe_get w.Tw.rkeys h in
     let pk = Array.unsafe_get w.Tw.rpks h in
@@ -501,8 +520,7 @@ let run t =
     let rsize = w.Tw.rsize - 1 in
     w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);
     w.Tw.rsize <- rsize;
-    w.Tw.size <- w.Tw.size - 1;
-    if rsize = 0 && w.Tw.size > 0 then Tw.advance w;
+    if rsize = 0 && w.Tw.hsize > 0 then Tw.advance w;
     exec_event t (pk land v_mask)
   done;
   if t.parked_count > 0 then raise (Stalled (stall_report t))
@@ -521,5 +539,6 @@ let flush_observations t =
        the sched.shard.* family is renamed with the benchmark that
        reads it. *)
     Obs.set t.obs "sched.shard.wheel_hits" 0;
-    Obs.set t.obs "sched.shard.heap_spills" (Tw.heap_spills t.wheel)
+    Obs.set t.obs "sched.shard.heap_spills" (Tw.heap_spills t.wheel);
+    Obs.set t.obs "sched.shard.cancels" (Tw.removals t.wheel)
   end

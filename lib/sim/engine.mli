@@ -88,12 +88,29 @@ val at : t -> float -> (unit -> unit) -> unit
     perform {!delay} or {!park}) at absolute [time].
     @raise Invalid_argument if [time] is earlier than {!now} or NaN. *)
 
-val at_pending : t -> (unit -> unit) -> unit
-(** Exactly {!at}, with the time taken from the engine's {!delay_cell}
+type handle [@@immediate]
+(** A queued thunk event, for {!cancel}: the event's unique tie-break
+    word, its sequence number and arena slot. *)
+
+val no_event : handle
+(** A handle that names no event, for callers that keep a handle slot
+    while nothing is queued. {!cancel} raises on it. *)
+
+val at_pending : t -> (unit -> unit) -> handle
+(** {!at}, with the time taken from the engine's {!delay_cell}
     instead of a [float] argument, so the caller boxes nothing: write
     the absolute time, then schedule —
-    [(delay_cell e).cell_time <- time; at_pending e thunk].
+    [(delay_cell e).cell_time <- time; at_pending e thunk]. Returns
+    the event's handle.
     @raise Invalid_argument if that time is earlier than {!now} or NaN. *)
+
+val cancel : t -> handle -> unit
+(** [cancel t h] removes the queued event [h] names: it never runs and
+    never moves the clock, and its arena slot is free for the next
+    event. Events at equal times keep their order. Cost: a scan of the
+    pending events, which the simulated machines keep to a handful.
+    @raise Invalid_argument if [h]'s event already ran or was
+    cancelled, or [h] is {!no_event}. *)
 
 val run : t -> unit
 (** Drain the event queue. Returns when no events remain and no process is
@@ -161,9 +178,11 @@ val yield : unit -> unit
 
 val flush_observations : t -> unit
 (** Snapshot the event queue's counters into the recorder:
-    [sched.shard.pushes] (every event pushed) and its two
+    [sched.shard.pushes] (every event pushed), its two
     {!Timing_wheel} destinations, [sched.shard.ring_hits] and
-    [sched.shard.heap_spills], which sum to the pushes.
+    [sched.shard.heap_spills], which sum to the pushes, and
+    [sched.shard.cancels], the events {!cancel} removed: pushes minus
+    cancels is the number of events run.
     [sched.shard.wheel_hits] is reported too and is always 0: the
     queue has no wheel levels, and the name stays until the counter
     family is renamed. No-op unless metering is on; call once at end of

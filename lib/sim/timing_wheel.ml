@@ -16,12 +16,17 @@
      ring's gate once the ring holds [ring_target] items, or while the
      heap already holds something.
 
+   [remove] takes one item out wherever it sits, for the engine's
+   cancellation: a scan finds it by its unique [pk], and the ring or
+   the heap closes the hole.
+
    Ordering invariants (the tests in test_timing_wheel.ml fuzz these):
    - [gate] exceeds every ring key and is at most every heap key, so
      popping the ring head is globally minimal.
    - The ring is non-empty whenever the structure is ([advance] refills
-     it when a pop drains it). So an empty ring means an empty queue,
-     and an empty queue takes the ring branch on its next push.
+     it when a pop or a removal drains it). So an empty ring means an
+     empty queue, and an empty queue takes the ring branch on its next
+     push.
    - A refill moves the heap root *and every heap item with the same
      key*. Moving only the root would put the gate past that key while
      equal-key items stayed in the heap, and a later push at that key
@@ -54,10 +59,11 @@ type t = {
   mutable hkeys : int array;
   mutable hpks : int array;
   mutable hsize : int;
-  mutable size : int;
-  (* Push-path counters, reported as sched.shard.* observations. *)
+  (* Push-path and removal counters, reported as sched.shard.*
+     observations. *)
   mutable ring_hits : int;
   mutable heap_spills : int;
+  mutable removals : int;
 }
 
 let create () =
@@ -69,13 +75,14 @@ let create () =
     hkeys = [||];
     hpks = [||];
     hsize = 0;
-    size = 0;
     ring_hits = 0;
     heap_spills = 0;
+    removals = 0;
   }
 
-let length t = t.size
-let is_empty t = t.size = 0
+(* The ring is non-empty whenever the queue is (see the header). *)
+let length t = t.rsize + t.hsize
+let is_empty t = t.rsize = 0
 
 (* max_int sentinels when empty: no real time encodes to max_int. *)
 let peek_key t = if t.rsize = 0 then max_int else Array.unsafe_get t.rkeys t.rhead
@@ -221,7 +228,7 @@ let hpop t =
 (* Refill the empty ring with the heap root and every heap item sharing
    its key, in (key, pk) order (the header says why all of them). The
    first append moves the gate to key + 1, and every item left in the
-   heap has a larger key. Precondition: size > 0. *)
+   heap has a larger key. Precondition: hsize > 0. *)
 let advance t =
   let key = t.hkeys.(0) in
   while t.hsize > 0 && Array.unsafe_get t.hkeys 0 = key do
@@ -234,14 +241,12 @@ let advance t =
 
 (* Overflow for callers that already handled the ring fast path
    themselves (the engine does, with direct field access): key >= gate,
-   and the heap holds something or the ring is at its target. Does not
-   touch [size]. *)
+   and the heap holds something or the ring is at its target. *)
 let push_overflow t key pk =
   t.heap_spills <- t.heap_spills + 1;
   hpush t key pk
 
 let push t key pk =
-  t.size <- t.size + 1;
   if key < t.gate || (t.hsize = 0 && t.rsize < ring_target) then begin
     (* Below the gate (ordering demands the ring), or the heap is empty
        and the ring is still small — sorted-insert directly. *)
@@ -250,12 +255,85 @@ let push t key pk =
   end
   else push_overflow t key pk
 
-(* Remove the ring head. Precondition: size > 0 (so rsize > 0). *)
+(* Remove the ring head. Precondition: not empty (so rsize > 0). *)
 let pop t =
   t.rhead <- (t.rhead + 1) land (Array.length t.rkeys - 1);
   t.rsize <- t.rsize - 1;
-  t.size <- t.size - 1;
-  if t.rsize = 0 && t.size > 0 then advance t
+  if t.rsize = 0 && t.hsize > 0 then advance t
+
+(* --- removal ------------------------------------------------------------ *)
+
+(* Take out the heap item with tie-break [pk], if there is one: the
+   last item fills its hole, sifting up past a larger parent or down
+   past a smaller child. *)
+let heap_remove t pk =
+  let i = ref (t.hsize - 1) in
+  while !i >= 0 && Array.unsafe_get t.hpks !i <> pk do
+    decr i
+  done;
+  let i = !i and n = t.hsize - 1 in
+  if i < 0 then false
+  else begin
+    t.hsize <- n;
+    if i < n then begin
+      let keys = t.hkeys and pks = t.hpks in
+      let key = Array.unsafe_get keys n and pk = Array.unsafe_get pks n in
+      let up =
+        i > 0
+        && begin
+          let parent = (i - 1) lsr 2 in
+          let pkey = Array.unsafe_get keys parent in
+          key < pkey || (key = pkey && pk < Array.unsafe_get pks parent)
+        end
+      in
+      if up then hsift_up keys pks i key pk else hsift_down keys pks n i key pk
+    end;
+    true
+  end
+
+(* The ring scan starts at the tail: the engine cancels far events (a
+   spin's budget expiry) more often than near ones, and the hole is
+   closed by shifting whichever side is shorter, so such a removal
+   moves a few items at most. The gate stays: it still exceeds every
+   ring key and is at most every heap key. Loops over locals, not
+   local recursive functions, which would close over the ring and
+   allocate on every call. *)
+let remove t pk =
+  let mask = Array.length t.rpks - 1 in
+  let rkeys = t.rkeys and rpks = t.rpks in
+  let head = t.rhead and size = t.rsize in
+  let i = ref (size - 1) in
+  while !i >= 0 && Array.unsafe_get rpks ((head + !i) land mask) <> pk do
+    decr i
+  done;
+  let i = !i in
+  let found =
+    if i < 0 then heap_remove t pk
+    else begin
+      if 2 * i >= size then
+        (* Shift the tail side (i, size) down one slot. *)
+        for j = i to size - 2 do
+          let dst = (head + j) land mask and src = (head + j + 1) land mask in
+          Array.unsafe_set rkeys dst (Array.unsafe_get rkeys src);
+          Array.unsafe_set rpks dst (Array.unsafe_get rpks src)
+        done
+      else begin
+        (* Shift the head side [0, i) up one slot. *)
+        for j = i downto 1 do
+          let dst = (head + j) land mask and src = (head + j - 1) land mask in
+          Array.unsafe_set rkeys dst (Array.unsafe_get rkeys src);
+          Array.unsafe_set rpks dst (Array.unsafe_get rpks src)
+        done;
+        t.rhead <- (head + 1) land mask
+      end;
+      t.rsize <- size - 1;
+      if size = 1 && t.hsize > 0 then advance t;
+      true
+    end
+  in
+  if found then t.removals <- t.removals + 1;
+  found
 
 let ring_hits t = t.ring_hits
 let heap_spills t = t.heap_spills
+let removals t = t.removals

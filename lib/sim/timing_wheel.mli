@@ -13,22 +13,25 @@
     has at most {!ring_target} items; a 4-ary heap takes the pushes
     past the ring's gate beyond that. When a pop drains the ring, the
     heap's minimum key moves into it — every item with that key
-    together, so a later push at the same key still sorts after them. *)
+    together, so a later push at the same key still sorts after them.
+    {!remove} takes one item out wherever it sits, found by its
+    tie-break (the engine's cancellation). *)
 
 type t = {
   mutable rkeys : int array;  (** sorted ring: time keys *)
   mutable rpks : int array;   (** sorted ring: tie-breaks *)
   mutable rhead : int;        (** physical index of the ring head *)
-  mutable rsize : int;        (** items in the ring *)
+  mutable rsize : int;
+      (** items in the ring; 0 only when the whole queue is empty *)
   mutable gate : int;
       (** pushes with [key < gate] belong in the ring; above every ring
           key and at most every heap key *)
   mutable hkeys : int array;  (** overflow heap: time keys *)
   mutable hpks : int array;   (** overflow heap: tie-breaks *)
   mutable hsize : int;        (** items in the heap *)
-  mutable size : int;         (** items in the queue: [rsize + hsize] *)
   mutable ring_hits : int;    (** pushes that took the ring *)
   mutable heap_spills : int;  (** pushes that took the heap *)
+  mutable removals : int;     (** items taken out by {!remove} *)
 }
 (** The representation is exposed for {!Engine}'s hot path: one push and
     one pop per simulated event cannot afford call boundaries, so the
@@ -57,19 +60,17 @@ val ring_insert : t -> int -> int -> unit
 (** Sorted-insert into the ring, growing it if full and bumping the
     gate on a tail append. Hot-path building block: the caller has
     already decided the item belongs in the ring ([key < gate], or the
-    heap is empty and the ring below {!ring_target}) and has accounted
-    for it in [size]. *)
+    heap is empty and the ring below {!ring_target}). *)
 
 val push_overflow : t -> int -> int -> unit
 (** Push an item the caller has ruled out of the ring ([key >= gate],
     and the heap non-empty or the ring at {!ring_target}) onto the heap,
-    counting a heap spill. Does not touch [size]. The ring is never
-    empty here: an empty ring means an empty queue, which takes the ring
-    branch. *)
+    counting a heap spill. The ring is never empty here: an empty ring
+    means an empty queue, which takes the ring branch. *)
 
 val advance : t -> unit
 (** Refill an empty ring from the heap: its minimum key, with every
-    item sharing it. Precondition: [size > 0]. Postcondition:
+    item sharing it. Precondition: [hsize > 0]. Postcondition:
     [rsize > 0]. *)
 
 val peek_key : t -> int
@@ -83,6 +84,14 @@ val pop : t -> unit
 (** Drop the minimum item (read it first via the peeks). Precondition:
     not empty. *)
 
+val remove : t -> int -> bool
+(** [remove t pk] takes out the item whose tie-break is [pk] and
+    returns [true], or returns [false] when no such item is queued.
+    A removal that empties the ring while the heap holds items refills
+    it, as a pop does. Tie-breaks must be unique for this to name one
+    item; the engine's are. Cost: a scan of the ring, then of the
+    heap, plus the shift or sift that closes the hole. *)
+
 val length : t -> int
 val is_empty : t -> bool
 
@@ -91,3 +100,6 @@ val ring_hits : t -> int
 
 val heap_spills : t -> int
 (** Pushes that overflowed into the heap. *)
+
+val removals : t -> int
+(** Items taken out by {!remove}. *)

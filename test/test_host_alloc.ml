@@ -148,26 +148,36 @@ let test_server_open_ceiling () =
   if words > 160_000. then
     Alcotest.failf "server-open allocated %.0f minor words (ceiling 160K)" words
 
-(* The same fig8 kernel counts the probe boundaries its spins still
-   walk one float addition at a time (sched.spin_steps_walked). About
-   21K; without the spin path's exact jumps over no-op probe steps it
-   walks 1.81M. Host time cannot be gated here, so this count holds the
-   jumps in place. *)
-let test_fig8_spin_walk_ceiling () =
+(* The fig8 kernel run once under --metrics: the counters of its one
+   published run. Host time cannot be gated here, so the counts below
+   hold two host-side savings in place. *)
+let fig8_counter () =
   Arm.set { Arm.off with Arm.metrics = true };
-  let walked =
-    Fun.protect
-      ~finally:(fun () ->
-        Arm.set Arm.off;
-        ignore (Arm.drain ()))
-      (fun () ->
-        ignore (B2.run fig8 : B2.result);
-        match Arm.drain () with
-        | [ run ] -> Core.Obs.Recorder.counter run.Arm.recorder "sched.spin_steps_walked"
-        | runs -> Alcotest.failf "expected one published run, got %d" (List.length runs))
-  in
+  Fun.protect
+    ~finally:(fun () ->
+      Arm.set Arm.off;
+      ignore (Arm.drain ()))
+    (fun () ->
+      ignore (B2.run fig8 : B2.result);
+      match Arm.drain () with
+      | [ run ] -> Core.Obs.Recorder.counter run.Arm.recorder
+      | runs -> Alcotest.failf "expected one published run, got %d" (List.length runs))
+
+(* The probe boundaries its spins still walk one float addition at a
+   time (sched.spin_steps_walked). About 21K; without the spin path's
+   exact jumps over no-op probe steps it walks 1.81M. *)
+let test_fig8_spin_walk_ceiling () =
+  let walked = fig8_counter () "sched.spin_steps_walked" in
   if walked > 100_000 then
     Alcotest.failf "fig8 walked %d probe steps one at a time (ceiling 100K)" walked
+
+(* The events it runs: pushes minus cancels. About 63K; when a finished
+   spin left its expiry, or a wake, queued to run as a no-op, it ran
+   83.8K. *)
+let test_fig8_event_ceiling () =
+  let c = fig8_counter () in
+  let events = c "sched.shard.pushes" - c "sched.shard.cancels" in
+  if events >= 70_000 then Alcotest.failf "fig8 ran %d events (ceiling 70K)" events
 
 (* An idle engine: about 100 words, its queue's arrays still empty.
    Wheel levels of 256-slot bucket arrays took it to 1,674. *)
@@ -222,6 +232,7 @@ let suite =
     Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
     Alcotest.test_case "server-open under 160K words" `Quick test_server_open_ceiling;
     Alcotest.test_case "fig8 spins walk under 100K steps" `Quick test_fig8_spin_walk_ceiling;
+    Alcotest.test_case "fig8 runs under 70K events" `Quick test_fig8_event_ceiling;
     Alcotest.test_case "Engine.create under 200 words" `Quick test_engine_create_ceiling;
     Alcotest.test_case "deep queue under 1 word/pair" `Quick test_deep_queue_ceiling;
   ]

@@ -447,8 +447,9 @@ let test_create_rejects_bad_clock () =
 
 (* One contended-mutex run rendered exactly: simulated end time, busy
    cycles, lock counts, and each thread's elapsed time and counters,
-   floats in %h. Thread [i] holds the lock for [h0 + h1 * ((i + k) mod 4)]
-   cycles in its [k]-th round and works [g0 + g1 * (i mod 3)] outside. *)
+   floats in %h; returned with the threads and the end time. Thread [i]
+   holds the lock for [h0 + h1 * ((i + k) mod 4)] cycles in its [k]-th
+   round and works [g0 + g1 * (i mod 3)] outside. *)
 let spin_run ?(mhz = 200.) ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1)
     ~gap:(g0, g1) () =
   let cfg = { M.default_config with M.cpus; mhz; spin_cycles = budget; quantum_us; op_jitter } in
@@ -475,7 +476,7 @@ let spin_run ?(mhz = 200.) ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~
       Printf.bprintf b "\n%h cpu=%h ctx=%d blocks=%d spins=%d faults=%d" (M.elapsed_ns th)
         s.M.cpu_cycles s.ctx_switches s.blocks s.spins s.page_faults)
     ths;
-  (Buffer.contents b, ths)
+  (Buffer.contents b, ths, M.now_ns m)
 
 (* Seeds 1-3, 3/5/7 threads, a long (2000 us) and a short (25 us)
    quantum, jittered work. *)
@@ -503,14 +504,17 @@ let exact_runs ~budget ~hold ~gap ~threads () =
 (* The spin path's schedule, pinned across commits: one digest per group
    of runs, over every run's rendering. Budgets 20 and 404 end in a
    partial probe step, 64 and 400 do not; the short budgets mostly
-   expire, and a finished spin's expiry often fires during the thread's
-   next spin. The digests were recorded before spin registrations were
-   reused; a change to them is a change to simulated behaviour. The
-   last three run at 500 MHz, quad_xeon's clock and the benchmark's
-   leak-contended spin shape, whose 16 ns probe step the spin path
-   jumps over exactly, and at 450 MHz, whose 2.222... ns cycle is not
-   dyadic, so every jump falls back to the walk. They were recorded
-   before the jumps existed. *)
+   expire, and a finished spin's expiry, cancelled now, was often due
+   during the thread's next spin. The digests were recorded before spin
+   registrations were reused; a change to them is a change to simulated
+   behaviour. Six were recorded again when a finished spin began
+   cancelling its queued events: in 15 of the 202 runs such an event
+   had been the last to run, so [now=] read past the last finish, and
+   nothing else in any rendering moved. The last three run at 500 MHz,
+   quad_xeon's clock and the benchmark's leak-contended spin shape,
+   whose 16 ns probe step the spin path jumps over exactly, and at
+   450 MHz, whose 2.222... ns cycle is not dyadic, so every jump falls
+   back to the walk. They were recorded before the jumps existed. *)
 let spin_pins =
   List.map
     (fun (cpus, budget, digest) ->
@@ -519,18 +523,18 @@ let spin_pins =
         digest ))
     [ (2, 20, "77754900a07c405b89b549f5de415e6f");
       (2, 64, "5881ae310a9e7c01b0d84cd76a6fef67");
-      (2, 400, "8094b65776445f9e5334b21ccd988e5e");
+      (2, 400, "de450228c70d1de3dca2158b17c9289c");
       (2, 404, "8e4bc8ee9d9c86ba59870b99319b213c");
       (4, 20, "67bee7e865eb290c494be9f066f3a078");
       (4, 64, "002a2452b7a5c024630b468ac7c8a6fb");
-      (4, 400, "a7c6351f27aff3342e314f2848c3b886");
-      (4, 404, "90e33cbc00b52d982f4e36285ba81001");
+      (4, 400, "a877e1a3426e824a8ed3ab7fd23dde32");
+      (4, 404, "b984138674954fcc342920903c204a96");
     ]
   @ [ (* Some thread starts a spin exactly at the final probe boundary
-         of its previous spin, where that spin's leftover expiry fires. *)
+         of its previous spin, where that spin's expiry was due. *)
       ( "exact, 4 cpus, budget 404",
         exact_runs ~budget:404 ~hold:(100, 50) ~gap:(30, 20) ~threads:[ 5; 7 ],
-        "dfaa7d9b31a259c26c2803080585a59a" );
+        "d963425b9c866b8add9673d927ecb16a" );
       (* Spinners on the same probe phase wake at the same boundary,
          where the first registered must win. *)
       ( "exact, 4 cpus, budget 64",
@@ -542,9 +546,9 @@ let spin_pins =
         ( Printf.sprintf "%g MHz, %d cpus, budget %d" mhz cpus budget,
           jittered_runs ~mhz ~cpus ~budget,
           digest ))
-      [ (500., 4, 600, "945d89611a8bf450c3a8806be1a3d4fe");
+      [ (500., 4, 600, "a25a21fb870452c7b9bacec88298bb4d");
         (450., 4, 64, "a73f759607edb4e7967366f79b7735b8");
-        (450., 4, 404, "dafe70f229835ce018e3b9d384bea34f");
+        (450., 4, 404, "d205dfefe1e85a790f2f25931094a30f");
       ]
 
 (* The spin path's one-step jump against the additions it replaces:
@@ -604,7 +608,7 @@ let test_spin_schedule_pinned () =
     (fun (label, runs, expected) ->
       let runs = runs () in
       List.iter
-        (fun (_, ths) ->
+        (fun (_, ths, _) ->
           List.iter
             (fun th ->
               let st = M.thread_stats th in
@@ -613,11 +617,26 @@ let test_spin_schedule_pinned () =
             ths)
         runs;
       Alcotest.(check string) label expected
-        (Digest.to_hex (Digest.string (String.concat "\n--\n" (List.map fst runs)))))
+        (Digest.to_hex
+           (Digest.string (String.concat "\n--\n" (List.map (fun (text, _, _) -> text) runs)))))
     spin_pins;
   (* Both ends of a spin occur: a win, and an expiry then a block. *)
   Alcotest.(check bool) "spins won" true (!spins > 0);
   Alcotest.(check bool) "spins expired into blocks" true (!blocks > 0)
+
+(* A finished spin leaves nothing queued, so no stale event carries the
+   clock past the work: every pinned run ends at its last thread's
+   finish, which is the largest elapsed time, every thread being
+   spawned at 0. *)
+let test_spin_runs_end_at_last_finish () =
+  List.iter
+    (fun (label, runs, _) ->
+      List.iteri
+        (fun i (_, ths, now) ->
+          let last = List.fold_left (fun acc th -> Float.max acc (M.elapsed_ns th)) 0. ths in
+          Alcotest.(check (float 0.)) (Printf.sprintf "%s, run %d" label i) last now)
+        (runs ()))
+    spin_pins
 
 let suite =
   [ Alcotest.test_case "single thread work time" `Quick test_single_thread_work_time;
@@ -647,4 +666,5 @@ let suite =
     Alcotest.test_case "spin schedule pinned" `Quick test_spin_schedule_pinned;
     Alcotest.test_case "sleep_until past and NaN times" `Quick test_sleep_until_times;
     Alcotest.test_case "exact jump agrees with the walk" `Quick test_exact_jump_matches_walk;
+    Alcotest.test_case "spin runs end at the last finish" `Quick test_spin_runs_end_at_last_finish;
   ]

@@ -139,7 +139,7 @@ let test_at_pending_past_raises () =
   let past = Invalid_argument "Engine.at: time in the past" in
   let pending time () =
     (Engine.delay_cell e).Engine.cell_time <- time;
-    Engine.at_pending e ignore
+    ignore (Engine.at_pending e ignore : Engine.handle)
   in
   Alcotest.check_raises "past before run" past (pending (-1.));
   Alcotest.check_raises "NaN before run" past (pending nan);
@@ -181,9 +181,11 @@ let test_clock_view_tracks_now () =
          same "resumed" ()));
   List.iter (fun t -> Engine.at e t (same "at")) [ 0.; 2.5; 2.5; 9. ];
   (Engine.delay_cell e).Engine.cell_time <- 20.;
-  Engine.at_pending e (fun () ->
-      same "at_pending" ();
-      !resume ());
+  ignore
+    (Engine.at_pending e (fun () ->
+         same "at_pending" ();
+         !resume ())
+      : Engine.handle);
   Engine.run e;
   same "after run" ();
   Alcotest.(check (float 0.)) "clock moved" 20. c.Engine.time;

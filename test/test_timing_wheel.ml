@@ -1,10 +1,11 @@
 (* Property tests for the event queue (a sorted ring plus one overflow
    heap) and the engine built on it: pop order must be exactly
    (time, seq) — identical to a sorted reference — under random
-   push/pop interleavings, from an empty queue and from a full ring
-   with equal times on both sides of the ring/heap boundary; and the
-   engine must fire its events in that order whether they were
-   scheduled before the run or by firing events. *)
+   push/pop/cancel interleavings, from an empty queue and from a full
+   ring with equal times on both sides of the ring/heap boundary; and
+   the engine must fire its events in that order whether they were
+   scheduled before the run or by firing events, and never fire one it
+   cancelled. *)
 
 module Tw = Mb_sim.Timing_wheel
 module Engine = Mb_sim.Engine
@@ -36,13 +37,45 @@ let long_factor = 100
 
 (* --- timing wheel vs sorted (key, pk) list --------------------------- *)
 
-(* Push [prefill] in order, then run [ops] (true -> push at the given
-   time; false -> pop, time ignored), checking every pop against a
-   sorted (key, pk) list. *)
+(* Which pending item a cancel removes, in the queue's (key, pk) order:
+   the first, the ring's last, or the [n]-th modulo the queue's length
+   (anywhere in the ring or the heap). *)
+type pick = Head | Ring_tail | Nth of int
+
+type op = Push of float | Pop | Cancel of pick
+
+let print_op = function
+  | Push time -> Printf.sprintf "push %h" time
+  | Pop -> "pop"
+  | Cancel Head -> "cancel head"
+  | Cancel Ring_tail -> "cancel ring tail"
+  | Cancel (Nth n) -> Printf.sprintf "cancel #%d" n
+
+let op_arb ~push ~pop ~cancel time_gen =
+  QCheck.make ~print:print_op
+    QCheck.Gen.(
+      frequency
+        [ (push, map (fun t -> Push t) time_gen);
+          (pop, return Pop);
+          ( cancel,
+            map (fun p -> Cancel p)
+              (frequency [ (1, return Head); (1, return Ring_tail); (2, map (fun n -> Nth n) nat) ])
+          );
+        ])
+
+(* Push [prefill] in order, then run [ops], checking every pop, every
+   removal and the final drain against a sorted (key, pk) list. A
+   removal must find its item, leave the queue's minimum where the
+   model has it, and find nothing when repeated. *)
 let matches_sorted_model ?(prefill = []) ops =
   let w = Tw.create () in
   let model = ref [] in
   let seq = ref 0 in
+  let head_ok () =
+    match !model with
+    | [] -> Tw.is_empty w && Tw.peek_key w = max_int && Tw.peek_pk w = max_int
+    | (k, p) :: _ -> Tw.peek_key w = k && Tw.peek_pk w = p
+  in
   let push time =
     let key = Tw.key_of_time time and pk = !seq in
     incr seq;
@@ -55,31 +88,48 @@ let matches_sorted_model ?(prefill = []) ops =
     model := insert !model;
     Tw.length w = List.length !model
   in
-  List.for_all push prefill
-  && List.for_all
-       (fun (is_push, time) ->
-         if is_push then push time
-         else
-           match !model with
-           | [] -> Tw.is_empty w && Tw.peek_key w = max_int && Tw.peek_pk w = max_int
-           | (k, p) :: tl ->
-               let ok = Tw.peek_key w = k && Tw.peek_pk w = p in
-               Tw.pop w;
-               model := tl;
-               ok)
-       ops
+  let step = function
+    | Push time -> push time
+    | Pop -> (
+        match !model with
+        | [] -> head_ok ()
+        | _ :: tl ->
+            let ok = head_ok () in
+            Tw.pop w;
+            model := tl;
+            ok)
+    | Cancel pick -> (
+        match !model with
+        | [] -> (not (Tw.remove w 0)) && head_ok ()
+        | m ->
+            let n = List.length m in
+            let i =
+              match pick with Head -> 0 | Ring_tail -> w.Tw.rsize - 1 | Nth k -> k mod n
+            in
+            let _, pk = List.nth m i in
+            let removed = Tw.remove w pk in
+            model := List.filter (fun (_, p) -> p <> pk) m;
+            removed
+            && (not (Tw.remove w pk))
+            && Tw.length w = n - 1
+            && head_ok ())
+  in
+  let rec drain () = if !model = [] then head_ok () else step Pop && drain () in
+  List.for_all push prefill && List.for_all step ops && drain ()
 
 let prop_wheel_fuzz_vs_model =
   QCheck.Test.make ~name:"wheel push/pop fuzz matches sorted model" ~count:300 ~long_factor
-    QCheck.(list_of_size Gen.(int_range 0 500) (pair bool time_arb))
+    QCheck.(list_of_size Gen.(int_range 0 500) (op_arb ~push:5 ~pop:4 ~cancel:1 time_gen))
     (fun ops -> matches_sorted_model ops)
 
 (* Aimed at the ring/heap boundary: the ring starts full at 100 ns, so
-   later pushes spill to the heap; pushes outnumber pops 3:2, so the
-   queue stays deep; and a handful of times, near and past 2^52 ns,
-   make refills meet ties. A refill that moved only the heap root
-   into the ring would let a later equal-time push overtake the
-   root's equal-time siblings still in the heap. *)
+   later pushes spill to the heap; pushes outnumber pops and cancels
+   3:2:1, so the queue stays deep; and a handful of times, near and
+   past 2^52 ns, make refills meet ties. A refill that moved only the
+   heap root into the ring would let a later equal-time push overtake
+   the root's equal-time siblings still in the heap. Cancels take
+   items from the heap and from the ring, and now and then the ring's
+   last item, which refills the ring as a pop does. *)
 let boundary_time_gen =
   QCheck.Gen.(
     oneof
@@ -90,12 +140,7 @@ let boundary_time_gen =
 let prop_wheel_boundary_fuzz =
   QCheck.Test.make ~name:"wheel ring/heap boundary fuzz matches sorted model" ~count:300
     ~long_factor
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 500)
-        (pair
-           (make ~print:string_of_bool Gen.(frequency [ (3, return true); (2, return false) ]))
-           (make ~print:string_of_float boundary_time_gen)))
+    QCheck.(list_of_size Gen.(int_range 0 500) (op_arb ~push:3 ~pop:2 ~cancel:1 boundary_time_gen))
     (fun ops -> matches_sorted_model ~prefill:(List.init Tw.ring_target (fun _ -> 100.)) ops)
 
 let prop_wheel_drain_sorted =
@@ -118,6 +163,49 @@ let prop_wheel_drain_sorted =
       in
       drain [] = expected)
 
+(* A removal at each place it can hit, with the queue's shape checked
+   at each step: the ring's head, middle and tail, a heap item among
+   equal times, and the ring's last item while the heap holds more,
+   which refills the ring with the heap's minimum key. *)
+let test_wheel_remove_places () =
+  let w = Tw.create () in
+  let n = Tw.ring_target in
+  for i = 0 to n - 1 do
+    Tw.push w (Tw.key_of_time (float_of_int i)) i
+  done;
+  let far = Tw.key_of_time 1e9 in
+  for i = n to n + 3 do
+    Tw.push w far i
+  done;
+  let shape what r h =
+    Alcotest.(check (pair int int)) what (r, h) (w.Tw.rsize, w.Tw.hsize)
+  in
+  shape "full ring, four far items in the heap" n 4;
+  let remove what pk =
+    Alcotest.(check bool) what true (Tw.remove w pk);
+    Alcotest.(check bool) (what ^ ", again") false (Tw.remove w pk)
+  in
+  remove "ring head" 0;
+  remove "ring middle" (n / 2);
+  remove "ring tail" (n - 1);
+  shape "three gone from the ring" (n - 3) 4;
+  remove "heap item" (n + 1);
+  shape "one gone from the heap" (n - 3) 3;
+  Alcotest.(check int) "minimum after a head removal" 1 (Tw.peek_pk w);
+  while w.Tw.rsize > 1 do
+    Tw.pop w
+  done;
+  remove "last ring item" (n - 2);
+  shape "refilled from the heap" 3 0;
+  let rec drain acc = if Tw.is_empty w then List.rev acc else begin
+      let pk = Tw.peek_pk w in
+      Tw.pop w;
+      drain (pk :: acc)
+    end
+  in
+  Alcotest.(check (list int)) "far items in pk order" [ n; n + 2; n + 3 ] (drain []);
+  Alcotest.(check int) "removals counted" 5 (Tw.removals w)
+
 (* Counters split pushes into exactly two destinations: ascending
    appends fill the ring to its target size, then overflow into the
    heap. *)
@@ -137,59 +225,130 @@ let test_wheel_counters () =
 (* --- engine queue vs (time, insertion) model ------------------------- *)
 
 (* Top-level events are scheduled before the run at absolute times;
-   when one fires, it schedules its children [dt] after its own time.
-   Up to 200 top-level events keep far more than [ring_target]
-   pending, so the engine's overflow and refill branches run — no
+   when one fires, it schedules its children [dt] after its own time,
+   then cancels, for each of its picks, the pick-th pending event
+   (modulo how many are pending, in (time, insertion) order). Up to 200
+   top-level events keep far more than [ring_target] pending, so the
+   engine's overflow, refill and heap removal branches run — no
    workload leaves the ring. *)
 let engine_events_gen =
-  QCheck.(list_of_size Gen.(int_range 0 200) (pair time_arb (list_of_size Gen.(int_bound 2) time_arb)))
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 200)
+      (triple time_arb (list_of_size Gen.(int_bound 2) time_arb) (list_of_size Gen.(int_bound 1) small_nat)))
 
 module Model = Map.Make (struct
   type t = float * int
   let compare = compare
 end)
 
+(* The key of the [pick]-th pending event, modulo how many there are. *)
+let nth_pending pending pick =
+  match Model.cardinal pending with
+  | 0 -> None
+  | n -> Some (fst (List.nth (Model.bindings pending) (pick mod n)))
+
 (* Reference: a map ordered by (time, insertion index), popped minimum
    first. *)
 let model_firing_order events =
   let pending = ref Model.empty and next = ref 0 in
-  let schedule time kids =
-    pending := Model.add (time, !next) kids !pending;
+  let schedule time kids picks =
+    pending := Model.add (time, !next) (kids, picks) !pending;
     incr next
   in
-  List.iter (fun (time, kids) -> schedule time kids) events;
+  List.iter (fun (time, kids, picks) -> schedule time kids picks) events;
   let fired = ref [] in
   while not (Model.is_empty !pending) do
-    let ((time, id) as k), kids = Model.min_binding !pending in
+    let ((time, id) as k), (kids, picks) = Model.min_binding !pending in
     pending := Model.remove k !pending;
     fired := id :: !fired;
-    List.iter (fun dt -> schedule (time +. dt) []) kids
+    List.iter (fun dt -> schedule (time +. dt) [] []) kids;
+    List.iter
+      (fun pick -> Option.iter (fun k -> pending := Model.remove k !pending) (nth_pending !pending pick))
+      picks
   done;
   List.rev !fired
 
+let stale = Invalid_argument "Engine.cancel: event already ran or was cancelled"
+
+let cancel_raises e h =
+  match Engine.cancel e h with
+  | () -> false
+  | exception ex -> ex = stale
+
+(* The engine's side: the pending map holds each event's handle. Every
+   cancelled handle, and after the run every handle, must raise when
+   cancelled. *)
 let engine_firing_order ?obs events =
   let e = Engine.create ?obs () in
+  let cell = Engine.delay_cell e in
   let log = ref [] and next = ref 0 in
+  let pending = ref Model.empty and handles = ref [] in
   let schedule time on_fire =
     let id = !next in
     incr next;
-    Engine.at e time (fun () ->
-        log := id :: !log;
-        on_fire ())
+    cell.Engine.cell_time <- time;
+    let h =
+      Engine.at_pending e (fun () ->
+          pending := Model.remove (time, id) !pending;
+          log := id :: !log;
+          on_fire ())
+    in
+    pending := Model.add (time, id) h !pending;
+    handles := h :: !handles
+  in
+  let cancel pick =
+    Option.iter
+      (fun k ->
+        let h = Model.find k !pending in
+        Engine.cancel e h;
+        pending := Model.remove k !pending;
+        if not (cancel_raises e h) then failwith "a cancelled handle cancelled again")
+      (nth_pending !pending pick)
   in
   List.iter
-    (fun (time, kids) ->
+    (fun (time, kids, picks) ->
       schedule time (fun () ->
           let now = Engine.now e in
-          List.iter (fun dt -> schedule (now +. dt) ignore) kids))
+          List.iter (fun dt -> schedule (now +. dt) ignore) kids;
+          List.iter cancel picks))
     events;
   Engine.run e;
+  if not (List.for_all (cancel_raises e) !handles) then failwith "a handle that ran cancelled";
   (e, List.rev !log)
 
 let prop_engine_queue_vs_model =
   QCheck.Test.make ~name:"engine fires events in (time, insertion) order" ~count:200
     ~long_factor engine_events_gen
     (fun events -> snd (engine_firing_order events) = model_firing_order events)
+
+(* A cancelled event neither runs nor moves the clock, and its arena
+   slot goes to the next event: a stale handle whose slot another event
+   now holds still raises and leaves that event alone, and more
+   schedule/cancel pairs than the arena's 2^20 slots never exhaust it. *)
+let test_engine_cancel () =
+  let e = Engine.create () in
+  let cell = Engine.delay_cell e in
+  let schedule time thunk =
+    cell.Engine.cell_time <- time;
+    Engine.at_pending e thunk
+  in
+  Alcotest.(check bool) "no_event raises" true (cancel_raises e Engine.no_event);
+  for i = 1 to (1 lsl 20) + 1 do
+    Engine.cancel e (schedule (float_of_int i) ignore)
+  done;
+  let log = ref [] in
+  let fire tag () = log := tag :: !log in
+  let a = schedule 5. (fire "A") in
+  Engine.cancel e a;
+  let b = schedule 5. (fire "B") in
+  Alcotest.(check bool) "stale handle raises" true (cancel_raises e a);
+  let c = schedule 9. (fire "C") in
+  Engine.cancel e c;
+  Engine.run e;
+  Alcotest.(check (list string)) "only B ran" [ "B" ] !log;
+  Alcotest.(check (float 0.)) "clock at B" 5. (Engine.now e);
+  Alcotest.(check bool) "a handle that ran raises" true (cancel_raises e b)
 
 (* A fixed deep, far-reaching schedule: the queue's counters must show
    that the property above really leaves the ring. *)
@@ -199,7 +358,7 @@ let test_engine_queue_overflows () =
         (* ascending, so the ring fills to its target first; the far
            tail must come last or its gate would pull everything in *)
         let time = if i >= 290 then 4503599627370496. +. float_of_int i else float_of_int (i * 977) in
-        (time, [ float_of_int (i * 31) ]))
+        (time, [ float_of_int (i * 31) ], []))
   in
   let obs = Obs.create ~trace:false ~metrics:true () in
   let e, order = engine_firing_order ~obs events in
@@ -269,4 +428,6 @@ let suite =
     Alcotest.test_case "engine queue leaves the ring" `Quick test_engine_queue_overflows;
     Alcotest.test_case "equal far times fire in seq order" `Quick test_far_ties_keep_seq_order;
     Alcotest.test_case "engine schedule matches recorded log" `Quick test_engine_schedule_pinned;
+    Alcotest.test_case "wheel removal at every place" `Quick test_wheel_remove_places;
+    Alcotest.test_case "engine cancel frees and rejects handles" `Quick test_engine_cancel;
   ]
