@@ -232,7 +232,7 @@ let suite =
     Alcotest.test_case "ptmalloc malloc/free under 1 word/pair" `Quick test_ptmalloc_pair_ceiling;
     Alcotest.test_case "server-open under 160K words" `Quick test_server_open_ceiling;
     Alcotest.test_case "fig8 spins walk under 100K steps" `Quick test_fig8_spin_walk_ceiling;
-    Alcotest.test_case "fig8 runs under 70K events" `Quick test_fig8_event_ceiling;
     Alcotest.test_case "Engine.create under 200 words" `Quick test_engine_create_ceiling;
     Alcotest.test_case "deep queue under 1 word/pair" `Quick test_deep_queue_ceiling;
+    Alcotest.test_case "fig8 runs under 70K events" `Quick test_fig8_event_ceiling;
   ]
