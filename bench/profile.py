@@ -16,6 +16,14 @@ and counts for `runtime`; a PC outside the executable (libc, the vDSO)
 counts for `[outside]`. CMD's own output goes to stderr, so stdout
 holds only the profile; the exit status is CMD's.
 
+The tree builds in dune's release profile, where ocamlopt inlines
+small functions across modules: a PC in inlined code lies in the
+caller's symbol, so its samples count for the caller's module
+(`Engine.now` read inside `Machine` counts for `Mb_machine.Machine`).
+Rollups taken from a `-opaque` (dev profile) build, as before the
+release build, therefore differ from today's in attribution as well as
+in cost.
+
 The timer counts CPU time, and the kernel's tick gives about 250
 samples per CPU-second: a 10-second run yields some 2,500. x86-64 Linux
 only. Example:

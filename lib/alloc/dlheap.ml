@@ -59,7 +59,6 @@ type kind =
   | Sub of { region_base : int; region_len : int; mutable sub_brk : int }
 
 type t = {
-  proc : M.proc;
   costs : Costs.t;
   (* [costs] scaled once, at creation: a heap's costs never change. *)
   malloc_cost : int;
@@ -136,10 +135,9 @@ let chunk_size_for request =
 
 (* A main heap's segment starts at its first growth; a sub-heap's at
    its region. *)
-let make proc ~costs ~params ~stats kind =
+let make ~costs ~params ~stats kind =
   let base = match kind with Main -> -1 | Sub s -> s.region_base in
-  { proc;
-    costs;
+  { costs;
     malloc_cost = Costs.apply costs costs.Costs.malloc_base;
     free_cost = Costs.apply costs costs.Costs.free_base;
     split_cost = Costs.apply costs costs.Costs.split;
@@ -162,14 +160,14 @@ let make proc ~costs ~params ~stats kind =
     probes = 0;
   }
 
-let create_main proc ~costs ~params ~stats = make proc ~costs ~params ~stats Main
+let create_main ~costs ~params ~stats = make ~costs ~params ~stats Main
 
 let create_sub ctx ~costs ~params ~stats =
   match M.mmap ctx ~len:params.sub_heap_bytes with
   | None -> None
   | Some region_base ->
       let kind = Sub { region_base; region_len = params.sub_heap_bytes; sub_brk = region_base } in
-      let t = make (M.proc ctx) ~costs ~params ~stats kind in
+      let t = make ~costs ~params ~stats kind in
       stats.Astats.arenas_created <- stats.Astats.arenas_created + 1;
       Some t
 

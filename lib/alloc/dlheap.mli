@@ -54,7 +54,7 @@ val header_bytes : int
 val min_chunk_bytes : int
 (** Smallest chunk the heap will carve (16 bytes, header included). *)
 
-val create_main : Mb_machine.Machine.proc -> costs:Costs.t -> params:params -> stats:Astats.t -> t
+val create_main : costs:Costs.t -> params:params -> stats:Astats.t -> t
 (** The process's primary heap, growing at the break. Lazy: the first
     allocation performs the initial [sbrk]. A heap's costs never
     change, so each fixed charge is scaled ({!Costs.apply}) once, here

@@ -13,7 +13,7 @@ type heap = {
   index : int;
   lock : M.Mutex.t;
   (* superblocks by size-class index *)
-  mutable blocks : superblock list array;
+  blocks : superblock list array;
   mutable used : int;      (* blocks in use across the heap, in bytes *)
   mutable held : int;      (* capacity held across the heap, in bytes *)
 }

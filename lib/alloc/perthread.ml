@@ -12,7 +12,6 @@ type t = {
   global : Dlheap.t;
   gmutex : M.Mutex.t;
   stats : Astats.t;        (* the facade's view *)
-  heap_stats : Astats.t;   (* the shared heap's internal accounting *)
   caches : (int, int list array * int array) Hashtbl.t;  (* tid -> (per-class lists, counts) *)
   sizes : (int, int) Hashtbl.t;  (* user addr -> class bytes, for cached routing *)
   batch : int;
@@ -22,14 +21,13 @@ type t = {
 
 let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?(batch = 16) ?(cache_limit = 64) () =
   let stats = Astats.create () in
-  let heap_stats = Astats.create () in
-  let global = Dlheap.create_main proc ~costs ~params ~stats:heap_stats in
+  (* The shared heap keeps its own accounting, which nothing reads. *)
+  let global = Dlheap.create_main ~costs ~params ~stats:(Astats.create ()) in
   stats.Astats.arenas_created <- 1;
   { proc;
     global;
     gmutex = M.Mutex.create (M.proc_machine proc) ~name:"perthread-global" ~heap:true ();
     stats;
-    heap_stats;
     caches = Hashtbl.create 16;
     sizes = Hashtbl.create 1024;
     batch;

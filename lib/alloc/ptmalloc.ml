@@ -44,7 +44,7 @@ let main_descriptor = M.libc_data_address + 0x200
 
 let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_arenas () =
   let stats = Astats.create () in
-  let main_heap = Dlheap.create_main proc ~costs ~params ~stats in
+  let main_heap = Dlheap.create_main ~costs ~params ~stats in
   let machine = M.proc_machine proc in
   let main =
     { heap = main_heap;

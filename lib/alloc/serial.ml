@@ -10,7 +10,7 @@ type t = {
 
 let make proc ?(costs = Costs.solaris) ?(params = Dlheap.default_params) () =
   let stats = Astats.create () in
-  let heap = Dlheap.create_main proc ~costs ~params ~stats in
+  let heap = Dlheap.create_main ~costs ~params ~stats in
   stats.Astats.arenas_created <- 1;
   { proc;
     heap;

@@ -56,15 +56,8 @@ type machine_hot = { mutable busy : float; cycle_ns : float }
 type t = {
   config : config;
   engine : Engine.t;
-  dcell : Engine.cell;
-      (* engine's hand-off cell, cached so the hot paths are
-         [m.dcell.cell_time <- ns; Engine.delay_pending m.engine] — an
-         unboxed store plus an allocation-free constant effect — and
-         [m.dcell.cell_time <- time; Engine.at_pending m.engine ev] *)
-  clock : Engine.clock;  (* the engine's clock, read unboxed *)
   cache : Coherence.t;
   root_rng : Rng.t;
-  jit : Rng.cell;  (* [work]'s jitter hand-off: an unboxed draw *)
   probe_g : int;  (* [low_bit_exp] of a full probe step, [8. *. cycle_ns] *)
   mutable spin_walked : int;  (* probe boundaries the lazy spin path still
                                  walked one addition at a time *)
@@ -158,7 +151,7 @@ and proc = {
    unboxed store. *)
 and thread_hot = {
   mutable quantum_left : float;
-  mutable spawn_ns : float;
+  spawn_ns : float;
   mutable finish_ns : float;
   mutable cpu_cycles : float;
   mutable run_start_ns : float;  (* dispatch time of the current CPU tenure *)
@@ -295,14 +288,10 @@ let create ?(seed = 42) (config : config) =
   let fault =
     match arm.faults with None -> Fault.null | Some (plan, seed) -> Fault.create ~plan ~seed
   in
-  let engine = Engine.create ~obs () in
   { config;
-    engine;
-    dcell = Engine.delay_cell engine;
-    clock = Engine.clock engine;
+    engine = Engine.create ~obs ();
     cache = Coherence.create config.cache ~cpus:config.cpus;
     root_rng = Rng.create ~seed;
-    jit = Rng.cell ();
     probe_g = low_bit_exp (8. *. cycle_ns);
     spin_walked = 0;
     quantum_cycles = config.quantum_us *. 1000. /. cycle_ns;
@@ -388,7 +377,7 @@ let run t =
   Engine.run t.engine;
   flush_observations t
 
-let now_ns t = t.clock.Engine.time
+let now_ns t = Engine.now t.engine
 
 let total_ctx_switches (t : t) = t.ctx_switches
 
@@ -434,10 +423,9 @@ let dispatch m cpu =
         if resume == no_resume then
           invalid_arg "Machine: dispatching a thread that never parked";
         th.resume <- no_resume;
-        let now = m.clock.Engine.time in
+        let now = Engine.now m.engine in
         th.hot.run_start_ns <- now;
-        m.dcell.Engine.cell_time <- now +. cycles_to_ns m switch;
-        ignore (Engine.at_pending m.engine resume : Engine.handle)
+        ignore (Engine.at m.engine (now +. cycles_to_ns m switch) resume : Engine.handle)
       end
 
 let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
@@ -455,7 +443,7 @@ let release_cpu m th =
   | Some _ | None -> invalid_arg "Machine: thread releasing a CPU it does not hold");
   if Obs.tracing m.obs then begin
     Obs.span m.obs ~lane:th.lane ~name:"run" ~ts_ns:th.hot.run_start_ns
-      ~dur_ns:(m.clock.Engine.time -. th.hot.run_start_ns)
+      ~dur_ns:(Engine.now m.engine -. th.hot.run_start_ns)
       ~args:[ ("cpu", string_of_int cpu.cpu_id) ]
       ()
   end;
@@ -475,14 +463,13 @@ let preempt m th =
   park_for_cpu th
 
 (* Charge [c] cycles that fit in the running quantum ([0 < c <= q], [q]
-   the quantum left): one delay through the engine's unboxed cell, the
-   cycle accounting, and a refresh or preemption when the quantum ran
-   out exactly. This runs for every simulated work item, lock operation
-   and memory access. Inlined into each caller, so [c] and [q] stay
-   local unboxed floats: passed to a real call, each would be boxed. *)
+   the quantum left): one [Engine.delay_pending], the cycle accounting,
+   and a refresh or preemption when the quantum ran out exactly. This
+   runs for every simulated work item, lock operation and memory
+   access. Inlined into each caller, so [c] and [q] stay local unboxed
+   floats: passed to a real call, each would be boxed. *)
 let[@inline] charge th m c q =
-  m.dcell.Engine.cell_time <- c *. m.mh.cycle_ns;
-  Engine.delay_pending m.engine;
+  Engine.delay_pending m.engine (c *. m.mh.cycle_ns);
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. c;
   m.mh.busy <- m.mh.busy +. c;
   let q' = q -. c in
@@ -504,8 +491,7 @@ let rec consume th cycles =
     let q = th.hot.quantum_left in
     if cycles <= q then charge th m cycles q
     else begin
-      m.dcell.Engine.cell_time <- q *. m.mh.cycle_ns;
-      Engine.delay_pending m.engine;
+      Engine.delay_pending m.engine (q *. m.mh.cycle_ns);
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
       m.mh.busy <- m.mh.busy +. q;
       th.hot.quantum_left <- 0.;
@@ -533,7 +519,7 @@ let acquire_cpu_initial m th =
       cpu.current <- th.tsome;
       th.state <- Running;
       th.on_cpu <- cpu.cpu_id;
-      th.hot.run_start_ns <- m.clock.Engine.time;
+      th.hot.run_start_ns <- Engine.now m.engine;
       th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
       th.switches <- th.switches + 1;
       m.ctx_switches <- m.ctx_switches + 1;
@@ -674,7 +660,7 @@ let[@inline] spin_step_account th m fc =
 let spin_advance m sp =
   let th = sp.sth in
   let h = th.hot in
-  let t_lim = m.clock.Engine.time in
+  let t_lim = Engine.now m.engine in
   let full = sp.srem / 8 in
   let d = 8. *. m.mh.cycle_ns in
   let n = (t_lim -. h.spin_base) /. d in
@@ -740,7 +726,7 @@ let spin_wake sp =
   let th = sp.sth in
   let step = if sp.srem < 8 then sp.srem else 8 in
   spin_step_account th m (float_of_int step);
-  th.hot.spin_base <- m.clock.Engine.time;
+  th.hot.spin_base <- Engine.now m.engine;
   sp.srem <- sp.srem - step;
   if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
   then ()
@@ -761,7 +747,7 @@ let spin_expire sp =
   let th = sp.sth in
   spin_advance m sp;
   spin_step_account th m (float_of_int sp.srem);
-  th.hot.spin_base <- m.clock.Engine.time;
+  th.hot.spin_base <- Engine.now m.engine;
   sp.srem <- 0;
   if sp.swake != Engine.no_event then begin
     Engine.cancel m.engine sp.swake;
@@ -782,8 +768,8 @@ let wake_spinners mu =
     spin_advance m sp;
     if sp.swake == Engine.no_event && sp.srem > 0 then begin
       let step = if sp.srem < 8 then sp.srem else 8 in
-      m.dcell.Engine.cell_time <- sp.sth.hot.spin_base +. (float_of_int step *. m.mh.cycle_ns);
-      sp.swake <- Engine.at_pending m.engine sp.wake_ev
+      sp.swake <-
+        Engine.at m.engine (sp.sth.hot.spin_base +. (float_of_int step *. m.mh.cycle_ns)) sp.wake_ev
     end
   done
 
@@ -821,7 +807,7 @@ let spin_on mu th =
       assert (sp.sexpire == Engine.no_event && sp.swake == Engine.no_event);
       sp.smu <- mu;
       sp.srem <- budget;
-      th.hot.spin_base <- m.clock.Engine.time;
+      th.hot.spin_base <- Engine.now m.engine;
       let n = mu.nspinners in
       if n = Array.length mu.spinners then begin
         let a = Array.make (max 4 (2 * n)) sp in
@@ -846,8 +832,7 @@ let spin_on mu th =
         b := !b - step;
         m.spin_walked <- m.spin_walked + 1
       done;
-      m.dcell.Engine.cell_time <- !t_end;
-      sp.sexpire <- Engine.at_pending m.engine sp.expire_ev;
+      sp.sexpire <- Engine.at m.engine !t_end sp.expire_ev;
       Engine.suspend m.engine sp.register
     end
   end
@@ -876,7 +861,7 @@ let rec mutex_lock_slow mu th =
       th.state <- Blocked;
       if Obs.tracing m.obs then
         Obs.instant m.obs ~lane:th.lane ~name:("block " ^ mu.mname)
-          ~ts_ns:m.clock.Engine.time
+          ~ts_ns:(Engine.now m.engine)
           ~args:[ ("cpu", string_of_int th.on_cpu) ]
           ();
       Engine.set_wait m.engine th.lane ~why:mu.mblocked ~waits_on:owner.lane;
@@ -1019,13 +1004,12 @@ let page_in th addr ~len =
 
 let work_exact = work_exact_cycles
 
-(* Jittered work: the draw comes through the machine's unboxed cell and
-   the common case is charged inline, so a call allocates nothing. *)
+(* Jittered work: the draw is inlined and the common case is charged
+   inline, so a call allocates nothing. *)
 let work th cycles =
   if cycles > 0 then begin
     let m = th.tproc.pm in
-    Rng.jitter_into th.trng m.config.op_jitter m.jit;
-    let c = float_of_int cycles *. m.jit.Rng.draw in
+    let c = float_of_int cycles *. Rng.jitter th.trng m.config.op_jitter in
     let q = th.hot.quantum_left in
     if c > 0. && c <= q then charge th m c q else consume th c
   end
@@ -1072,7 +1056,7 @@ let spawn p ?name body =
       on_cpu = -1;
       hot =
         { quantum_left = 0.;
-          spawn_ns = m.clock.Engine.time;
+          spawn_ns = Engine.now m.engine;
           finish_ns = nan;
           cpu_cycles = 0.;
           run_start_ns = 0.;
@@ -1120,7 +1104,7 @@ let spawn p ?name body =
          List.iter (fun hook -> hook ()) (List.rev th.hooks);
          if th.stack_addr >= 0 then
            As.munmap p.pvm th.stack_addr ~len:thread_stack_bytes;
-         th.hot.finish_ns <- m.clock.Engine.time;
+         th.hot.finish_ns <- Engine.now m.engine;
          th.state <- Finished;
          p.live_threads <- p.live_threads - 1;
          Queue.iter (fun joiner -> make_ready m joiner) th.joiners;
@@ -1143,7 +1127,7 @@ let join th target =
 
 (* --- ctx accessors ----------------------------------------------------- *)
 
-let now th = th.tproc.pm.clock.Engine.time
+let now th = Engine.now th.tproc.pm.engine
 
 let tid th = th.tid
 
@@ -1293,11 +1277,11 @@ end
 let sleep_until th t =
   let m = th.tproc.pm in
   if Float.is_nan t then invalid_arg "Machine.sleep_until: NaN time";
-  if t > m.clock.Engine.time then begin
+  if t > Engine.now m.engine then begin
     th.state <- Blocked;
     Engine.set_wait m.engine th.lane ~why:"sleeping" ~waits_on:(-1);
     if th.sleep_wake == no_resume then th.sleep_wake <- (fun () -> make_ready m th);
-    Engine.at m.engine t th.sleep_wake;
+    ignore (Engine.at m.engine t th.sleep_wake : Engine.handle);
     release_cpu m th;
     park_for_cpu th
   end

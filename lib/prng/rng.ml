@@ -5,7 +5,7 @@
    The 64-bit state lives in a one-element int64 Bigarray rather than a
    [mutable int64] record field: an int64 record field is a pointer to a
    boxed custom block, so every state step would allocate, while Bigarray
-   loads and stores move the raw 64 bits. With the mix inlined into each
+   loads and stores move the raw 64 bits. With [bits64] inlined into each
    drawing function, all int64 temporaries stay local (the compiler keeps
    them unboxed), and drawing a number allocates nothing. The generated
    streams are bit-identical to the boxed implementation.
@@ -31,11 +31,10 @@ let make state =
 
 let create ~seed = make (mix64 (Int64.of_int seed))
 
-(* Advance the state and return the raw mixed output. Kept as the single
-   definition of the step so every caller below inlines the same
-   arithmetic; do not hoist the mix into a helper that returns int64
-   across a call boundary (it would box). *)
-let bits64 (t : t) =
+(* Advance the state and return the raw mixed output: the one definition
+   of the step. Every drawing function below inlines it; an int64
+   returned from a call that is not inlined would be boxed. *)
+let[@inline] bits64 (t : t) =
   let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
   Bigarray.Array1.unsafe_set t 0 s;
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
@@ -44,14 +43,8 @@ let bits64 (t : t) =
 
 let split t = make (bits64 t)
 
-let positive_bits (t : t) =
-  (* 62 random bits, always non-negative as an OCaml int. *)
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int (Int64.shift_right_logical z 2)
+(* 62 random bits, always non-negative as an OCaml int. *)
+let positive_bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let int t bound =
   assert (bound > 0);
@@ -63,40 +56,21 @@ let int_in t lo hi =
 
 let scale_53 = 1.0 /. 9007199254740992.0 (* 2^53 *)
 
-let float (t : t) bound =
+(* 53 random bits, scaled into [0, 1). *)
+let[@inline] unit_float t =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (bits64 t) 11)) *. scale_53
+
+let float t bound =
   assert (bound > 0.);
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  float_of_int bits *. scale_53 *. bound
+  unit_float t *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-(* [1.0 -. pct +. float t (2.0 *. pct)] with the draw inlined so the
-   only allocation left is boxing the returned float. The float
-   arithmetic reproduces [float]'s exact operation order, so the result
-   is bit-identical to the composed version. Inlined into [jitter_into],
-   where the result lands in an all-float cell and is never boxed. *)
-let[@inline] jitter (t : t) pct =
-  if pct <= 0. then 1.0
-  else begin
-    let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t 0 s;
-    let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-    1.0 -. pct +. (float_of_int bits *. scale_53 *. (2.0 *. pct))
-  end
-
-type cell = { mutable draw : float }
-
-let cell () = { draw = 0. }
-
-let jitter_into t pct c = c.draw <- jitter t pct
+(* [1.0 -. pct +. float t (2.0 *. pct)], bit for bit, without
+   [float]'s assertion. Inlined into callers in other modules, where
+   the draw is never boxed. *)
+let[@inline] jitter t pct =
+  if pct <= 0. then 1.0 else 1.0 -. pct +. (unit_float t *. (2.0 *. pct))
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -3,15 +3,11 @@ module Tw = Timing_wheel
 
 type pid = int
 
-(* Caller-visible cell for passing times across module boundaries
-   without boxing a float argument or return: an all-float record field
-   is stored unboxed, and writing one allocates nothing. *)
-type cell = { mutable cell_time : float }
-
-(* The clock is an all-float record too, advanced in place. The
-   interface exports it [private], so other modules read the time
-   unboxed through {!clock} and only the engine writes it. *)
-type clock = { mutable time : float }
+(* The clock is an all-float record, advanced in place: its fields are
+   stored unboxed, so moving the clock allocates nothing. [wake] hands
+   a delay's wake-up time from [delay_pending] or [effc] to the handler
+   closure (see [start]). *)
+type clock = { mutable time : float; mutable wake : float }
 
 (* Pending events live in one {!Timing_wheel}, ordered by (time, seq).
    The engine stores each event's payload — a bare continuation for a
@@ -48,8 +44,7 @@ type handle = int
 let no_event = -1
 
 type t = {
-  clock : clock;  (* all-float: advancing the clock never boxes *)
-  scratch : cell;  (* hand-off for the Delay hot path and [at_pending] *)
+  clock : clock;
   wheel : Tw.t;
   mutable next_seq : int;  (* stamps every push; also the push count *)
   (* Event payload arena + free-list stack: popped slots are not
@@ -125,10 +120,10 @@ let () =
 type _ Effect.t += Delay : float -> unit Effect.t
 type _ Effect.t += Park : ((unit -> unit) -> unit) -> unit Effect.t
 
-(* Constant-constructor twin of [Delay]: the duration travels through
-   the engine's [scratch] cell instead of the effect value, so a
+(* Constant-constructor twin of [Delay]: the wake-up time travels
+   through the engine's [clock.wake] instead of the effect value, so a
    perform allocates no effect block and no float box. This is the
-   machine layer's hot path — see [delay_cell]/[delay_pending]. *)
+   machine layer's hot path — see [delay_pending]. *)
 type _ Effect.t += Tick : unit Effect.t
 
 (* Constant-constructor twin of [Park] for engine-level pollers: the
@@ -140,8 +135,7 @@ type _ Effect.t += Tick : unit Effect.t
 type _ Effect.t += Suspend : unit Effect.t
 
 let create ?(obs = Obs.null) () =
-  { clock = { time = 0. };
-    scratch = { cell_time = 0. };
+  { clock = { time = 0.; wake = 0. };
     wheel = Tw.create ();
     next_seq = 0;
     slots = [||];
@@ -160,9 +154,7 @@ let create ?(obs = Obs.null) () =
 
 let observer t = t.obs
 
-let clock t = t.clock
-
-let now t = t.clock.time
+let[@inline] now t = t.clock.time
 
 let name_of t pid =
   let n = t.names.(pid) in
@@ -197,47 +189,23 @@ let alloc_slot t payload =
 
 (* --- the event queue ---------------------------------------------------- *)
 
-(* One push per simulated event. The wheel's record is exposed so the
-   ring fast-path test and the bookkeeping are direct field accesses,
-   with a single call into {!Timing_wheel} to do the actual insert —
-   [Timing_wheel.push] would add a real call per event under dune's
-   [-opaque]. It returns unit, so that its own calls and the
-   continuation pushes that end in it stay tail calls; [at_pending]
-   works out its handle itself. *)
-let push_key t key v =
-  let w = t.wheel in
+(* One push per simulated event: stamp [v] with the next sequence
+   number and file it at [time]. The stamped pk is the event's
+   handle. *)
+let[@inline] push t time v =
   let pk = (t.next_seq lsl vbits) lor v in
   t.next_seq <- t.next_seq + 1;
-  if key < w.Tw.gate || (w.Tw.hsize = 0 && w.Tw.rsize < Tw.ring_target) then begin
-    w.Tw.ring_hits <- w.Tw.ring_hits + 1;
-    Tw.ring_insert w key pk
-  end
-  else Tw.push_overflow w key pk
-
-(* The key conversion is spelled out rather than calling
-   {!Timing_wheel.key_of_time}: a float crossing a non-inlined call
-   boundary is boxed, and this is one push per simulated event. *)
-let[@inline] push_at t time v =
-  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) v
+  Tw.push t.wheel (Tw.key_of_time time) pk;
+  pk
 
 (* --- scheduling entry points ------------------------------------------ *)
 
-(* The time comes through [scratch], like [delay_pending]'s duration,
-   so a caller in another module passes no boxed float. Written as
-   [not (time >= now)] so a NaN time fails the guard too: a NaN would
-   otherwise sort after every real time and poison the clock when it
-   fires. *)
-let at_pending t thunk =
-  if not (t.scratch.cell_time >= t.clock.time) then invalid_arg "Engine.at: time in the past";
-  let v = (alloc_slot t (Obj.repr (thunk : unit -> unit)) lsl 1) lor 1 in
-  (* The handle is the pk [push_key] is about to stamp. *)
-  let h = (t.next_seq lsl vbits) lor v in
-  push_at t t.scratch.cell_time v;
-  h
-
-let at t time thunk =
-  t.scratch.cell_time <- time;
-  ignore (at_pending t thunk : handle)
+(* Written as [not (time >= now)] so a NaN time fails the guard too: a
+   NaN would otherwise sort after every real time and poison the clock
+   when it fires. *)
+let[@inline] at t time thunk =
+  if not (time >= t.clock.time) then invalid_arg "Engine.at: time in the past";
+  push t time ((alloc_slot t (Obj.repr (thunk : unit -> unit)) lsl 1) lor 1)
 
 (* The removal finds the event by its unique pk, so a handle whose
    event already ran or was cancelled finds nothing, even when a later
@@ -248,8 +216,6 @@ let cancel t h =
   t.free_top <- t.free_top + 1
 
 let delay d = Effect.perform (Delay d)
-
-let delay_cell t = t.scratch
 
 (* Immediate-resume fast path: if the delayed process would be the next
    event popped anyway — its wake-up time is strictly earlier than
@@ -264,19 +230,21 @@ let delay_cell t = t.scratch
    far the most expensive parts of a simulated delay.
 
    The comparison runs on integer time keys: the key image of
-   non-negative floats is strictly monotone (see Timing_wheel), and the
-   ring head is the queue's minimum whenever the queue is not empty.
-   The guard is [not (nt >= clock)] so a NaN duration fails it too. *)
-let delay_pending t =
+   non-negative floats is strictly monotone (see Timing_wheel), and an
+   empty queue peeks as [max_int], above every real time's key. The
+   guard is [not (nt >= clock)] so a NaN duration fails it too, on
+   this path or in the handler. *)
+let[@inline] delay_pending t d =
   let clock = t.clock.time in
-  let nt = clock +. t.scratch.cell_time in
-  let key = Int64.to_int (Int64.bits_of_float nt) lxor min_int in
-  let w = t.wheel in
-  if w.Tw.rsize = 0 || key < Array.unsafe_get w.Tw.rkeys w.Tw.rhead then begin
+  let nt = clock +. d in
+  if Tw.key_of_time nt < Tw.peek_key t.wheel then begin
     if not (nt >= clock) then invalid_arg "Engine.delay: negative delay";
     t.clock.time <- nt
   end
-  else Effect.perform Tick
+  else begin
+    t.clock.wake <- nt;
+    Effect.perform Tick
+  end
 
 let park register = Effect.perform (Park register)
 
@@ -314,7 +282,7 @@ let set_wait t pid ~why ~waits_on =
    returns closures preallocated once per process ([on_delay]/[on_park]
    below) instead of building a [Some (fun k -> ...)] per perform; the
    effect's payload is handed from [effc] to the closure through the
-   engine's unboxed [scratch] cell ([Delay]) or the [pending_register]
+   engine's unboxed [clock.wake] ([Delay]) or the [pending_register]
    field ([Park]) — both stores, not allocations. A Delay perform thus
    allocates only the effect value itself and the runtime's
    continuation; the continuation is filed in the event arena with no
@@ -330,13 +298,14 @@ let start t pid body =
   let on_delay : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        (* scratch already holds clock + d (written by effc below);
-           [not (>=)] rejects a NaN as well as a negative d. *)
-        if not (t.scratch.cell_time >= t.clock.time) then
+        (* [clock.wake] already holds clock + d (written by effc
+           below, or by [delay_pending]); [not (>=)] rejects a NaN as
+           well as a negative d. *)
+        if not (t.clock.wake >= t.clock.time) then
           discontinue k (Invalid_argument "Engine.delay: negative delay")
         else begin
           let slot = alloc_slot t (Obj.repr k) in
-          push_at t t.scratch.cell_time (slot lsl 1)
+          ignore (push t t.clock.wake (slot lsl 1) : handle)
         end)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
@@ -356,7 +325,7 @@ let start t pid body =
           if Obs.tracing t.obs then
             Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.time ();
           let slot = alloc_slot t (Obj.repr k) in
-          push_at t t.clock.time (slot lsl 1)
+          ignore (push t t.clock.time (slot lsl 1) : handle)
         in
         register resume)
   in
@@ -385,12 +354,9 @@ let start t pid body =
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     fun eff ->
      match eff with
-     | Tick ->
-         (* scratch holds the duration, written by the performer. *)
-         t.scratch.cell_time <- t.clock.time +. t.scratch.cell_time;
-         on_delay
+     | Tick -> on_delay
      | Delay d ->
-         t.scratch.cell_time <- t.clock.time +. d;
+         t.clock.wake <- t.clock.time +. d;
          on_delay
      | Park register ->
          t.pending_register <- register;
@@ -437,7 +403,7 @@ let spawn t ?name body =
     Obs.set_lane t.obs pid (name_of t pid);
     Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.time ()
   end;
-  at t t.clock.time (fun () -> start t pid body);
+  ignore (at t t.clock.time (fun () -> start t pid body) : handle);
   pid
 
 (* Build the structured stall report: every parked process with its
@@ -503,24 +469,13 @@ let[@inline] exec_event t v =
     Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj payload : unit -> unit) ()
 
-(* Pop the queue's minimum and run it, until the queue drains. The
-   ring pop is inlined: the head of a non-empty queue always sits in
-   the ring ([Timing_wheel.advance] restores that invariant whenever
-   the ring drains), so retiring it is plain field/array accesses, and
-   the event time goes straight into the clock cell (an unboxed store;
-   a float returned from a helper call would be boxed first). *)
+(* Pop the queue's minimum and run it, until the queue drains. *)
 let run t =
   let w = t.wheel in
-  while w.Tw.rsize > 0 do
-    let h = w.Tw.rhead in
-    let key = Array.unsafe_get w.Tw.rkeys h in
-    let pk = Array.unsafe_get w.Tw.rpks h in
-    t.clock.time <-
-      Int64.float_of_bits (Int64.logand (Int64.of_int (key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL);
-    let rsize = w.Tw.rsize - 1 in
-    w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);
-    w.Tw.rsize <- rsize;
-    if rsize = 0 && w.Tw.hsize > 0 then Tw.advance w;
+  while not (Tw.is_empty w) do
+    let pk = Tw.peek_pk w in
+    t.clock.time <- Tw.time_of_key (Tw.peek_key w);
+    Tw.pop w;
     exec_event t (pk land v_mask)
   done;
   if t.parked_count > 0 then raise (Stalled (stall_report t))

@@ -21,17 +21,6 @@ type t
 type pid = int
 (** Process identifier, unique within an engine. *)
 
-type cell = { mutable cell_time : float }
-(** An all-float record for handing a time across a module boundary
-    without boxing it: writing the field is an unboxed store. See
-    {!delay_cell}. *)
-
-type clock = private { mutable time : float }
-(** The engine's clock as a read-only view: [(clock e).time] is
-    {!now}[ e], read as an unboxed load instead of a call that returns
-    a boxed float. Only the engine advances it; the type is private, so
-    a write from outside does not compile. *)
-
 type waiter = {
   wpid : pid;            (** the parked process *)
   wname : string;        (** its display name *)
@@ -68,12 +57,8 @@ val observer : t -> Mb_obs.Recorder.t
 (** The recorder this engine traces into. *)
 
 val now : t -> float
-(** Current simulated time. *)
-
-val clock : t -> clock
-(** The engine's clock, for hot-path readers in other modules. Fetch it
-    once per engine and cache it; it stays live for the engine's
-    lifetime. *)
+(** Current simulated time. Inlined into callers in other modules, so
+    the time it returns is not boxed. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> pid
 (** [spawn t f] registers [f] as a process starting at the current time.
@@ -83,11 +68,6 @@ val spawn : t -> ?name:string -> (unit -> unit) -> pid
     ["proc-<pid>"] is only materialized if something actually needs it,
     so unobserved runs never pay for the formatting. *)
 
-val at : t -> float -> (unit -> unit) -> unit
-(** [at t time thunk] schedules a bare callback (not a process: it must not
-    perform {!delay} or {!park}) at absolute [time].
-    @raise Invalid_argument if [time] is earlier than {!now} or NaN. *)
-
 type handle [@@immediate]
 (** A queued thunk event, for {!cancel}: the event's unique tie-break
     word, its sequence number and arena slot. *)
@@ -96,13 +76,12 @@ val no_event : handle
 (** A handle that names no event, for callers that keep a handle slot
     while nothing is queued. {!cancel} raises on it. *)
 
-val at_pending : t -> (unit -> unit) -> handle
-(** {!at}, with the time taken from the engine's {!delay_cell}
-    instead of a [float] argument, so the caller boxes nothing: write
-    the absolute time, then schedule —
-    [(delay_cell e).cell_time <- time; at_pending e thunk]. Returns
-    the event's handle.
-    @raise Invalid_argument if that time is earlier than {!now} or NaN. *)
+val at : t -> float -> (unit -> unit) -> handle
+(** [at t time thunk] schedules a bare callback (not a process: it must not
+    perform {!delay} or {!park}) at absolute [time] and returns the
+    event's handle. Inlined into callers in other modules, so [time]
+    is not boxed.
+    @raise Invalid_argument if [time] is earlier than {!now} or NaN. *)
 
 val cancel : t -> handle -> unit
 (** [cancel t h] removes the queued event [h] names: it never runs and
@@ -124,24 +103,16 @@ val delay : float -> unit
     spawned on some engine; raises [Effect.Unhandled] elsewhere, and
     [Invalid_argument] for a negative or NaN duration. *)
 
-val delay_cell : t -> cell
-(** The engine's hand-off cell: a duration for {!delay_pending}, an
-    absolute time for {!at_pending}. Each call reads the cell at once,
-    so write it immediately before the call. Fetch it once per engine
-    and cache it. *)
-
-val delay_pending : t -> unit
-(** Exactly {!delay}, with the duration taken from the engine's
-    {!delay_cell} instead of a [float] argument: writing an all-float
-    cell field is an unboxed store, so the caller pays no float boxing
-    and no effect-payload allocation — this is the simulator's single
-    hottest operation. Write the duration, then perform:
-    [(delay_cell e).cell_time <- ns; delay_pending e]. When the woken
-    process would be the next event anyway (wake-up strictly earlier
-    than everything queued), the engine skips the suspend/resume round
-    trip entirely and just advances the clock — observationally
-    identical, far cheaper. Only valid inside a process spawned on
-    engine [e]. *)
+val delay_pending : t -> float -> unit
+(** [delay_pending e ns] is exactly {!delay}[ ns], for a process that
+    knows its engine: it is inlined into the caller, so [ns] is not
+    boxed, and it performs an effect with no payload, so nothing is
+    allocated for the effect either — this is the simulator's single
+    hottest operation. When the woken process would be the next event
+    anyway (wake-up strictly earlier than everything queued), the
+    engine skips the suspend/resume round trip entirely and just
+    advances the clock — observationally identical, far cheaper. Only
+    valid inside a process spawned on engine [e]. *)
 
 val set_wait : t -> pid -> why:string -> waits_on:pid -> unit
 (** [set_wait t pid ~why ~waits_on] records what a process is about to

@@ -39,9 +39,9 @@
    past the target; ordering requires them there.) *)
 let ring_target = 64
 
-let key_of_time time = Int64.to_int (Int64.bits_of_float time) lxor min_int
+let[@inline] key_of_time time = Int64.to_int (Int64.bits_of_float time) lxor min_int
 
-let time_of_key key =
+let[@inline] time_of_key key =
   Int64.float_of_bits (Int64.logand (Int64.of_int (key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL)
 
 type t = {
@@ -82,11 +82,12 @@ let create () =
 
 (* The ring is non-empty whenever the queue is (see the header). *)
 let length t = t.rsize + t.hsize
-let is_empty t = t.rsize = 0
+let ring_length t = t.rsize
+let[@inline] is_empty t = t.rsize = 0
 
 (* max_int sentinels when empty: no real time encodes to max_int. *)
-let peek_key t = if t.rsize = 0 then max_int else Array.unsafe_get t.rkeys t.rhead
-let peek_pk t = if t.rsize = 0 then max_int else Array.unsafe_get t.rpks t.rhead
+let[@inline] peek_key t = if t.rsize = 0 then max_int else Array.unsafe_get t.rkeys t.rhead
+let[@inline] peek_pk t = if t.rsize = 0 then max_int else Array.unsafe_get t.rpks t.rhead
 
 (* --- ring ------------------------------------------------------------ *)
 
@@ -239,24 +240,24 @@ let advance t =
 
 (* --- public push/pop -------------------------------------------------- *)
 
-(* Overflow for callers that already handled the ring fast path
-   themselves (the engine does, with direct field access): key >= gate,
-   and the heap holds something or the ring is at its target. *)
-let push_overflow t key pk =
-  t.heap_spills <- t.heap_spills + 1;
-  hpush t key pk
-
-let push t key pk =
+(* One push and one pop per simulated event: both are inlined into the
+   engine, calling out only to sort-insert, to sift and to refill. *)
+let[@inline] push t key pk =
   if key < t.gate || (t.hsize = 0 && t.rsize < ring_target) then begin
     (* Below the gate (ordering demands the ring), or the heap is empty
        and the ring is still small — sorted-insert directly. *)
     t.ring_hits <- t.ring_hits + 1;
     ring_insert t key pk
   end
-  else push_overflow t key pk
+  else begin
+    (* The ring is never empty here: an empty ring means an empty
+       queue, which takes the branch above. *)
+    t.heap_spills <- t.heap_spills + 1;
+    hpush t key pk
+  end
 
 (* Remove the ring head. Precondition: not empty (so rsize > 0). *)
-let pop t =
+let[@inline] pop t =
   t.rhead <- (t.rhead + 1) land (Array.length t.rkeys - 1);
   t.rsize <- t.rsize - 1;
   if t.rsize = 0 && t.hsize > 0 then advance t

@@ -17,29 +17,8 @@
     {!remove} takes one item out wherever it sits, found by its
     tie-break (the engine's cancellation). *)
 
-type t = {
-  mutable rkeys : int array;  (** sorted ring: time keys *)
-  mutable rpks : int array;   (** sorted ring: tie-breaks *)
-  mutable rhead : int;        (** physical index of the ring head *)
-  mutable rsize : int;
-      (** items in the ring; 0 only when the whole queue is empty *)
-  mutable gate : int;
-      (** pushes with [key < gate] belong in the ring; above every ring
-          key and at most every heap key *)
-  mutable hkeys : int array;  (** overflow heap: time keys *)
-  mutable hpks : int array;   (** overflow heap: tie-breaks *)
-  mutable hsize : int;        (** items in the heap *)
-  mutable ring_hits : int;    (** pushes that took the ring *)
-  mutable heap_spills : int;  (** pushes that took the heap *)
-  mutable removals : int;     (** items taken out by {!remove} *)
-}
-(** The representation is exposed for {!Engine}'s hot path: one push and
-    one pop per simulated event cannot afford call boundaries, so the
-    engine reads the ring head and retires ring items with direct field
-    access, calling into this module only to sort-insert
-    ({!ring_insert}), to overflow past the gate ({!push_overflow}) and to
-    refill an empty ring ({!advance}). Everyone else should treat the
-    type as abstract and use {!push}/{!peek_key}/{!pop}. *)
+type t
+(** A queue of [(key, pk)] pairs. *)
 
 val create : unit -> t
 
@@ -48,30 +27,15 @@ val ring_target : int
     up to this size before overflowing into the heap. *)
 
 val key_of_time : float -> int
-(** Order-preserving integer encoding of a non-negative time. *)
+(** Order-preserving integer encoding of a non-negative time. Inlined
+    into callers in other modules, so the time is not boxed. *)
 
 val time_of_key : int -> float
-(** Inverse of {!key_of_time}. *)
+(** Inverse of {!key_of_time}. Inlined into callers in other modules,
+    so the time it returns is not boxed. *)
 
 val push : t -> int -> int -> unit
 (** [push t key pk] files one item. *)
-
-val ring_insert : t -> int -> int -> unit
-(** Sorted-insert into the ring, growing it if full and bumping the
-    gate on a tail append. Hot-path building block: the caller has
-    already decided the item belongs in the ring ([key < gate], or the
-    heap is empty and the ring below {!ring_target}). *)
-
-val push_overflow : t -> int -> int -> unit
-(** Push an item the caller has ruled out of the ring ([key >= gate],
-    and the heap non-empty or the ring at {!ring_target}) onto the heap,
-    counting a heap spill. The ring is never empty here: an empty ring
-    means an empty queue, which takes the ring branch. *)
-
-val advance : t -> unit
-(** Refill an empty ring from the heap: its minimum key, with every
-    item sharing it. Precondition: [hsize > 0]. Postcondition:
-    [rsize > 0]. *)
 
 val peek_key : t -> int
 (** Key of the minimum item, or [max_int] when empty ([max_int] never
@@ -94,6 +58,10 @@ val remove : t -> int -> bool
 
 val length : t -> int
 val is_empty : t -> bool
+
+val ring_length : t -> int
+(** Items in the sorted ring; the other [length t - ring_length t] are
+    in the heap. The ring is empty only when the queue is. *)
 
 val ring_hits : t -> int
 (** Pushes that went straight into the sorted ring (fast path). *)

@@ -194,7 +194,13 @@ let run ~registry (spec : Spec.t) =
               cells futures
           in
           (* the storms' runs are their cells' private business; don't
-             leak them into the caller's report *)
+             leak them into the caller's report, but keep every other
+             run for the caller to drain *)
           if List.exists (fun (c : Spec.cell) -> c.Spec.fault <> None) cells then
-            ignore (Arm.drain ());
+            List.iter
+              (fun (r : Arm.run) ->
+                if not (Mb_fault.Injector.armed r.Arm.injector) then
+                  Arm.publish ~label:(fun () -> r.Arm.label) r.Arm.recorder r.Arm.checker
+                    r.Arm.injector)
+              (Arm.drain ());
           Ok (List.combine cells oks))

@@ -12,7 +12,7 @@ let with_heap ?(params = Dlheap.default_params) body =
   let m = M.create ~seed:1 config in
   let p = M.create_proc m () in
   let stats = Core.Astats.create () in
-  let heap = Dlheap.create_main p ~costs:Core.Costs.glibc ~params ~stats in
+  let heap = Dlheap.create_main ~costs:Core.Costs.glibc ~params ~stats in
   ignore (M.spawn p (fun ctx -> body heap stats ctx p));
   M.run m
 
@@ -137,7 +137,7 @@ let test_sbrk_blocked_falls_back_to_mmap () =
   let m = M.create ~seed:1 { config with M.vm } in
   let p = M.create_proc m () in
   let stats = Core.Astats.create () in
-  let heap = Dlheap.create_main p ~costs:Core.Costs.glibc ~params:Dlheap.default_params ~stats in
+  let heap = Dlheap.create_main ~costs:Core.Costs.glibc ~params:Dlheap.default_params ~stats in
   ignore
     (M.spawn p (fun ctx ->
          (* Exhaust the sixteen brk pages, then keep allocating. *)
@@ -331,7 +331,7 @@ let mode_stream ~sub ~costs ~params =
          let stats = Core.Astats.create () in
          let heap =
            if sub then Option.get (Dlheap.create_sub ctx ~costs ~params ~stats)
-           else Dlheap.create_main p ~costs ~params ~stats
+           else Dlheap.create_main ~costs ~params ~stats
          in
          let lcg = ref 2024 in
          let next bound =

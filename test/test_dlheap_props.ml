@@ -169,7 +169,7 @@ let test_golden_stream () =
   let p = M.create_proc m () in
   let stats = Core.Astats.create () in
   let heap =
-    Dlheap.create_main p ~costs:Core.Costs.glibc ~params:Dlheap.default_params ~stats
+    Dlheap.create_main ~costs:Core.Costs.glibc ~params:Dlheap.default_params ~stats
   in
   ignore
     (M.spawn p (fun ctx ->

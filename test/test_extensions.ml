@@ -299,9 +299,9 @@ let test_mallinfo_accounting () =
 let fast_params = { Core.Dlheap.default_params with Core.Dlheap.use_fastbins = true }
 
 let with_fast_heap body =
-  in_thread (fun _ p ctx ->
+  in_thread (fun _ _ ctx ->
       let stats = Core.Astats.create () in
-      let heap = Core.Dlheap.create_main p ~costs:Core.Costs.glibc ~params:fast_params ~stats in
+      let heap = Core.Dlheap.create_main ~costs:Core.Costs.glibc ~params:fast_params ~stats in
       body heap ctx)
 
 let falloc heap ctx size =

@@ -2,8 +2,11 @@
    regression on a per-operation path multiplies minor GC words without
    changing any simulated result, so only a fixed figure catches it: a
    gate relative to a baseline passes whenever the same change
-   regenerates the baseline. The ceilings hold with room to spare in the
-   dev build, which inlines nothing across modules. *)
+   regenerates the baseline. The ceilings hold in the release build that
+   the root dune-workspace selects, where small functions are inlined
+   across modules and the floats they return stay unboxed. A
+   [--profile dev] build compiles with [-opaque], which inlines nothing
+   across modules, and fails them: the first test below says so. *)
 
 module M = Core.Machine
 module A = Core.Allocator
@@ -19,6 +22,36 @@ let minor_words f =
   let w0 = Gc.minor_words () in
   f ();
   Gc.minor_words () -. w0
+
+(* The per-operation reads and draws the simulator makes across module
+   boundaries return floats. Inlined into this module, each float stays
+   unboxed; called, each is boxed, 2 words a call. *)
+let test_cross_module_inlining () =
+  let calls = 10_000 in
+  let e = Core.Engine.create () and rng = Core.Rng.create ~seed:1 in
+  let sink = Array.make 1 0. in
+  let check name words =
+    if words > 0. then
+      Alcotest.failf
+        "%d calls of %s allocated %.0f minor words: cross-module inlining is off (a --profile \
+         dev build, or no dune-workspace at the root of the checkout)"
+        calls name words
+  in
+  check "Engine.now"
+    (minor_words (fun () ->
+         for _ = 1 to calls do
+           sink.(0) <- sink.(0) +. Core.Engine.now e
+         done));
+  check "Rng.jitter"
+    (minor_words (fun () ->
+         for _ = 1 to calls do
+           sink.(0) <- sink.(0) +. Core.Rng.jitter rng 0.02
+         done));
+  check "Timing_wheel.time_of_key"
+    (minor_words (fun () ->
+         for i = 1 to calls do
+           sink.(0) <- sink.(0) +. Tw.time_of_key i
+         done))
 
 (* The fig8 kernel at seed 1: benchmark 2, 7 threads contending for
    ptmalloc arenas on 4 CPUs. It allocates about 0.19M words; boxing
@@ -235,4 +268,5 @@ let suite =
     Alcotest.test_case "Engine.create under 200 words" `Quick test_engine_create_ceiling;
     Alcotest.test_case "deep queue under 1 word/pair" `Quick test_deep_queue_ceiling;
     Alcotest.test_case "fig8 runs under 70K events" `Quick test_fig8_event_ceiling;
+    Alcotest.test_case "cross-module float calls allocate nothing" `Quick test_cross_module_inlining;
   ]

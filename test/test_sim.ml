@@ -2,6 +2,9 @@
 
 module Engine = Core.Engine
 
+(* [Engine.at] for callers that never cancel. *)
+let at e time thunk = ignore (Engine.at e time thunk : Engine.handle)
+
 let test_delay_accumulates () =
   let e = Engine.create () in
   let finish = ref 0. in
@@ -79,7 +82,7 @@ let test_spawn_from_process () =
 let test_at_callback () =
   let e = Engine.create () in
   let fired = ref 0. in
-  Engine.at e 9. (fun () -> fired := Engine.now e);
+  at e 9. (fun () -> fired := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 0.)) "at time" 9. !fired
 
@@ -89,30 +92,27 @@ let test_at_callback () =
 let test_at_past_raises () =
   let e = Engine.create () in
   let past = Invalid_argument "Engine.at: time in the past" in
-  Alcotest.check_raises "NaN before run" past (fun () -> Engine.at e nan ignore);
-  Engine.at e 5. (fun () ->
-      Alcotest.check_raises "past" past (fun () -> Engine.at e 1. ignore);
-      Alcotest.check_raises "NaN" past (fun () -> Engine.at e nan ignore));
+  Alcotest.check_raises "NaN before run" past (fun () -> at e nan ignore);
+  at e 5. (fun () ->
+      Alcotest.check_raises "past" past (fun () -> at e 1. ignore);
+      Alcotest.check_raises "NaN" past (fun () -> at e nan ignore));
   Engine.run e;
   Alcotest.(check (float 0.)) "clock untouched" 5. (Engine.now e)
 
-(* Both delay paths: the effect ([delay]) and the cell hand-off
-   ([delay_pending]) with the queue empty (its immediate-resume fast
-   path) and with an earlier event queued (the suspend path). *)
+(* Both delay paths: the effect ([delay]) and [delay_pending] with the
+   queue empty (its immediate-resume fast path) and with an earlier
+   event queued (the suspend path). *)
 let test_negative_delay_raises () =
   let e = Engine.create () in
   let negative = Invalid_argument "Engine.delay: negative delay" in
-  let pending ns () =
-    (Engine.delay_cell e).Engine.cell_time <- ns;
-    Engine.delay_pending e
-  in
+  let pending ns () = Engine.delay_pending e ns in
   ignore
     (Engine.spawn e (fun () ->
          Alcotest.check_raises "negative" negative (fun () -> Engine.delay (-1.));
          Alcotest.check_raises "NaN" negative (fun () -> Engine.delay nan);
          Alcotest.check_raises "pending negative" negative (pending (-1.));
          Alcotest.check_raises "pending NaN" negative (pending nan);
-         Engine.at e (Engine.now e +. 1.) ignore;
+         at e (Engine.now e +. 1.) ignore;
          Alcotest.check_raises "pending negative, queue busy" negative (pending (-1.));
          Alcotest.check_raises "pending NaN, queue busy" negative (pending nan);
          Engine.delay 2.));
@@ -132,64 +132,24 @@ let test_exception_propagates () =
   ignore (Engine.spawn e (fun () -> failwith "boom"));
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Engine.run e)
 
-(* The cell-fed [at_pending] shares [at]'s guard and message, before
-   the run and during it, from a bare callback and from a process. *)
-let test_at_pending_past_raises () =
+(* [at]'s guard holds before the run and during it, from a bare
+   callback and from a process, and a rejected time queues nothing. *)
+let test_at_past_raises_in_process () =
   let e = Engine.create () in
   let past = Invalid_argument "Engine.at: time in the past" in
-  let pending time () =
-    (Engine.delay_cell e).Engine.cell_time <- time;
-    ignore (Engine.at_pending e ignore : Engine.handle)
-  in
-  Alcotest.check_raises "past before run" past (pending (-1.));
-  Alcotest.check_raises "NaN before run" past (pending nan);
-  Engine.at e 5. (fun () ->
-      Alcotest.check_raises "past" past (pending 1.);
-      Alcotest.check_raises "NaN" past (pending nan));
+  let schedule time () = at e time ignore in
+  Alcotest.check_raises "past before run" past (schedule (-1.));
+  Alcotest.check_raises "NaN before run" past (schedule nan);
+  at e 5. (fun () ->
+      Alcotest.check_raises "past" past (schedule 1.);
+      Alcotest.check_raises "NaN" past (schedule nan));
   ignore
     (Engine.spawn e (fun () ->
          Engine.delay 6.;
-         Alcotest.check_raises "past, in a process" past (pending 5.);
-         Alcotest.check_raises "NaN, in a process" past (pending nan)));
+         Alcotest.check_raises "past, in a process" past (schedule 5.);
+         Alcotest.check_raises "NaN, in a process" past (schedule nan)));
   Engine.run e;
   Alcotest.(check (float 0.)) "clock untouched" 6. (Engine.now e)
-
-(* The clock view is the engine's clock itself: it reads what [now]
-   returns at every event — delays (both paths), a park/resume, bare
-   callbacks, cell-fed callbacks — and after the run. *)
-let test_clock_view_tracks_now () =
-  let e = Engine.create () in
-  let c = Engine.clock e in
-  let reads = ref 0 in
-  let same what () =
-    incr reads;
-    Alcotest.(check (float 0.)) what (Engine.now e) c.Engine.time
-  in
-  same "before run" ();
-  let resume = ref ignore in
-  ignore
-    (Engine.spawn e (fun () ->
-         same "process start" ();
-         for i = 1 to 4 do
-           Engine.delay (float_of_int i);
-           same "delay" ();
-           (Engine.delay_cell e).Engine.cell_time <- 0.5;
-           Engine.delay_pending e;
-           same "delay_pending" ()
-         done;
-         Engine.park (fun r -> resume := r);
-         same "resumed" ()));
-  List.iter (fun t -> Engine.at e t (same "at")) [ 0.; 2.5; 2.5; 9. ];
-  (Engine.delay_cell e).Engine.cell_time <- 20.;
-  ignore
-    (Engine.at_pending e (fun () ->
-         same "at_pending" ();
-         !resume ())
-      : Engine.handle);
-  Engine.run e;
-  same "after run" ();
-  Alcotest.(check (float 0.)) "clock moved" 20. c.Engine.time;
-  Alcotest.(check int) "every read" 17 !reads
 
 let suite =
   [ Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
@@ -203,6 +163,5 @@ let suite =
     Alcotest.test_case "negative delay raises" `Quick test_negative_delay_raises;
     Alcotest.test_case "yield interleaves" `Quick test_yield_lets_peers_run;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
-    Alcotest.test_case "at_pending in the past raises" `Quick test_at_pending_past_raises;
-    Alcotest.test_case "clock view tracks now" `Quick test_clock_view_tracks_now;
+    Alcotest.test_case "at in the past raises in a process" `Quick test_at_past_raises_in_process;
   ]

@@ -208,8 +208,9 @@ let test_runner_reports_failing_checks () =
       Alcotest.(check (list bool)) "per-cell ok" [ true; false ] (List.map snd data)
 
 (* Faulted and plain cells share the pool: each runs under its own
-   plan, as do the sweeps it submits, whichever domain runs them, and
-   the storms' runs are dropped. *)
+   plan, as do the sweeps it submits, whichever domain runs them. The
+   storms' runs are dropped; the plain cells' metered runs stay for the
+   caller. *)
 let test_runner_arms_each_cell () =
   let module Arm = Core.Arm in
   let faults () = (Arm.current ()).Arm.faults in
@@ -225,11 +226,14 @@ let test_runner_arms_each_cell () =
                   ~f:(fun _ () -> faults ())
                   [ (); (); (); () ]
               in
-              Option.iter
-                (fun (plan, seed) ->
+              (match faults () with
+              | Some (plan, seed) ->
                   Arm.publish ~label:(fun () -> id) Core.Obs.Recorder.null
-                    Core.Check.Checker.null (Core.Fault.Injector.create ~plan ~seed))
-                (faults ());
+                    Core.Check.Checker.null (Core.Fault.Injector.create ~plan ~seed)
+              | None ->
+                  Arm.publish ~label:(fun () -> id)
+                    (Core.Obs.Recorder.create ~trace:false ~metrics:true ())
+                    Core.Check.Checker.null Core.Fault.Injector.null);
               let cell = faults () :: sweep in
               (* [print] runs on the joining domain, in expansion order *)
               { Runner.print = (fun () -> seen := cell :: !seen); ok = true }));
@@ -243,7 +247,13 @@ let test_runner_arms_each_cell () =
       Alcotest.(check int) "three stormed cells" 3 (List.length (List.filter Option.is_some plans));
       Alcotest.(check bool) "each cell and its sweep ran under its own plan" true
         (List.map (fun plan -> List.init 5 (fun _ -> plan)) plans = List.rev !seen);
-      Alcotest.(check int) "the storms' runs are dropped" 0 (List.length (Arm.drain ()))
+      Alcotest.(check (list string)) "the storms' runs are dropped, the plain cells' kept"
+        [ "a"; "b"; "c" ]
+        (List.map
+           (fun (r : Arm.run) ->
+             if Core.Fault.Injector.armed r.Arm.injector then "stormed " ^ r.Arm.label
+             else r.Arm.label)
+           (Arm.drain ()))
 
 let test_runner_unknown_exp_id_errors () =
   let spec = spec_of_exn "suite s\nworkloads exp:zzz\n" in

@@ -104,7 +104,7 @@ let matches_sorted_model ?(prefill = []) ops =
         | m ->
             let n = List.length m in
             let i =
-              match pick with Head -> 0 | Ring_tail -> w.Tw.rsize - 1 | Nth k -> k mod n
+              match pick with Head -> 0 | Ring_tail -> Tw.ring_length w - 1 | Nth k -> k mod n
             in
             let _, pk = List.nth m i in
             let removed = Tw.remove w pk in
@@ -178,7 +178,7 @@ let test_wheel_remove_places () =
     Tw.push w far i
   done;
   let shape what r h =
-    Alcotest.(check (pair int int)) what (r, h) (w.Tw.rsize, w.Tw.hsize)
+    Alcotest.(check (pair int int)) what (r, h) (Tw.ring_length w, Tw.length w - Tw.ring_length w)
   in
   shape "full ring, four far items in the heap" n 4;
   let remove what pk =
@@ -192,7 +192,7 @@ let test_wheel_remove_places () =
   remove "heap item" (n + 1);
   shape "one gone from the heap" (n - 3) 3;
   Alcotest.(check int) "minimum after a head removal" 1 (Tw.peek_pk w);
-  while w.Tw.rsize > 1 do
+  while Tw.ring_length w > 1 do
     Tw.pop w
   done;
   remove "last ring item" (n - 2);
@@ -281,15 +281,13 @@ let cancel_raises e h =
    cancelled. *)
 let engine_firing_order ?obs events =
   let e = Engine.create ?obs () in
-  let cell = Engine.delay_cell e in
   let log = ref [] and next = ref 0 in
   let pending = ref Model.empty and handles = ref [] in
   let schedule time on_fire =
     let id = !next in
     incr next;
-    cell.Engine.cell_time <- time;
     let h =
-      Engine.at_pending e (fun () ->
+      Engine.at e time (fun () ->
           pending := Model.remove (time, id) !pending;
           log := id :: !log;
           on_fire ())
@@ -328,11 +326,7 @@ let prop_engine_queue_vs_model =
    schedule/cancel pairs than the arena's 2^20 slots never exhaust it. *)
 let test_engine_cancel () =
   let e = Engine.create () in
-  let cell = Engine.delay_cell e in
-  let schedule time thunk =
-    cell.Engine.cell_time <- time;
-    Engine.at_pending e thunk
-  in
+  let schedule = Engine.at e in
   Alcotest.(check bool) "no_event raises" true (cancel_raises e Engine.no_event);
   for i = 1 to (1 lsl 20) + 1 do
     Engine.cancel e (schedule (float_of_int i) ignore)
@@ -380,15 +374,16 @@ let test_far_ties_keep_seq_order () =
   let e = Engine.create () in
   let log = ref [] in
   let fire tag () = log := tag :: !log in
+  let at time thunk = ignore (Engine.at e time thunk : Engine.handle) in
   for i = 0 to 63 do
-    Engine.at e (float_of_int i) ignore
+    at (float_of_int i) ignore
   done;
   let far = 4503599627370496. +. 1e10 in
-  Engine.at e far (fun () ->
+  at far (fun () ->
       fire "A" ();
-      Engine.at e (Engine.now e) (fire "D"));
-  Engine.at e far (fire "B");
-  Engine.at e far (fire "C");
+      at (Engine.now e) (fire "D"));
+  at far (fire "B");
+  at far (fire "C");
   Engine.run e;
   Alcotest.(check (list string)) "(time, seq) order" [ "A"; "B"; "C"; "D" ] (List.rev !log)
 
