@@ -449,11 +449,19 @@ let test_create_rejects_bad_clock () =
    cycles, lock counts, and each thread's elapsed time and counters,
    floats in %h; returned with the threads and the end time. Thread [i]
    holds the lock for [h0 + h1 * ((i + k) mod 4)] cycles in its [k]-th
-   round and works [g0 + g1 * (i mod 3)] outside. *)
-let spin_run ?(mhz = 200.) ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1)
-    ~gap:(g0, g1) () =
-  let cfg = { M.default_config with M.cpus; mhz; spin_cycles = budget; quantum_us; op_jitter } in
-  let m = M.create ~seed cfg in
+   round and works [g0 + g1 * (i mod 3)] outside. With [~queue:true]
+   the run is metered and the rendering adds the event queue's pushes
+   and cancellations, which a change that queues an event the thread
+   would have run in place moves when no time does. *)
+let spin_run ?(mhz = 200.) ?(atomic_cycles = M.default_config.M.atomic_cycles) ?(queue = false)
+    ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~hold:(h0, h1) ~gap:(g0, g1) () =
+  let cfg =
+    { M.default_config with M.cpus; mhz; spin_cycles = budget; quantum_us; op_jitter; atomic_cycles }
+  in
+  let m =
+    if queue then Core.Arm.within { Core.Arm.off with Core.Arm.metrics = true } (fun () -> M.create ~seed cfg)
+    else M.create ~seed cfg
+  in
   let p = M.create_proc m ~name:"pin" () in
   let mu = M.Mutex.create m ~name:"pin" () in
   let ths =
@@ -470,6 +478,10 @@ let spin_run ?(mhz = 200.) ~seed ~threads ~cpus ~budget ~quantum_us ~op_jitter ~
   let b = Buffer.create 512 in
   Printf.bprintf b "now=%h busy=%h acq=%d cont=%d" (M.now_ns m) (M.busy_cycles m)
     (M.Mutex.acquisitions mu) (M.Mutex.contentions mu);
+  if queue then begin
+    let c = Core.Obs.Recorder.counter (M.observer m) in
+    Printf.bprintf b " pushes=%d cancels=%d" (c "sched.shard.pushes") (c "sched.shard.cancels")
+  end;
   List.iter
     (fun th ->
       let s = M.thread_stats th in
@@ -501,6 +513,17 @@ let exact_runs ~budget ~hold ~gap ~threads () =
       spin_run ~seed:1 ~threads ~cpus:4 ~budget ~quantum_us:2000. ~op_jitter:0. ~hold ~gap ())
     threads
 
+(* Seeds 1-4 of one contended shape on 4 cpus at budget 400, metered. *)
+let queue_runs ?atomic_cycles ~threads ~quantum_us ~op_jitter ~hold ~gap () =
+  List.concat_map
+    (fun seed ->
+      List.map
+        (fun threads ->
+          spin_run ?atomic_cycles ~queue:true ~seed ~threads ~cpus:4 ~budget:400 ~quantum_us
+            ~op_jitter ~hold ~gap ())
+        threads)
+    [ 1; 2; 3; 4 ]
+
 (* The spin path's schedule, pinned across commits: one digest per group
    of runs, over every run's rendering. Budgets 20 and 404 end in a
    partial probe step, 64 and 400 do not; the short budgets mostly
@@ -510,11 +533,16 @@ let exact_runs ~budget ~hold ~gap ~threads () =
    behaviour. Six were recorded again when a finished spin began
    cancelling its queued events: in 15 of the 202 runs such an event
    had been the last to run, so [now=] read past the last finish, and
-   nothing else in any rendering moved. The last three run at 500 MHz,
+   nothing else in any rendering moved. Three run at 500 MHz,
    quad_xeon's clock and the benchmark's leak-contended spin shape,
    whose 16 ns probe step the spin path jumps over exactly, and at
    450 MHz, whose 2.222... ns cycle is not dyadic, so every jump falls
-   back to the walk. They were recorded before the jumps existed. *)
+   back to the walk. They were recorded before the jumps existed. The
+   last four each take one path on which a spinner that saw the lock
+   free pays its lock op, or spins again after losing the race, on its
+   thread instead of as an event (see [Machine.spin_on]); their
+   renderings add the queue's pushes and cancellations. They were
+   recorded before the lock op could run as an event. *)
 let spin_pins =
   List.map
     (fun (cpus, budget, digest) ->
@@ -550,6 +578,34 @@ let spin_pins =
         (450., 4, 64, "a73f759607edb4e7967366f79b7735b8");
         (450., 4, 404, "d205dfefe1e85a790f2f25931094a30f");
       ]
+  @ [ (* A free lock op: the thread that saw the lock free takes it in
+         the same event. *)
+      ( "atomic 0, 4 cpus, budget 400",
+        (fun () ->
+          queue_runs ~atomic_cycles:0 ~threads:[ 3; 5; 7 ] ~quantum_us:2000. ~op_jitter:0.
+            ~hold:(40, 30) ~gap:(20, 10) ()),
+        "6abf75f52c0deef5b9d9612f9b4622c0" );
+      (* A short quantum under 7 threads: a lost race's re-spin often
+         starts too close to the quantum's end to be taken lazily. *)
+      ( "7 threads, 4 cpus, 25 us quantum",
+        (fun () ->
+          queue_runs ~threads:[ 7 ] ~quantum_us:25. ~op_jitter:0.02 ~hold:(40, 30) ~gap:(20, 10) ()),
+        "521dea211a6ad2a7404d3868dcff13b1" );
+      (* Lock ops dear enough to end a short quantum: the thread pays
+         its op, and is preempted, itself. *)
+      ( "atomic 600, 4 cpus, 25 us quantum",
+        (fun () ->
+          queue_runs ~atomic_cycles:600 ~threads:[ 3; 5; 7 ] ~quantum_us:25. ~op_jitter:0.02
+            ~hold:(40, 30) ~gap:(20, 10) ()),
+        "f3dc4f7709a16168f6f87f8ffafb1011" );
+      (* Two threads and long work outside the lock: the spinner's lock
+         op ends before anything queued, so it runs in place. *)
+      ( "2 threads, 4 cpus, lock op next",
+        (fun () ->
+          queue_runs ~threads:[ 2 ] ~quantum_us:2000. ~op_jitter:0.02 ~hold:(150, 50) ~gap:(50, 10)
+            ()),
+        "924adc7b2786c7176f4751538ccac1ef" );
+    ]
 
 (* The spin path's one-step jump against the additions it replaces:
    whenever [exact_jump] claims exactness, its result has the bits of a
