@@ -12,6 +12,8 @@ type t = {
   global : Dlheap.t;
   gmutex : M.Mutex.t;
   stats : Astats.t;        (* the facade's view *)
+  heap_stats : Astats.t;   (* the shared heap's own: every refill block
+                              is a malloc there *)
   caches : (int, int list array * int array) Hashtbl.t;  (* tid -> (per-class lists, counts) *)
   sizes : (int, int) Hashtbl.t;  (* user addr -> class bytes, for cached routing *)
   batch : int;
@@ -20,14 +22,14 @@ type t = {
 }
 
 let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?(batch = 16) ?(cache_limit = 64) () =
-  let stats = Astats.create () in
-  (* The shared heap keeps its own accounting, which nothing reads. *)
-  let global = Dlheap.create_main ~costs ~params ~stats:(Astats.create ()) in
+  let stats = Astats.create () and heap_stats = Astats.create () in
+  let global = Dlheap.create_main ~costs ~params ~stats:heap_stats in
   stats.Astats.arenas_created <- 1;
   { proc;
     global;
     gmutex = M.Mutex.create (M.proc_machine proc) ~name:"perthread-global" ~heap:true ();
     stats;
+    heap_stats;
     caches = Hashtbl.create 16;
     sizes = Hashtbl.create 1024;
     batch;
@@ -43,13 +45,22 @@ let cache_for t tid =
       Hashtbl.replace t.caches tid c;
       c
 
+(* The shared heap's own stats count its refills' blocks as mallocs, so
+   the facade keeps its own and takes from the heap's only the counts
+   of what the heap did: chunks it mapped and growths that failed. *)
 let with_global t ctx f =
   if not (M.Mutex.try_lock t.gmutex ctx) then begin
     t.stats.Astats.contended_ops <- t.stats.Astats.contended_ops + 1;
     M.Mutex.lock t.gmutex ctx
   end;
-  (* Exception-safe: see Serial.with_lock. *)
-  Fun.protect ~finally:(fun () -> M.Mutex.unlock t.gmutex ctx) f
+  (* Exception-safe: see Serial.with_lock. A growth that fails into an
+     out-of-memory raise is still carried over. *)
+  Fun.protect
+    ~finally:(fun () ->
+      t.stats.Astats.mmapped_chunks <- t.heap_stats.Astats.mmapped_chunks;
+      t.stats.Astats.grow_failures <- t.heap_stats.Astats.grow_failures;
+      M.Mutex.unlock t.gmutex ctx)
+    f
 
 let global_malloc t ctx size =
   match Dlheap.malloc t.global ctx size with

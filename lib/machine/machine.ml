@@ -61,6 +61,8 @@ type t = {
   probe_g : int;  (* [low_bit_exp] of a full probe step, [8. *. cycle_ns] *)
   mutable spin_walked : int;  (* probe boundaries the lazy spin path still
                                  walked one addition at a time *)
+  mutable spin_lost : int;  (* lock ops after a spin that found the lock
+                               taken again *)
   quantum_cycles : float;
   cpus : cpu array;
   ready : thread Queue.t;
@@ -116,12 +118,14 @@ and mutex = {
    the spin cycles still budgeted past the last probe boundary already
    accounted; that boundary's time is [sth.hot.spin_base]. Probe
    boundaries are materialized lazily — see the big comment at
-   [spin_on]. The wake, expiry and register closures are built once
-   with the registration, so a spin allocates none. *)
+   [spin_on]. The wake, expiry, lock-op and register closures are built
+   once with the registration, so a spin allocates none. *)
 and spinner = {
   sth : thread;
   mutable smu : mutex;  (* the mutex of the current (or last) spin *)
   mutable srem : int;
+  mutable sop : int;  (* cycles of the lock op the spin's end queued as
+                         [lock_op_ev]; 0 while the thread pays its own *)
   mutable sexpire : Engine.handle;  (* the current spin's expiry event;
                                        [no_event] once the spin is over *)
   mutable swake : Engine.handle;  (* the wake event queued at the next
@@ -130,6 +134,7 @@ and spinner = {
   mutable sresume : unit -> unit;  (* the engine's per-process resume *)
   mutable wake_ev : unit -> unit;
   mutable expire_ev : unit -> unit;
+  mutable lock_op_ev : unit -> unit;
   mutable register : (unit -> unit) -> unit;
 }
 
@@ -294,6 +299,7 @@ let create ?(seed = 42) (config : config) =
     root_rng = Rng.create ~seed;
     probe_g = low_bit_exp (8. *. cycle_ns);
     spin_walked = 0;
+    spin_lost = 0;
     quantum_cycles = config.quantum_us *. 1000. /. cycle_ns;
     cpus = Array.init config.cpus (fun cpu_id -> { cpu_id; current = None });
     ready = Queue.create ();
@@ -340,6 +346,7 @@ let flush_observations t =
     Obs.set t.obs "cache.invalidations" (Coherence.invalidations t.cache);
     Obs.set t.obs "sched.ctx_switches" t.ctx_switches;
     Obs.set t.obs "sched.spin_steps_walked" t.spin_walked;
+    Obs.set t.obs "sched.spin_lost_races" t.spin_lost;
     Obs.set t.obs "vm.sbrk_calls" t.sbrk_calls;
     Obs.set t.obs "vm.mmap_calls" t.mmap_calls;
     Obs.set t.obs "vm.munmap_calls" t.munmap_calls;
@@ -634,6 +641,21 @@ let rec spin_on_steps mu th budget =
    rare spin that straddles a quantum boundary takes the step loop,
    which handles preemption.
 
+   A spin that sees the lock free stays off its thread for the lock op
+   that follows too. Its end queues that op as an event of the
+   registration's, with the push the thread's [work_exact_cycles] would
+   have made, at the same point of the same event, so every sequence
+   number stays as it was. The event charges the op as [charge] does
+   after its delay and then does what the thread would: it re-enters
+   the thread to take a lock still free, or, when a faster spinner took
+   the lock meanwhile, starts the thread's next spin in place. Under
+   contention most of a released lock's spinners lose that race, and
+   each loss would otherwise take two trips through the thread, each a
+   fiber switch. The thread pays the op itself where the event's push
+   would not match its own: a free op, one [Engine.delay_pending] runs
+   in place, or one that ends the quantum; and it re-spins itself when
+   the quantum sends the re-spin to the step loop.
+
    A thread reuses one registration for all its spins, so a finished
    spin leaves nothing queued: a spin that a release ends cancels its
    expiry, and a spin that expires cancels the wake left at its final
@@ -643,7 +665,9 @@ let rec spin_on_steps mu th budget =
    final clock alone, which no longer lands on such a leftover after
    the last thread's finish. *)
 
-let[@inline] spin_step_account th m fc =
+(* [charge]'s accounting of [fc] cycles without its delay: the caller
+   stands at the time the delay ends. *)
+let[@inline] account th m fc =
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
   m.mh.busy <- m.mh.busy +. fc;
   th.hot.quantum_left <- th.hot.quantum_left -. fc
@@ -692,7 +716,7 @@ let spin_advance m sp =
     let fc = float_of_int step in
     let nxt = h.spin_base +. (fc *. m.mh.cycle_ns) in
     if nxt < t_lim then begin
-      spin_step_account th m fc;
+      account th m fc;
       h.spin_base <- nxt;
       sp.srem <- sp.srem - step;
       m.spin_walked <- m.spin_walked + 1
@@ -700,10 +724,66 @@ let spin_advance m sp =
     else continue_ := false
   done
 
+(* Start a spin of [budget] cycles on [mu] at now: register [sp] after
+   the spinners already there and queue its expiry. The thread is
+   suspended already, or is about to be. *)
+let spin_register m sp mu budget =
+  let th = sp.sth in
+  sp.smu <- mu;
+  sp.srem <- budget;
+  sp.sop <- 0;
+  th.hot.spin_base <- Engine.now m.engine;
+  let n = mu.nspinners in
+  if n = Array.length mu.spinners then begin
+    let a = Array.make (max 4 (2 * n)) sp in
+    Array.blit mu.spinners 0 a 0 n;
+    mu.spinners <- a
+  end;
+  mu.spinners.(n) <- sp;
+  mu.nspinners <- n + 1;
+  (* Budget-exhaustion boundary: the chain's [budget / 8] full steps in
+     one jump when it is exact, then the partial step (or every step) by
+     the same iterated float arithmetic the probe chain accumulates. *)
+  let x = th.hot.spin_base in
+  let k = budget / 8 in
+  let y = x +. (float_of_int k *. (8. *. m.mh.cycle_ns)) in
+  let jumped = jump_is_exact x m.probe_g y in
+  let t_end = ref (if jumped then y else x)
+  and b = ref (if jumped then budget - (8 * k) else budget) in
+  while !b > 0 do
+    let step = if !b < 8 then !b else 8 in
+    t_end := !t_end +. (float_of_int step *. m.mh.cycle_ns);
+    b := !b - step;
+    m.spin_walked <- m.spin_walked + 1
+  done;
+  sp.sexpire <- Engine.at m.engine !t_end sp.expire_ev
+
+(* Lock-op event of a spin that saw the lock free, at the time the
+   thread's own lock op would have resumed it: charge the op (the spin's
+   end checked that it leaves quantum), then do what the thread would
+   next. A free lock is the thread's to take. A lost race spins again,
+   in place unless the quantum sends the re-spin to the step loop,
+   which runs on the thread. Either way the thread resumes with the op
+   paid. *)
+let spin_lock_op sp =
+  let mu = sp.smu in
+  let m = mu.mm in
+  let th = sp.sth in
+  account th m (float_of_int sp.sop);
+  let budget = m.config.spin_cycles in
+  match mu.owner with
+  | Some _ when float_of_int (budget + 64) < th.hot.quantum_left ->
+      m.spin_lost <- m.spin_lost + 1;
+      spin_register m sp mu budget
+  | Some _ | None -> sp.sresume ()
+
 (* Retire the current spin: unregister it, keeping the other spinners
-   in entry order, and re-enter the thread. The caller has already
-   dealt with the spin's expiry and wake. *)
-let spin_finish sp =
+   in entry order. The caller has already dealt with the spin's expiry
+   and wake. A spin that ends on a held lock re-enters the thread,
+   which blocks. One that saw the lock free queues its lock op as an
+   event at the time [work_exact_cycles] would queue the thread, unless
+   the thread must pay the op itself (see the big comment above). *)
+let spin_end sp =
   let mu = sp.smu in
   let a = mu.spinners and n = mu.nspinners in
   let i = ref 0 in
@@ -712,12 +792,24 @@ let spin_finish sp =
   done;
   Array.blit a (!i + 1) a !i (n - !i - 1);
   mu.nspinners <- n - 1;
-  sp.sresume ()
+  match mu.owner with
+  | Some _ -> sp.sresume ()
+  | None ->
+      let m = mu.mm in
+      let th = sp.sth in
+      let c = lock_op_cost th in
+      let fc = float_of_int c in
+      let t = Engine.now m.engine +. (fc *. m.mh.cycle_ns) in
+      if c > 0 && th.hot.quantum_left -. fc > 0. && not (Engine.runs_next m.engine t) then begin
+        sp.sop <- c;
+        ignore (Engine.at m.engine t sp.lock_op_ev : Engine.handle)
+      end
+      else sp.sresume ()
 
 (* Wake event at one probe boundary: account this probe's step, then
    decide exactly as the chain's probe did — keep spinning (silently:
    the next release or the exhaustion event drives the next wake),
-   or cancel the spin's expiry and re-enter the thread. *)
+   or cancel the spin's expiry and end the spin. *)
 let spin_wake sp =
   assert (sp.sexpire != Engine.no_event);
   sp.swake <- Engine.no_event;
@@ -725,7 +817,7 @@ let spin_wake sp =
   let m = mu.mm in
   let th = sp.sth in
   let step = if sp.srem < 8 then sp.srem else 8 in
-  spin_step_account th m (float_of_int step);
+  account th m (float_of_int step);
   th.hot.spin_base <- Engine.now m.engine;
   sp.srem <- sp.srem - step;
   if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
@@ -733,27 +825,27 @@ let spin_wake sp =
   else begin
     Engine.cancel m.engine sp.sexpire;
     sp.sexpire <- Engine.no_event;
-    spin_finish sp
+    spin_end sp
   end
 
-(* Up-front event at the final probe boundary: no release resumed the
-   spinner first, so materialize the remaining no-op probes, cancel a
-   wake queued at this same boundary, and re-enter the thread with the
-   budget exhausted. *)
+(* Up-front event at the final probe boundary: no release ended the
+   spin first, so materialize the remaining no-op probes, cancel a
+   wake queued at this same boundary, and end the spin with the budget
+   exhausted. *)
 let spin_expire sp =
   assert (sp.sexpire != Engine.no_event);
   sp.sexpire <- Engine.no_event;
   let m = sp.smu.mm in
   let th = sp.sth in
   spin_advance m sp;
-  spin_step_account th m (float_of_int sp.srem);
+  account th m (float_of_int sp.srem);
   th.hot.spin_base <- Engine.now m.engine;
   sp.srem <- 0;
   if sp.swake != Engine.no_event then begin
     Engine.cancel m.engine sp.swake;
     sp.swake <- Engine.no_event
   end;
-  spin_finish sp
+  spin_end sp
 
 (* Release hook, called right after [mu.owner <- None]: catch every
    registration up to now (all skipped boundaries were no-op probes —
@@ -781,81 +873,59 @@ let spinner_of th mu =
         { sth = th;
           smu = mu;
           srem = 0;
+          sop = 0;
           sexpire = Engine.no_event;
           swake = Engine.no_event;
           sresume = no_resume;
           wake_ev = no_resume;
           expire_ev = no_resume;
+          lock_op_ev = no_resume;
           register = no_register;
         }
       in
       sp.wake_ev <- (fun () -> spin_wake sp);
       sp.expire_ev <- (fun () -> spin_expire sp);
+      sp.lock_op_ev <- (fun () -> spin_lock_op sp);
       sp.register <- (fun resume -> sp.sresume <- resume);
       th.tspin <- Some sp;
       sp
 
-(* Spin on a held mutex for the machine's spin budget. *)
+(* Spin on a held mutex for the machine's spin budget. True when the
+   spin's end has paid the lock op that follows it, as an event: the
+   lock is then free for the thread to take, or was lost to a faster
+   spinner and the re-spin is the step loop's. *)
 let spin_on mu th =
   let m = mu.mm in
   let budget = m.config.spin_cycles in
   if budget > 0 && (match mu.owner with Some _ -> true | None -> false) then begin
-    if float_of_int (budget + 64) >= th.hot.quantum_left then spin_on_steps mu th budget
+    if float_of_int (budget + 64) >= th.hot.quantum_left then begin
+      spin_on_steps mu th budget;
+      false
+    end
     else begin
       let sp = spinner_of th mu in
       (* The previous spin left nothing queued. *)
       assert (sp.sexpire == Engine.no_event && sp.swake == Engine.no_event);
-      sp.smu <- mu;
-      sp.srem <- budget;
-      th.hot.spin_base <- Engine.now m.engine;
-      let n = mu.nspinners in
-      if n = Array.length mu.spinners then begin
-        let a = Array.make (max 4 (2 * n)) sp in
-        Array.blit mu.spinners 0 a 0 n;
-        mu.spinners <- a
-      end;
-      mu.spinners.(n) <- sp;
-      mu.nspinners <- n + 1;
-      (* Budget-exhaustion boundary: the chain's [budget / 8] full steps
-         in one jump when it is exact, then the partial step (or every
-         step) by the same iterated float arithmetic the probe chain
-         accumulates. *)
-      let x = th.hot.spin_base in
-      let k = budget / 8 in
-      let y = x +. (float_of_int k *. (8. *. m.mh.cycle_ns)) in
-      let jumped = jump_is_exact x m.probe_g y in
-      let t_end = ref (if jumped then y else x)
-      and b = ref (if jumped then budget - (8 * k) else budget) in
-      while !b > 0 do
-        let step = if !b < 8 then !b else 8 in
-        t_end := !t_end +. (float_of_int step *. m.mh.cycle_ns);
-        b := !b - step;
-        m.spin_walked <- m.spin_walked + 1
-      done;
-      sp.sexpire <- Engine.at m.engine !t_end sp.expire_ev;
-      Engine.suspend m.engine sp.register
+      spin_register m sp mu budget;
+      Engine.suspend m.engine sp.register;
+      sp.sop > 0
     end
   end
+  else false
 
 (* Contended path: spin (on SMP, if configured), then either race a CAS
-   for a freed lock or block. Any time consumed between observing the
-   lock free and retiring the CAS can lose the race to another spinner,
-   hence the retry loop. *)
+   for a freed lock or block. The CAS's lock op runs on the thread, or
+   as an event of the spin's (see [spin_on]). Another spinner can take
+   the lock while it runs; the loser spins again, as an event where it
+   can, or through [lock_op_done] here. *)
 let rec mutex_lock_slow mu th =
   let m = mu.mm in
-  if m.config.spin_cycles > 0 && m.config.cpus > 1 then
-    spin_on mu th;
+  let paid = m.config.spin_cycles > 0 && m.config.cpus > 1 && spin_on mu th in
   match mu.owner with
-  | None -> begin
+  | _ when paid -> lock_op_done mu th
+  | None ->
       work_exact_cycles th (lock_op_cost th);
-      match mu.owner with
-      | None ->
-          mu.owner <- th.tsome;
-          th.spin_wins <- th.spin_wins + 1;
-          mu.acquisitions <- mu.acquisitions + 1;
-          note_acquired mu th
-      | Some _ -> mutex_lock_slow mu th
-    end
+      lock_op_done mu th
   | Some owner ->
       th.blocks <- th.blocks + 1;
       th.state <- Blocked;
@@ -884,6 +954,19 @@ let rec mutex_lock_slow mu th =
             note_acquired mu th
         | Some _ -> mutex_lock_slow mu th
       end
+
+(* After a spin's lock op: take the lock, or count the lost race and
+   spin again. *)
+and lock_op_done mu th =
+  match mu.owner with
+  | None ->
+      mu.owner <- th.tsome;
+      th.spin_wins <- th.spin_wins + 1;
+      mu.acquisitions <- mu.acquisitions + 1;
+      note_acquired mu th
+  | Some _ ->
+      mu.mm.spin_lost <- mu.mm.spin_lost + 1;
+      mutex_lock_slow mu th
 
 let mutex_lock mu th =
   (* preempt-storm: a seeded fraction of lock acquisitions take an extra

@@ -234,10 +234,12 @@ let delay d = Effect.perform (Delay d)
    empty queue peeks as [max_int], above every real time's key. The
    guard is [not (nt >= clock)] so a NaN duration fails it too, on
    this path or in the handler. *)
+let[@inline] runs_next t time = Tw.key_of_time time < Tw.peek_key t.wheel
+
 let[@inline] delay_pending t d =
   let clock = t.clock.time in
   let nt = clock +. d in
-  if Tw.key_of_time nt < Tw.peek_key t.wheel then begin
+  if runs_next t nt then begin
     if not (nt >= clock) then invalid_arg "Engine.delay: negative delay";
     t.clock.time <- nt
   end

@@ -114,6 +114,14 @@ val delay_pending : t -> float -> unit
     advances the clock — observationally identical, far cheaper. Only
     valid inside a process spawned on engine [e]. *)
 
+val runs_next : t -> float -> bool
+(** [runs_next e time] is the test {!delay_pending} makes: whether an
+    event at [time] would run before everything queued, its time being
+    strictly earlier (at an equal time the queued event runs first).
+    A [delay_pending] that ends at [time] advances the clock in place
+    exactly when this holds, and otherwise queues the process. Inlined
+    into callers in other modules, so [time] is not boxed. *)
+
 val set_wait : t -> pid -> why:string -> waits_on:pid -> unit
 (** [set_wait t pid ~why ~waits_on] records what a process is about to
     wait for, so a stall names it in the {!Stalled} report. Call just

@@ -301,6 +301,46 @@ let test_perthread_large_objects_bypass () =
       Alcotest.(check int) "nothing cached" 0 (Core.Perthread.cached_objects pt);
       Alcotest.(check int) "fully drained" 0 alloc.A.stats.Core.Astats.live_bytes)
 
+(* The shared heap's mapped chunks and failed growths reach perthread's
+   stats as ptmalloc reports its own, and a caller's malloc counts once
+   however many blocks its refill took: a 200 KB block (past the mmap
+   threshold) and a 40 B one, then 1,000 B blocks in a brk zone
+   crowded to 24 pages, where sbrk fails and the heap maps instead. *)
+let test_perthread_reports_heap_counts () =
+  let crowded =
+    let vm = Core.Address_space.linux_x86 in
+    { config with
+      M.vm = { vm with Core.Address_space.brk_ceiling = vm.Core.Address_space.brk_base + (24 * 4096) };
+    }
+  in
+  let big_and_small alloc ctx =
+    let big = alloc.A.malloc ctx (200 * 1024) and small = alloc.A.malloc ctx 40 in
+    alloc.A.free ctx small;
+    alloc.A.free ctx big
+  and crowd alloc ctx =
+    List.iter (fun u -> alloc.A.free ctx u) (List.init 200 (fun _ -> alloc.A.malloc ctx 1000))
+  in
+  let counts config body make =
+    let m = M.create ~seed:1 config in
+    let p = M.create_proc m () in
+    let alloc = make p in
+    ignore (M.spawn p (body alloc) : M.thread);
+    M.run m;
+    let s = alloc.A.stats in
+    (s.Core.Astats.mallocs, s.Core.Astats.mmapped_chunks, s.Core.Astats.grow_failures)
+  in
+  let ptmalloc p = Core.Ptmalloc.allocator (Core.Ptmalloc.make p ())
+  and perthread p = Core.Perthread.allocator (Core.Perthread.make p ()) in
+  let triple = Alcotest.(triple int int int) in
+  let big = counts config big_and_small in
+  Alcotest.check triple "200 KB: mallocs, mmapped, grow failures" (2, 1, 0) (big perthread);
+  Alcotest.check triple "200 KB: as ptmalloc" (big ptmalloc) (big perthread);
+  let crowded = counts crowded crowd in
+  let mallocs, _, failures = crowded perthread in
+  Alcotest.(check int) "crowded: mallocs" 200 mallocs;
+  Alcotest.(check bool) "crowded: growths failed" true (failures > 0);
+  Alcotest.check triple "crowded: as ptmalloc" (crowded ptmalloc) (crowded perthread)
+
 (* --- slab --------------------------------------------------------------- *)
 
 let test_slab_size_classes () =
@@ -490,4 +530,6 @@ let suite =
         test_memalign_raw_free;
       Alcotest.test_case "ptmalloc: fresh arena locked before publish" `Quick
         test_ptmalloc_fresh_arena_locked;
+      Alcotest.test_case "perthread: heap's mapped chunks and failed growths" `Quick
+        test_perthread_reports_heap_counts;
     ]

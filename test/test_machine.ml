@@ -324,13 +324,19 @@ let prop_conservation =
       let makespan_ok = makespan >= (total_work /. float_of_int cpus) -. 1e-6 in
       own_ok && busy_ok && makespan_ok)
 
+(* The two lock properties below run 100 times longer under
+   QCHECK_LONG=1. On 4 cpus a released lock often has several spinners,
+   and all but one lose the race for it and spin again. *)
+let long_factor = 100
+
 let prop_exclusion_both_policies =
   QCheck.Test.make ~name:"mutual exclusion under random contention (both unlock policies)" ~count:20
-    QCheck.(triple bool (int_range 2 5) (int_range 1 60))
-    (fun (handoff, nthreads, iters) ->
+    ~long_factor
+    QCheck.(quad bool (int_range 2 5) (int_range 1 60) (oneofl [ 2; 4 ]))
+    (fun (handoff, nthreads, iters, cpus) ->
       let cfg =
         { M.default_config with
-          M.cpus = 2;
+          M.cpus;
           op_jitter = 0.;
           mutex_handoff = handoff;
           spin_cycles = (if handoff then 0 else 200);
@@ -358,7 +364,7 @@ let prop_exclusion_both_policies =
       (not !bad) && M.Mutex.acquisitions mu = nthreads * iters)
 
 let prop_deterministic_replay =
-  QCheck.Test.make ~name:"identical seeds give identical simulations" ~count:10
+  QCheck.Test.make ~name:"identical seeds give identical simulations" ~count:10 ~long_factor
     QCheck.(pair small_int (int_range 2 5))
     (fun (seed, threads) ->
       let run () =

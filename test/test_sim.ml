@@ -119,6 +119,26 @@ let test_negative_delay_raises () =
   Engine.run e;
   Alcotest.(check (float 0.)) "clock untouched" 2. (Engine.now e)
 
+(* [runs_next] is [delay_pending]'s test: a delay that ends strictly
+   before everything queued runs in place, and one that ties a queued
+   event goes behind it. *)
+let test_runs_next () =
+  let e = Engine.create () in
+  let log = ref [] in
+  ignore
+    (Engine.spawn e (fun () ->
+         Alcotest.(check bool) "empty queue" true (Engine.runs_next e 1e9);
+         at e 1. (fun () -> log := "event" :: !log);
+         Alcotest.(check bool) "earlier" true (Engine.runs_next e 0.5);
+         Alcotest.(check bool) "tie" false (Engine.runs_next e 1.);
+         Alcotest.(check bool) "later" false (Engine.runs_next e 2.);
+         Engine.delay_pending e 0.5;
+         log := "in place" :: !log;
+         Engine.delay_pending e 0.5;
+         log := "queued" :: !log));
+  Engine.run e;
+  Alcotest.(check (list string)) "order" [ "in place"; "event"; "queued" ] (List.rev !log)
+
 let test_yield_lets_peers_run () =
   let e = Engine.create () in
   let log = ref [] in
@@ -164,4 +184,5 @@ let suite =
     Alcotest.test_case "yield interleaves" `Quick test_yield_lets_peers_run;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "at in the past raises in a process" `Quick test_at_past_raises_in_process;
+    Alcotest.test_case "runs_next is delay_pending's test" `Quick test_runs_next;
   ]
