@@ -62,10 +62,3 @@ let publish t obs =
     if t.deferred_frees > 0 then Obs.add obs "alloc.free.deferred" t.deferred_frees;
     if t.consolidations > 0 then Obs.add obs "alloc.consolidations" t.consolidations
   end
-
-let pp fmt t =
-  Format.fprintf fmt
-    "mallocs=%d frees=%d live=%dB peak=%dB arenas=%d switches=%d contended=%d foreign_frees=%d \
-     mmapped=%d grow_failures=%d"
-    t.mallocs t.frees t.live_bytes t.peak_live_bytes t.arenas_created t.arena_switches
-    t.contended_ops t.foreign_frees t.mmapped_chunks t.grow_failures

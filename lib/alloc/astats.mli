@@ -38,6 +38,3 @@ val publish : t -> Mb_obs.Recorder.t -> unit
     (e.g. [alloc.arena.created], [alloc.free.foreign]). Addition, not
     assignment, so several allocators publishing into one recorder
     accumulate. No-op on a recorder without metrics enabled. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line human-readable rendering of all counters. *)

@@ -33,9 +33,6 @@ val default_params : params
     4 KB top pad, 1 MB sub-heaps (early ptmalloc's HEAP_MAX_SIZE),
     fastbins off. *)
 
-val fastbin_limit : int
-(** Largest chunk size served by the fastbin path (80). *)
-
 val fastbin_chunks : t -> int
 (** Chunks currently parked in fastbins. *)
 
@@ -43,16 +40,8 @@ val consolidate : t -> Mb_machine.Machine.ctx -> int
 (** Drain the fastbins through the normal coalescing path (glibc's
     [malloc_consolidate]); returns the number of chunks drained. *)
 
-val consolidate_deferred : t -> Mb_machine.Machine.ctx -> int
-(** Merge every binned free chunk with its free neighbours — the bulk
-    pass backing {!params.defer_coalescing}; returns the number of
-    chunks passed through the coalescer. *)
-
 val header_bytes : int
 (** Per-chunk bookkeeping overhead (8, as in dlmalloc). *)
-
-val min_chunk_bytes : int
-(** Smallest chunk the heap will carve (16 bytes, header included). *)
 
 val create_main : costs:Costs.t -> params:params -> stats:Astats.t -> t
 (** The process's primary heap, growing at the break. Lazy: the first

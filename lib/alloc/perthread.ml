@@ -88,10 +88,17 @@ let malloc t ctx size =
           counts.(cls) <- counts.(cls) - 1;
           user
       | [] ->
-          (* Refill a batch from the shared heap under one lock. *)
-          let blocks =
-            with_global t ctx (fun () -> List.init t.batch (fun _ -> global_malloc t ctx cls_bytes))
+          (* Refill up to a batch from the shared heap under one lock. A
+             heap that runs dry mid-batch still hands over the blocks it
+             did supply; only an empty refill fails. *)
+          let rec take n acc =
+            if n = 0 then List.rev acc
+            else
+              match Dlheap.malloc t.global ctx cls_bytes with
+              | 0 -> List.rev acc
+              | user -> take (n - 1) (user :: acc)
           in
+          let blocks = with_global t ctx (fun () -> take t.batch []) in
           List.iter (fun u -> Hashtbl.replace t.sizes u cls_bytes) blocks;
           (match blocks with
           | user :: rest ->
@@ -147,6 +154,20 @@ let cached_objects t =
 
 let global_lock_acquisitions t = M.Mutex.acquisitions t.gmutex
 
+(* The heap's books as well as its chunks: every block the shared heap
+   has live is held by a caller or parked in a cache. *)
+let validate t =
+  match Dlheap.validate t.global with
+  | Error _ as e -> e
+  | Ok () ->
+      let heap = t.heap_stats.Astats.live_objects and held = t.stats.Astats.live_objects in
+      let cached = cached_objects t in
+      if heap = held + cached then Ok ()
+      else
+        Error
+          (Printf.sprintf "perthread: the shared heap has %d live objects, callers hold %d and caches %d"
+             heap held cached)
+
 let allocator t =
   Allocator.instrument t.proc
   { Allocator.name = "perthread";
@@ -155,5 +176,5 @@ let allocator t =
     usable_size = (fun user -> usable_size t user);
     stats = t.stats;
     origins = Hashtbl.create 8;
-    validate = (fun () -> Dlheap.validate t.global);
+    validate = (fun () -> validate t);
   }

@@ -73,9 +73,6 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_aren
 
 let arena_count t = t.n_arenas
 
-(* Live prefix of the capacity array; for cold accessors only. *)
-let live_arenas t = Array.sub t.arenas 0 t.n_arenas
-
 (* Amortized-growth append: double the capacity when full. *)
 let push_arena t arena =
   let cap = Array.length t.arenas in
@@ -100,12 +97,6 @@ let last_slot t tid = if tid < Array.length t.tl_slot then t.tl_slot.(tid) else 
 
 let arena_of_thread t tid =
   match last_slot t tid with -1 -> None | s -> Some t.arenas.(s).aindex
-
-let arena_live_chunks t =
-  Array.to_list (Array.map (fun a -> Dlheap.live_chunks a.heap) (live_arenas t))
-
-let arena_free_bytes t =
-  Array.to_list (Array.map (fun a -> Dlheap.free_bytes a.heap) (live_arenas t))
 
 let heap_bytes t =
   fold_arenas t

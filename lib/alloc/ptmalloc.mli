@@ -39,13 +39,6 @@ val arena_of_thread : t -> int -> int option
 (** [arena_of_thread t tid] is the index of the arena the thread last
     used, if it has allocated. *)
 
-val arena_live_chunks : t -> int list
-(** Live-chunk population of each arena, in creation order — makes
-    benchmark 2's cross-arena imbalance observable. *)
-
-val arena_free_bytes : t -> int list
-(** Binned free bytes of each arena, in creation order. *)
-
 val heap_bytes : t -> int
 (** Total bytes of address space held by all arenas (brk extent plus
     sub-heap reservations actually used). *)

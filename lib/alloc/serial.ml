@@ -51,5 +51,3 @@ let allocator t =
 let lock_contentions t = M.Mutex.contentions t.mutex
 
 let lock_acquisitions t = M.Mutex.acquisitions t.mutex
-
-let heap t = t.heap

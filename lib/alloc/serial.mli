@@ -23,6 +23,3 @@ val lock_contentions : t -> int
 
 val lock_acquisitions : t -> int
 (** Total acquisitions of the single lock (two per malloc/free pair). *)
-
-val heap : t -> Dlheap.t
-(** The underlying heap, for tests and introspection. *)

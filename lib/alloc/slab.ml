@@ -188,8 +188,6 @@ let cache_count t = Hashtbl.length t.caches
 
 let slab_count t = Hashtbl.fold (fun _ c acc -> acc + c.nslabs) t.caches 0
 
-let cache_lock_contentions t = Hashtbl.fold (fun _ c acc -> acc + M.Mutex.contentions c.lock) t.caches 0
-
 let allocator t =
   Allocator.instrument t.proc
   { Allocator.name = "slab";

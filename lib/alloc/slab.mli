@@ -24,6 +24,3 @@ val cache_count : t -> int
 
 val slab_count : t -> int
 (** Slabs currently mapped. *)
-
-val cache_lock_contentions : t -> int
-(** Summed contention across all cache locks. *)

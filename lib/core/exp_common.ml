@@ -4,8 +4,6 @@ module Pool = Mb_parallel.Pool
 
 type opts = { quick : bool; seed : int }
 
-let default_opts = { quick = false; seed = 1 }
-
 let quick_opts = { quick = true; seed = 1 }
 
 let pick opts ~full ~quick = if opts.quick then quick else full

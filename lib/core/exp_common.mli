@@ -5,8 +5,6 @@ type opts = {
   seed : int;
 }
 
-val default_opts : opts
-
 val quick_opts : opts
 
 val pick : opts -> full:'a -> quick:'a -> 'a

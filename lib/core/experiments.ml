@@ -1,5 +1,6 @@
 type runner = Exp_common.opts -> Outcome.t
 
+(* In paper order. *)
 let paper_artifacts =
   [ ("table1", Exp_bench1.table1);
     ("fig1", Exp_bench1.fig1);
@@ -20,6 +21,7 @@ let paper_artifacts =
     ("fig11", Exp_bench3.fig11);
   ]
 
+(* Ablations and extensions beyond the paper's printed artifacts. *)
 let extensions =
   [ ("ablate-spin", Exp_extra.ablate_spin);
     ("ablate-arenas", Exp_extra.ablate_arenas);

@@ -3,15 +3,6 @@
 
 type runner = Exp_common.opts -> Outcome.t
 
-val paper_artifacts : (string * runner) list
-(** In paper order: table1, fig1, fig2, table2, fig3, table3, fig4,
-    table4, predictor, fig5..fig8, bench3-baseline, fig9..fig11. *)
-
-val extensions : (string * runner) list
-(** ablate-spin, ablate-arenas, ablate-atomics, shootout,
-    latency-uptime, server-knee, trace-replay, slab, ablate-bkl,
-    ablate-fastbins, ablate-crowding, larson, ablate-deferred. *)
-
 val all : (string * runner) list
 
 val find : string -> runner option

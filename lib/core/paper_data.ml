@@ -1,7 +1,5 @@
 let ppro_single_thread_s = 23.280357
 
-let ppro_single_thread_stddev = 0.005543
-
 let table1_threads_s = [ 26.040385; 26.063408 ]
 
 let table1_processes_s = [ 23.309635; 23.314431 ]
@@ -30,15 +28,9 @@ let table4_runs_s =
   [ 12.587744; 12.587753; 14.862689; 12.578893; 12.577891; 14.844941; 12.579065; 12.578305;
     14.841121; 12.576630; 12.577823; 14.836253; 12.584923; 12.584535; 14.856683 ]
 
-let predictor_base = 14.
-
 let predictor_per_round_thread = 1.1
 
 let predictor_per_thread = 127.6
-
-let bench2_object_size = 40
-
-let bench2_objects_per_thread = 10_000
 
 let bench3_single_thread_s = 2.102
 

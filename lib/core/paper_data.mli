@@ -8,8 +8,6 @@
 (** Dual Pentium Pro single-thread 10M-pair run: 23.280357 s. *)
 val ppro_single_thread_s : float
 
-val ppro_single_thread_stddev : float
-
 (** Table 1: two threads sharing a heap. *)
 val table1_threads_s : float list
 
@@ -42,15 +40,9 @@ val table4_runs_s : float list
 
 (** {1 Benchmark 2 — the minor-fault predictor mpf = 14 + 1.1*t*r + 127.6*t} *)
 
-val predictor_base : float
-
 val predictor_per_round_thread : float
 
 val predictor_per_thread : float
-
-val bench2_object_size : int
-
-val bench2_objects_per_thread : int
 
 (** {1 Benchmark 3} *)
 

@@ -2,7 +2,6 @@ module Rng = Mb_prng.Rng
 
 type t = {
   plan : Plan.t option;
-  seed : int;
   rng : Rng.t;  (* private stream: decisions never touch workload rngs *)
   mutable injected_reserve : int;
   mutable injected_preempt : int;
@@ -22,7 +21,6 @@ let () =
 let make plan seed =
   {
     plan;
-    seed;
     rng = Rng.create ~seed:(seed * 2 + 1);
     injected_reserve = 0;
     injected_preempt = 0;
@@ -36,10 +34,6 @@ let null = make None 0
 let create ~plan ~seed = make (Some plan) seed
 
 let armed t = t.plan <> None
-
-let plan t = t.plan
-
-let seed t = t.seed
 
 (* oom-pressure budget: the usable dynamic footprint starts at [base]
    and decays by [decay] bytes per simulated millisecond down to

@@ -29,12 +29,6 @@ val create : plan:Plan.t -> seed:int -> t
 
 val armed : t -> bool
 
-val plan : t -> Plan.t option
-(** [None] for {!null}. *)
-
-val seed : t -> int
-(** The plan seed ([0] for {!null}). *)
-
 (** {1 Decision hooks}
 
     Called from {!Mb_machine.Machine} at the instrumented sites. Each

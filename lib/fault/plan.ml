@@ -13,13 +13,6 @@ let label = function
   | Preempt_storm -> "preempt-storm"
   | Slow_lock -> "slow-lock"
 
-let describe = function
-  | Oom_pressure ->
-      "usable address space shrinks over simulated time; reservations past the budget fail"
-  | Flaky_reserve -> "a seeded fraction of page reservations (sbrk/mmap/stacks) fail"
-  | Preempt_storm -> "extra context switches injected at lock acquisition sites"
-  | Slow_lock -> "heap-mutex hold times stretched by a seeded extra delay"
-
 let default_seed = 1
 
 let parse s =

@@ -21,9 +21,6 @@ val all : (string * t) list
 
 val label : t -> string
 
-val describe : t -> string
-(** One-line description for [--help] and reports. *)
-
 val parse : string -> ((t * int) option, string) result
 (** [parse s] reads [PLAN[:SEED]]. ["none"] parses to [Ok None] —
     faults stay disarmed and the run is byte-identical to a plain one.

@@ -322,8 +322,6 @@ let create ?(seed = 42) (config : config) =
 
 let config t = t.config
 
-let engine t = t.engine
-
 let cache t = t.cache
 
 let rng t = t.root_rng
@@ -461,6 +459,16 @@ let make_ready m th =
   Queue.push th m.ready;
   kick m
 
+(* Block on [queue] until a waker takes the thread off it: the engine
+   keeps [why] and [waits_on] for a stall report, and the CPU goes to the
+   next ready thread. *)
+let[@inline] park_on m th queue ~why ~waits_on =
+  th.state <- Blocked;
+  Queue.push th queue;
+  Engine.set_wait m.engine th.lane ~why ~waits_on;
+  release_cpu m th;
+  park_for_cpu th
+
 (* Quantum expiry with other work waiting: back of the ready queue. *)
 let preempt m th =
   th.state <- Ready;
@@ -575,6 +583,13 @@ let note_acquired mu th =
   if mu.mm.check_on then
     Check.lock_acquired mu.mm.check ~tid:th.tid ~mid:mu.mid ~name:mu.mname
 
+(* Every path that takes a free lock sets the owner, counts the
+   acquisition and tells the checker, in this order. *)
+let[@inline] take_lock mu th =
+  mu.owner <- th.tsome;
+  mu.acquisitions <- mu.acquisitions + 1;
+  note_acquired mu th
+
 let note_released mu th =
   if mu.mm.check_on then Check.lock_released mu.mm.check ~tid:th.tid ~mid:mu.mid
 
@@ -586,9 +601,7 @@ let mutex_try_lock mu th =
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
   | None ->
-      mu.owner <- th.tsome;
-      mu.acquisitions <- mu.acquisitions + 1;
-      note_acquired mu th;
+      take_lock mu th;
       true
   | Some _ ->
       mu.contentions <- mu.contentions + 1;
@@ -928,31 +941,20 @@ let rec mutex_lock_slow mu th =
       lock_op_done mu th
   | Some owner ->
       th.blocks <- th.blocks + 1;
-      th.state <- Blocked;
       if Obs.tracing m.obs then
         Obs.instant m.obs ~lane:th.lane ~name:("block " ^ mu.mname)
           ~ts_ns:(Engine.now m.engine)
           ~args:[ ("cpu", string_of_int th.on_cpu) ]
           ();
-      Engine.set_wait m.engine th.lane ~why:mu.mblocked ~waits_on:owner.lane;
-      Queue.push th mu.waiters;
-      release_cpu m th;
-      park_for_cpu th;
-      if m.config.mutex_handoff then begin
-        (* Woken by direct handoff: we already own the mutex. *)
-        mu.acquisitions <- mu.acquisitions + 1;
-        note_acquired mu th
-      end
+      park_on m th mu.waiters ~why:mu.mblocked ~waits_on:owner.lane;
+      (* Woken by direct handoff, the thread already owns the mutex
+         ([mutex_unlock] set the owner). Futex-style, it was merely
+         woken, and the lock may already be gone to a barging spinner:
+         re-compete. *)
+      if m.config.mutex_handoff then take_lock mu th
       else begin
-        (* Futex-style: we were merely woken; the lock may already be
-           gone to a barging spinner. Re-compete. *)
         work_exact_cycles th (lock_op_cost th);
-        match mu.owner with
-        | None ->
-            mu.owner <- th.tsome;
-            mu.acquisitions <- mu.acquisitions + 1;
-            note_acquired mu th
-        | Some _ -> mutex_lock_slow mu th
+        match mu.owner with None -> take_lock mu th | Some _ -> mutex_lock_slow mu th
       end
 
 (* After a spin's lock op: take the lock, or count the lost race and
@@ -960,10 +962,8 @@ let rec mutex_lock_slow mu th =
 and lock_op_done mu th =
   match mu.owner with
   | None ->
-      mu.owner <- th.tsome;
       th.spin_wins <- th.spin_wins + 1;
-      mu.acquisitions <- mu.acquisitions + 1;
-      note_acquired mu th
+      take_lock mu th
   | Some _ ->
       mu.mm.spin_lost <- mu.mm.spin_lost + 1;
       mutex_lock_slow mu th
@@ -980,10 +980,7 @@ let mutex_lock mu th =
   then preempt mu.mm th;
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
-  | None ->
-      mu.owner <- th.tsome;
-      mu.acquisitions <- mu.acquisitions + 1;
-      note_acquired mu th
+  | None -> take_lock mu th
   | Some _ ->
       mu.contentions <- mu.contentions + 1;
       mutex_lock_slow mu th
@@ -1060,8 +1057,6 @@ let proc_vm p = p.pvm
 let proc_machine p = p.pm
 
 let proc_multithreaded p = p.ever_multi
-
-let proc_name p = p.pname
 
 (* --- thread lifecycle -------------------------------------------------- *)
 
@@ -1198,23 +1193,14 @@ let spawn p ?name body =
 let exit_hook th hook = th.hooks <- hook :: th.hooks
 
 let join th target =
-  if target.state <> Finished then begin
-    let m = th.tproc.pm in
-    th.state <- Blocked;
-    Queue.push th target.joiners;
-    Engine.set_wait m.engine th.lane ~why:("joining " ^ thread_name target)
-      ~waits_on:target.lane;
-    release_cpu m th;
-    park_for_cpu th
-  end
+  if target.state <> Finished then
+    park_on th.tproc.pm th target.joiners ~why:("joining " ^ thread_name target) ~waits_on:target.lane
 
 (* --- ctx accessors ----------------------------------------------------- *)
 
 let now th = Engine.now th.tproc.pm.engine
 
 let tid th = th.tid
-
-let cpu th = th.on_cpu
 
 let proc th = th.tproc
 
@@ -1329,13 +1315,7 @@ module Latch = struct
   let create lm = { lm; set = false; waiters = Queue.create () }
 
   let wait l th =
-    if not l.set then begin
-      th.state <- Blocked;
-      Queue.push th l.waiters;
-      Engine.set_wait l.lm.engine th.lane ~why:"waiting on a latch" ~waits_on:(-1);
-      release_cpu l.lm th;
-      park_for_cpu th
-    end
+    if not l.set then park_on l.lm th l.waiters ~why:"waiting on a latch" ~waits_on:(-1)
 
   let signal l _ctx =
     if not l.set then begin
@@ -1387,12 +1367,7 @@ module Waitq = struct
   let create qm ?(name = "waitq") () =
     { qm; qwhy = "waiting on " ^ name; waiters = Queue.create () }
 
-  let wait q th =
-    th.state <- Blocked;
-    Queue.push th q.waiters;
-    Engine.set_wait q.qm.engine th.lane ~why:q.qwhy ~waits_on:(-1);
-    release_cpu q.qm th;
-    park_for_cpu th
+  let wait q th = park_on q.qm th q.waiters ~why:q.qwhy ~waits_on:(-1)
 
   let wake_one q th =
     if Queue.is_empty q.waiters then false
@@ -1414,8 +1389,6 @@ module Waitq = struct
       Queue.clear q.waiters
     end;
     n
-
-  let waiting q = Queue.length q.waiters
 end
 
 (* --- mutexes ------------------------------------------------------------ *)
@@ -1436,6 +1409,4 @@ module Mutex = struct
   let contentions mu = mu.contentions
 
   let acquisitions mu = mu.acquisitions
-
-  let name mu = mu.mname
 end

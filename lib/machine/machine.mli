@@ -66,8 +66,6 @@ val create : ?seed:int -> config -> t
 
 val config : t -> config
 
-val engine : t -> Mb_sim.Engine.t
-
 val cache : t -> Mb_cache.Coherence.t
 
 val rng : t -> Mb_prng.Rng.t
@@ -132,8 +130,6 @@ val proc_multithreaded : proc -> bool
     libc switches from stub to atomic locking at that point, and so does
     the simulated one (the flag is sticky). *)
 
-val proc_name : proc -> string
-
 val libc_data_address : int
 (** Base address of the (fixed-mapped, touchable) libc data segment in
     every process; allocators place their global hot words here, which is
@@ -150,8 +146,6 @@ val elapsed_ns : thread -> float
 (** Wall-clock (simulated) time from spawn to exit. Only meaningful after
     {!run} completes or the thread has exited.
     @raise Invalid_argument if the thread has not finished. *)
-
-val thread_name : thread -> string
 
 type thread_stats = {
   cpu_cycles : float;       (** cycles of CPU actually consumed *)
@@ -179,9 +173,6 @@ val now : ctx -> float
 (** Simulated nanoseconds. *)
 
 val tid : ctx -> int
-
-val cpu : ctx -> int
-(** CPU currently executing this thread. *)
 
 val proc : ctx -> proc
 
@@ -293,9 +284,6 @@ module Waitq : sig
   val wake_all : t -> ctx -> int
   (** Release every current waiter (charging {!field-wake_cycles} each);
       returns how many. *)
-
-  val waiting : t -> int
-  (** Number of currently parked threads. *)
 end
 
 module Mutex : sig
@@ -330,6 +318,4 @@ module Mutex : sig
   (** Lock attempts that found the mutex held. *)
 
   val acquisitions : t -> int
-
-  val name : t -> string
 end

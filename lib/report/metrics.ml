@@ -1,31 +1,17 @@
-let counters recorders =
-  List.concat_map
-    (fun (label, r) ->
-      List.map (fun (k, v) -> (label, k, v)) (Mb_obs.Recorder.counters r))
-    recorders
-
-let to_table recorders =
+let print recorders =
   let t = Table.make ~title:"Observed counters" ~header:[ "run"; "counter"; "value" ] in
   List.iter
-    (fun (label, key, v) -> Table.row t [ label; key; string_of_int v ])
-    (counters recorders);
+    (fun (label, r) ->
+      List.iter (fun (key, v) -> Table.row t [ label; key; string_of_int v ]) (Mb_obs.Recorder.counters r))
+    recorders;
   (match Mb_obs.Recorder.totals recorders with
   | [] -> ()
   | totals ->
       Table.rowf t "totals over %d runs:" (List.length recorders);
       List.iter (fun (key, v) -> Table.row t [ "(all)"; key; string_of_int v ]) totals);
-  t
+  Table.print t
 
-let to_csv recorders =
-  Csv.of_rows
-    ([ "run"; "counter"; "value" ]
-    :: List.map
-         (fun (label, key, v) -> [ label; key; string_of_int v ])
-         (counters recorders))
-
-let print recorders = Table.print (to_table recorders)
-
-let gc_table ~(before : Gc.stat) ~(after : Gc.stat) =
+let print_gc ~(before : Gc.stat) ~(after : Gc.stat) =
   let t =
     Table.make ~title:"Host GC pressure (Gc.quick_stat deltas)"
       ~header:[ "metric"; "delta" ]
@@ -37,6 +23,4 @@ let gc_table ~(before : Gc.stat) ~(after : Gc.stat) =
   words "major_words" (after.Gc.major_words -. before.Gc.major_words);
   count "minor_collections" (after.Gc.minor_collections - before.Gc.minor_collections);
   count "major_collections" (after.Gc.major_collections - before.Gc.major_collections);
-  t
-
-let print_gc ~before ~after = Table.print (gc_table ~before ~after)
+  Table.print t

@@ -45,7 +45,3 @@ let render ?(width = 64) ?(height = 16) ~title ~x_label ~y_label series =
       series;
     Buffer.contents buf
   end
-
-let print ?width ?height ~title ~x_label ~y_label series =
-  print_string (render ?width ?height ~title ~x_label ~y_label series);
-  print_newline ()

@@ -13,12 +13,3 @@ val render :
 (** Plots all points of all series on a [width] x [height] character
     canvas with axis annotations and a legend. Y starts at 0 (the paper's
     figures all do), X spans the data. *)
-
-val print :
-  ?width:int ->
-  ?height:int ->
-  title:string ->
-  x_label:string ->
-  y_label:string ->
-  Mb_stats.Series.t list ->
-  unit

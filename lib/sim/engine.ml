@@ -152,8 +152,6 @@ let create ?(obs = Obs.null) () =
     obs;
   }
 
-let observer t = t.obs
-
 let[@inline] now t = t.clock.time
 
 let name_of t pid =

@@ -53,9 +53,6 @@ val create : ?obs:Mb_obs.Recorder.t -> unit -> t
 (** [create ()] makes an idle engine at time 0. [obs] (default
     {!Mb_obs.Recorder.null}) receives the engine's trace events. *)
 
-val observer : t -> Mb_obs.Recorder.t
-(** The recorder this engine traces into. *)
-
 val now : t -> float
 (** Current simulated time. Inlined into callers in other modules, so
     the time it returns is not boxed. *)

@@ -54,37 +54,6 @@ let bin_bounds t i =
   let lo = t.lo +. (float_of_int i *. t.width) in
   (lo, lo +. t.width)
 
-let percentile t p =
-  if t.total = 0 then invalid_arg "Histogram.percentile: empty histogram";
-  if p < 0. || p > 100. then invalid_arg "Histogram.percentile: p outside [0, 100]";
-  (* Conservative rank: the upper of the two samples a linear
-     interpolation would blend, so a tail percentile never under-reads. *)
-  let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int (t.total - 1))) in
-  if rank < t.underflow then
-    invalid_arg "Histogram.percentile: rank falls in the underflow region";
-  if rank >= t.total - t.overflow then
-    invalid_arg "Histogram.percentile: rank falls in the overflow region";
-  let target = rank - t.underflow in
-  let rec walk i acc =
-    let acc' = acc + t.counts.(i) in
-    if acc' > target then
-      let lo, _ = bin_bounds t i in
-      lo +. (t.width *. ((float_of_int (target - acc) +. 0.5) /. float_of_int t.counts.(i)))
-    else walk (i + 1) acc'
-  in
-  walk 0 0
-
-let modes t =
-  let n = Array.length t.counts in
-  let get i = if i < 0 || i >= n then 0 else t.counts.(i) in
-  let is_mode i =
-    t.counts.(i) > 0
-    && ((get i > get (i - 1) && get i >= get (i + 1))
-       || (get i >= get (i - 1) && get i > get (i + 1)))
-  in
-  let rec collect i acc = if i >= n then List.rev acc else collect (i + 1) (if is_mode i then i :: acc else acc) in
-  collect 0 []
-
 let pp fmt t =
   let maxc = Array.fold_left max 1 t.counts in
   if t.underflow > 0 then Format.fprintf fmt "(-inf, %8.3f) %4d underflow@." t.lo t.underflow;

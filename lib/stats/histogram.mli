@@ -1,17 +1,15 @@
 (** Fixed-width histograms.
 
-    Used to expose bimodality in run times (Table 4's 12.6 s / 14.8 s
-    clusters) and latency distributions in the uptime and open-loop
-    server benchmarks. *)
+    Used to print the bimodality of Table 4's run times (its 12.6 s /
+    14.8 s clusters). *)
 
 type t
 
 val create : lo:float -> hi:float -> bins:int -> t
 (** [create ~lo ~hi ~bins] covers [\[lo, hi)] with [bins] equal bins.
     Samples outside the range are not clamped into the edge bins: they
-    are tallied in separate {!underflow} / {!overflow} counters so tail
-    percentiles read from the histogram are never silently distorted.
-    Requires [lo < hi] and [bins > 0]. *)
+    are tallied in separate {!underflow} / {!overflow} counters, so the
+    edge bins hold only in-range samples. Requires [lo < hi] and [bins > 0]. *)
 
 val add : t -> float -> unit
 (** Adds one sample. Raises [Invalid_argument] on NaN — a NaN sample is
@@ -32,23 +30,6 @@ val binned : t -> int
 
 val bin_count : t -> int -> int
 (** [bin_count t i] is the number of samples in bin [i]. *)
-
-val bin_bounds : t -> int -> float * float
-(** Half-open bounds of bin [i]. *)
-
-val percentile : t -> float -> float
-(** [percentile t p] estimates the [p]th percentile (0–100) over all
-    recorded samples, interpolating within the covering bin. The rank is
-    computed over {!count} samples, so out-of-range samples keep their
-    place in the order; if the requested rank falls inside the underflow
-    or overflow region the estimate would be a lie, and the call raises
-    [Invalid_argument] instead. Requires at least one sample. *)
-
-val modes : t -> int list
-(** Indexes of local maxima with non-zero counts, in increasing index
-    order; a bimodal sample yields two entries. A bin is a local maximum
-    if strictly greater than one neighbour and at least equal to the
-    other. *)
 
 val pp : Format.formatter -> t -> unit
 (** ASCII bar rendering, one line per non-empty bin, plus underflow /

@@ -32,8 +32,3 @@ let fit points =
     end
   in
   { slope; intercept; r2; n }
-
-let predict t x = (t.slope *. x) +. t.intercept
-
-let pp fmt t =
-  Format.fprintf fmt "y = %.4f x + %.4f (r2=%.4f, n=%d)" t.slope t.intercept t.r2 t.n

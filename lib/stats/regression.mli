@@ -14,8 +14,3 @@ type t = {
 val fit : (float * float) list -> t
 (** [fit points] fits y = slope * x + intercept. Requires at least two
     points with distinct x values; raises [Invalid_argument] otherwise. *)
-
-val predict : t -> float -> float
-(** [predict t x] evaluates the fitted line. *)
-
-val pp : Format.formatter -> t -> unit

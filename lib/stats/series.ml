@@ -4,32 +4,9 @@ type t = { label : string; points : point list }
 
 let make ~label pts = { label; points = List.map (fun (x, y) -> { x; y; err = 0. }) pts }
 
-let make_err ~label pts = { label; points = List.map (fun (x, y, err) -> { x; y; err }) pts }
-
 let of_summaries ~label pts =
   { label;
     points = List.map (fun (x, (s : Summary.t)) -> { x; y = s.Summary.mean; err = s.Summary.stddev }) pts
   }
 
 let xs t = List.map (fun p -> p.x) t.points
-
-let ys t = List.map (fun p -> p.y) t.points
-
-let y_at t x =
-  match List.find_opt (fun p -> p.x = x) t.points with
-  | Some p -> p.y
-  | None -> raise Not_found
-
-let map_y f t = { t with points = List.map (fun p -> { p with y = f p.y }) t.points }
-
-let fold_y f init t = List.fold_left (fun acc p -> f acc p.y) init t.points
-
-let max_y t =
-  match t.points with
-  | [] -> invalid_arg "Series.max_y: empty series"
-  | p :: _ -> fold_y max p.y t
-
-let min_y t =
-  match t.points with
-  | [] -> invalid_arg "Series.min_y: empty series"
-  | p :: _ -> fold_y min p.y t

@@ -16,22 +16,7 @@ type t = {
 val make : label:string -> (float * float) list -> t
 (** Series with zero error bars. *)
 
-val make_err : label:string -> (float * float * float) list -> t
-(** Series from (x, y, err) triples. *)
-
 val of_summaries : label:string -> (float * Summary.t) list -> t
 (** Each point takes y = mean and err = stddev of its summary. *)
 
 val xs : t -> float list
-val ys : t -> float list
-
-val y_at : t -> float -> float
-(** [y_at t x] is the y of the point with the given x.
-    @raise Not_found if absent. *)
-
-val map_y : (float -> float) -> t -> t
-
-val max_y : t -> float
-(** Largest y in the series. Raises [Invalid_argument] on empty series. *)
-
-val min_y : t -> float

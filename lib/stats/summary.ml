@@ -82,11 +82,4 @@ let percentile_sorted ys p =
 
 let percentile xs p = percentile_sorted (sorted xs) p
 
-let median xs = percentile xs 50.
-
-let coefficient_of_variation t = if t.mean = 0. then 0. else t.stddev /. t.mean
-
 let spread t = if t.min = 0. then 0. else (t.max -. t.min) /. t.min
-
-let pp fmt t =
-  Format.fprintf fmt "mean=%.6f s=%.6f n=%d" t.mean t.stddev t.n

@@ -18,9 +18,6 @@ val of_list : float list -> t
 
 val of_array : float array -> t
 
-val median : float array -> float
-(** Median of a non-empty sample (does not modify the input). *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], by linear interpolation
     between closest ranks. Does not modify the input. *)
@@ -32,12 +29,6 @@ val percentile_sorted : float array -> float -> float
 (** {!percentile} of a sample already sorted by {!sorted}: sort once,
     then read several percentiles. *)
 
-val coefficient_of_variation : t -> float
-(** stddev / mean; 0 when the mean is 0. *)
-
 val spread : t -> float
 (** (max - min) / min — the paper's "relative difference between the
     minimum and maximum" metric from section 5.2. 0 when min is 0. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints ["mean=... s=... n=..."] in the paper's style. *)

@@ -186,8 +186,6 @@ let touch t addr ~len =
   if first = last && Int_table.mem t.resident first then 0
   else touch_pages t addr p last first 0
 
-let is_resident t addr = Int_table.mem t.resident (addr / t.config.page_size)
-
 let minor_faults t = t.minor_faults
 
 let resident_pages t = Int_table.length t.resident

@@ -74,8 +74,6 @@ val touch : t -> addr -> len:int -> int
 
 val is_mapped : t -> addr -> bool
 
-val is_resident : t -> addr -> bool
-
 (** {1 Accounting} *)
 
 val minor_faults : t -> int

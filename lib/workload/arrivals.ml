@@ -48,8 +48,6 @@ let next t =
   t.clock_ns <- t.clock_ns +. gap;
   t.clock_ns
 
-let now_ns t = t.clock_ns
-
 let mean_rps = function
   | Poisson { rate_rps } -> rate_rps
   | Bursty { base_rps; burst_rps; on_s; off_s } ->

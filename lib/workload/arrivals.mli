@@ -35,9 +35,6 @@ val next : t -> float
     increasing. Gaps are exponential at the rate in force when the
     previous arrival happened. *)
 
-val now_ns : t -> float
-(** Stream time of the most recent arrival (0 before the first). *)
-
 val mean_rps : process -> float
 (** Long-run mean rate: the configured rate for Poisson, the
     duty-cycle-weighted mean for bursty, the midpoint for diurnal. *)

@@ -26,20 +26,6 @@ let ptmalloc ?costs ?max_arenas () =
         A.Ptmalloc.allocator (A.Ptmalloc.make proc ~costs ?max_arenas ()));
   }
 
-let ptmalloc_introspect ?costs ?max_arenas () =
-  let instances : (string, A.Ptmalloc.t) Hashtbl.t = Hashtbl.create 4 in
-  let factory =
-    { label = ptmalloc_label ?costs ?max_arenas ();
-      create =
-        (fun proc ->
-          let costs = match costs with Some c -> c | None -> A.Costs.glibc in
-          let pt = A.Ptmalloc.make proc ~costs ?max_arenas () in
-          Hashtbl.replace instances (Mb_machine.Machine.proc_name proc) pt;
-          A.Ptmalloc.allocator pt);
-    }
-  in
-  (factory, fun proc -> Hashtbl.find_opt instances (Mb_machine.Machine.proc_name proc))
-
 let serial_solaris () =
   { label = "serial"; create = (fun proc -> A.Serial.allocator (A.Serial.make proc ())) }
 

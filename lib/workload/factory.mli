@@ -13,15 +13,6 @@ type t = {
 val ptmalloc : ?costs:Mb_alloc.Costs.t -> ?max_arenas:int -> unit -> t
 (** glibc's allocator, the paper's subject. *)
 
-val ptmalloc_introspect :
-  ?costs:Mb_alloc.Costs.t ->
-  ?max_arenas:int ->
-  unit ->
-  t * (Mb_machine.Machine.proc -> Mb_alloc.Ptmalloc.t option)
-(** Like {!ptmalloc} but also returns a lookup giving the underlying
-    arena structure for the allocator created in a given process —
-    benchmark 2 reports arena imbalance through it. *)
-
 val serial_solaris : unit -> t
 (** One lock, Solaris cost model — Table 2's allocator. *)
 

@@ -3,7 +3,6 @@ module A = Mb_alloc.Allocator
 module Rng = Mb_prng.Rng
 module Fault = Mb_fault.Injector
 module Summary = Mb_stats.Summary
-module Histogram = Mb_stats.Histogram
 
 type server_model =
   | Thread_pool of { queue_capacity : int }
@@ -66,7 +65,6 @@ type request_stats = {
   p95_ns : float;
   p99_ns : float;
   max_ns : float;
-  hist : Histogram.t;
   by_class : (string * int) list;
 }
 
@@ -145,9 +143,8 @@ let finish_probe probe ~window_basis_ns =
           op_stats;
         }
 
-(* Latency percentiles over the collected per-request samples. The
-   histogram spans [0, max); percentiles come from the exact sample
-   array (the histogram is for shape and for the report layer). *)
+(* Latency percentiles over the collected per-request samples, read
+   from the exact sample array. *)
 let finish_requests ~completed ~dropped ~churned ~offered_rps ~last_completion_ns ~lat ~lat_n
     ~class_counts =
   let samples = Array.sub lat 0 lat_n in
@@ -155,8 +152,6 @@ let finish_requests ~completed ~dropped ~churned ~offered_rps ~last_completion_n
   let pct p = if lat_n = 0 then 0. else Summary.percentile_sorted ranked p in
   let mean_ns = if lat_n = 0 then 0. else (Summary.of_array samples).Summary.mean in
   let max_ns = Array.fold_left Float.max 0. samples in
-  let hist = Histogram.create ~lo:0. ~hi:(if max_ns > 0. then max_ns *. 1.0001 else 1.) ~bins:64 in
-  Array.iter (Histogram.add hist) samples;
   { completed;
     dropped;
     churned;
@@ -168,7 +163,6 @@ let finish_requests ~completed ~dropped ~churned ~offered_rps ~last_completion_n
     p95_ns = pct 95.;
     p99_ns = pct 99.;
     max_ns;
-    hist;
     by_class = List.map (fun c -> (Trace.class_label c, class_counts c)) [ Trace.Read; Trace.Write; Trace.Update ];
   }
 

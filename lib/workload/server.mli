@@ -17,7 +17,7 @@
       mixed classes (read/write/update), connections churn (close and
       reopen with per-connection alloc/free lifecycles), and per-request
       latency — enqueue to completion in simulated ns — feeds
-      percentiles and a {!Mb_stats.Histogram}. Push the offered rate
+      exact percentiles. Push the offered rate
       past capacity and the latency cliff (the paper's Table 2 collapse
       under realistic traffic) appears in p95/p99.
 
@@ -75,12 +75,11 @@ type request_stats = {
   p95_ns : float;
   p99_ns : float;
   max_ns : float;
-  hist : Mb_stats.Histogram.t;  (** latency distribution, 64 bins over [0, max) *)
   by_class : (string * int) list;  (** completions per request class *)
 }
 (** Per-request latency (enqueue to completion) and throughput for an
-    open-loop run. Percentiles are computed from the exact sample array;
-    the histogram carries the shape. *)
+    open-loop run. Percentiles are computed from the exact sample
+    array. *)
 
 type result = {
   params : params;

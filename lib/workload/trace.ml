@@ -36,11 +36,6 @@ let update_size_dist rng =
   else if p < 95 then 16 + Rng.int rng 49
   else 256 + Rng.int rng 256
 
-let class_size_dist = function
-  | Read -> server_size_dist
-  | Write -> write_size_dist
-  | Update -> update_size_dist
-
 let generate ~rng ~ops ~slots ?(size_of = server_size_dist) () =
   if ops <= 0 || slots <= 0 then invalid_arg "Trace.generate: bad params";
   let full = Array.make slots false in

@@ -34,9 +34,6 @@ val write_size_dist : Mb_prng.Rng.t -> int
 val update_size_dist : Mb_prng.Rng.t -> int
 (** Update scratch sizes: 60% exactly 40 B, 35% 16–64 B, 5% 256–512 B. *)
 
-val class_size_dist : req_class -> Mb_prng.Rng.t -> int
-(** The size distribution a class draws its work buffers from. *)
-
 val generate :
   rng:Mb_prng.Rng.t ->
   ops:int ->

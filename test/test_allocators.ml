@@ -341,6 +341,44 @@ let test_perthread_reports_heap_counts () =
   Alcotest.(check bool) "crowded: growths failed" true (failures > 0);
   Alcotest.check triple "crowded: as ptmalloc" (crowded ptmalloc) (crowded perthread)
 
+(* A refill the shared heap can supply only in part keeps the blocks it
+   got. With the brk zone crowded to 24 pages and no mmap fallback, 40 B
+   mallocs run until the first failure: perthread gets as many as a
+   serial heap over the same space does, and once every block is freed
+   the shared heap's live objects are the cached ones. Dropping the
+   partial batch leaked 15 blocks here (67 live in the heap against 52
+   cached) and failed 15 mallocs early. *)
+let test_perthread_dry_refill_keeps_blocks () =
+  let vm = Core.Address_space.linux_x86 in
+  let config =
+    { config with
+      M.vm = { vm with Core.Address_space.brk_ceiling = vm.Core.Address_space.brk_base + (24 * 4096) };
+    }
+  in
+  let params = { Core.Dlheap.default_params with Core.Dlheap.mmap_fallback = false } in
+  let until_dry make =
+    let m = M.create ~seed:1 config in
+    let p = M.create_proc m () in
+    let alloc = make p in
+    let taken = ref [] in
+    ignore
+      (M.spawn p (fun ctx ->
+           (try
+              while true do
+                taken := alloc.A.malloc ctx 40 :: !taken
+              done
+            with Core.Fault.Injector.Alloc_failure _ -> ());
+           List.iter (fun u -> alloc.A.free ctx u) !taken)
+        : M.thread);
+    M.run m;
+    (alloc, List.length !taken)
+  in
+  let _, serial = until_dry (fun p -> Core.Serial.allocator (Core.Serial.make p ~costs:Core.Costs.glibc ~params ())) in
+  let alloc, perthread = until_dry (fun p -> Core.Perthread.allocator (Core.Perthread.make p ~params ())) in
+  Alcotest.(check bool) "the heap ran dry" true (serial > 0 && alloc.A.stats.Core.Astats.grow_failures > 0);
+  Alcotest.(check int) "mallocs before the first failure, as serial" serial perthread;
+  check_valid alloc
+
 (* --- slab --------------------------------------------------------------- *)
 
 let test_slab_size_classes () =
@@ -532,4 +570,6 @@ let suite =
         test_ptmalloc_fresh_arena_locked;
       Alcotest.test_case "perthread: heap's mapped chunks and failed growths" `Quick
         test_perthread_reports_heap_counts;
+      Alcotest.test_case "perthread: a dry refill keeps the blocks it took" `Quick
+        test_perthread_dry_refill_keeps_blocks;
     ]

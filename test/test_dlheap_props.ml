@@ -273,8 +273,13 @@ let run_mix ?(machine = Core.Configs.quad_xeon) ?faults name (seed, threads) =
   if live <> 0 then fail "%d live bytes after the drain" live;
   (!degraded, M.fault m)
 
+(* The op-mix properties run [long_factor] times longer under
+   QCHECK_LONG=1 (CI's long fuzz): more fault schedules for each
+   allocator's [validate], books included. *)
+let long_factor = 10
+
 let prop_mix_every_allocator =
-  QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150
+  QCheck.Test.make ~name:"op mix keeps every allocator valid and clean" ~count:150 ~long_factor
     (mix_arb ~threads:4)
     (fun mix ->
       List.iter
@@ -286,7 +291,7 @@ let prop_mix_every_allocator =
       true)
 
 let prop_mix_under_faults =
-  QCheck.Test.make ~name:"op mix degrades gracefully under every fault plan" ~count:40
+  QCheck.Test.make ~name:"op mix degrades gracefully under every fault plan" ~count:40 ~long_factor
     (mix_arb ~threads:4)
     (fun ((seed, _) as mix) ->
       List.iter
@@ -308,7 +313,7 @@ let oversubscribed =
 let preempts = ref 0
 
 let prop_mix_oversubscribed =
-  QCheck.Test.make ~name:"op mix oversubscribed, with and without faults" ~count:40
+  QCheck.Test.make ~name:"op mix oversubscribed, with and without faults" ~count:40 ~long_factor
     (mix_arb ~threads:8)
     (fun ((seed, _) as mix) ->
       List.iter

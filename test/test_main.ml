@@ -21,4 +21,5 @@ let () =
       ("extensions", Test_extensions.suite);
       ("experiments", Test_experiments.suite);
       ("suite", Test_suite.suite);
+      ("exports", Test_exports.suite);
     ]

@@ -25,10 +25,6 @@ let test_summary_empty () =
   Alcotest.check_raises "empty raises" (Invalid_argument "Summary.of_list: empty sample") (fun () ->
       ignore (Summary.of_list []))
 
-let test_median () =
-  Alcotest.(check feq) "odd" 3. (Summary.median [| 5.; 3.; 1. |]);
-  Alcotest.(check feq) "even interpolates" 2.5 (Summary.median [| 1.; 2.; 3.; 4. |])
-
 let test_percentile () =
   let xs = [| 10.; 20.; 30.; 40. |] in
   Alcotest.(check feq) "p0 is min" 10. (Summary.percentile xs 0.);
@@ -56,20 +52,12 @@ let test_spread () =
   let s = Summary.of_list [ 10.; 12. ] in
   Alcotest.(check feq) "(max-min)/min" 0.2 (Summary.spread s)
 
-let test_cov () =
-  let s = Summary.of_list [ 1.; 1.; 1. ] in
-  Alcotest.(check feq) "no variation" 0.0 (Summary.coefficient_of_variation s)
-
 let test_regression_exact () =
   let pts = List.map (fun x -> (float_of_int x, (2.5 *. float_of_int x) +. 1.)) [ 1; 2; 3; 4; 5 ] in
   let r = Regression.fit pts in
   Alcotest.(check (Alcotest.float 1e-9)) "slope" 2.5 r.Regression.slope;
   Alcotest.(check (Alcotest.float 1e-9)) "intercept" 1.0 r.Regression.intercept;
   Alcotest.(check (Alcotest.float 1e-9)) "r2" 1.0 r.Regression.r2
-
-let test_regression_predict () =
-  let r = Regression.fit [ (0., 0.); (1., 2.) ] in
-  Alcotest.(check feq) "prediction" 6.0 (Regression.predict r 3.)
 
 let test_regression_degenerate () =
   Alcotest.check_raises "one point" (Invalid_argument "Regression.fit: need at least two points")
@@ -112,43 +100,13 @@ let test_histogram_rejects_nan () =
       Histogram.add h Float.nan);
   Alcotest.(check int) "nothing recorded" 0 (Histogram.count h)
 
-let test_histogram_percentile () =
-  let h = Histogram.create ~lo:0. ~hi:100. ~bins:100 in
-  for i = 0 to 99 do
-    Histogram.add h (float_of_int i +. 0.5)
-  done;
-  (* 1-wide bins, one sample each: the estimate lands mid-bin. *)
-  Alcotest.(check (Alcotest.float 1.0)) "p50 mid" 50. (Histogram.percentile h 50.);
-  Alcotest.(check (Alcotest.float 1.0)) "p99 tail" 99. (Histogram.percentile h 99.);
-  (* A rank that falls among overflow samples must refuse, not lie. *)
-  Histogram.add h 1e9;
-  Histogram.add h 1e9;
-  Alcotest.check_raises "overflow rank raises"
-    (Invalid_argument "Histogram.percentile: rank falls in the overflow region") (fun () ->
-      ignore (Histogram.percentile h 99.9))
-
-let test_histogram_modes () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  (* two clusters: near 1.5 and near 7.5 *)
-  List.iter (Histogram.add h) [ 1.1; 1.2; 1.3; 7.1; 7.2; 7.3; 7.4 ];
-  Alcotest.(check (list int)) "two modes" [ 1; 7 ] (Histogram.modes h)
-
 let test_histogram_bounds_validation () =
   Alcotest.check_raises "lo >= hi" (Invalid_argument "Histogram.create: lo >= hi") (fun () ->
       ignore (Histogram.create ~lo:1. ~hi:1. ~bins:3))
 
 let test_series_accessors () =
   let s = Series.make ~label:"s" [ (1., 10.); (2., 20.); (3., 15.) ] in
-  Alcotest.(check feq) "y_at" 20. (Series.y_at s 2.);
-  Alcotest.(check feq) "max_y" 20. (Series.max_y s);
-  Alcotest.(check feq) "min_y" 10. (Series.min_y s);
-  Alcotest.(check (list (Alcotest.float 0.))) "xs" [ 1.; 2.; 3. ] (Series.xs s);
-  let doubled = Series.map_y (fun y -> 2. *. y) s in
-  Alcotest.(check feq) "map_y" 40. (Series.y_at doubled 2.)
-
-let test_series_missing () =
-  let s = Series.make ~label:"s" [ (1., 10.) ] in
-  Alcotest.check_raises "absent x" Not_found (fun () -> ignore (Series.y_at s 9.))
+  Alcotest.(check (list (Alcotest.float 0.))) "xs" [ 1.; 2.; 3. ] (Series.xs s)
 
 let test_series_of_summaries () =
   let s = Series.of_summaries ~label:"s" [ (1., Summary.of_list [ 2.; 4. ]) ] in
@@ -209,23 +167,17 @@ let suite =
   [ Alcotest.test_case "summary known values" `Quick test_summary_known;
     Alcotest.test_case "summary singleton" `Quick test_summary_singleton;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
-    Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
     Alcotest.test_case "spread" `Quick test_spread;
-    Alcotest.test_case "coefficient of variation" `Quick test_cov;
     Alcotest.test_case "regression exact" `Quick test_regression_exact;
-    Alcotest.test_case "regression predict" `Quick test_regression_predict;
     Alcotest.test_case "regression degenerate" `Quick test_regression_degenerate;
     Alcotest.test_case "regression r2 with noise" `Quick test_regression_r2_noise;
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
     Alcotest.test_case "histogram out-of-range" `Quick test_histogram_out_of_range;
     Alcotest.test_case "histogram rejects NaN" `Quick test_histogram_rejects_nan;
-    Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
-    Alcotest.test_case "histogram modes" `Quick test_histogram_modes;
     Alcotest.test_case "histogram validation" `Quick test_histogram_bounds_validation;
     Alcotest.test_case "series accessors" `Quick test_series_accessors;
-    Alcotest.test_case "series missing x" `Quick test_series_missing;
     Alcotest.test_case "series of summaries" `Quick test_series_of_summaries;
     QCheck_alcotest.to_alcotest prop_summary_bounds;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
