@@ -28,7 +28,10 @@ type t = {
   stats : Astats.t;
   validate : unit -> (unit, string) result;
       (** Full heap-invariant check (boundary tags, bin membership,
-          overlap freedom); [Error msg] pinpoints the first violation. *)
+          overlap freedom) and, for perthread, Hoard and slab, the
+          books: the objects the heap counts live against those its
+          callers and caches hold. [Error msg] pinpoints the first
+          violation. *)
   origins : (int, int) Hashtbl.t;
       (** {!memalign} bookkeeping (aligned -> raw address); create with
           [Hashtbl.create 8]. Wrappers that share the inner allocator's

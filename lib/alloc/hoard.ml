@@ -233,9 +233,12 @@ let usable_size t user =
       | Some sb -> sb.class_bytes
       | None -> invalid_arg "Hoard.usable_size: unknown address")
 
+(* Besides each heap's own sums, the books: the blocks in use in
+   superblocks plus the large mappings are the objects callers hold. *)
 let validate t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let exception Bad of string in
+  let in_use = ref 0 in
   try
     Array.iter
       (fun heap ->
@@ -250,6 +253,7 @@ let validate t =
                   raise (Bad (Printf.sprintf "sb 0x%x misfiled class" sb.base));
                 if List.length sb.free_blocks + sb.in_use <> sb.capacity then
                   raise (Bad (Printf.sprintf "sb 0x%x free+used <> capacity" sb.base));
+                in_use := !in_use + sb.in_use;
                 used := !used + (sb.in_use * sb.class_bytes);
                 held := !held + (sb.capacity * sb.class_bytes))
               sbs)
@@ -259,7 +263,9 @@ let validate t =
         if !held <> heap.held then
           raise (Bad (Printf.sprintf "heap %d held %d <> %d" heap.index heap.held !held)))
       t.heaps;
-    Ok ()
+    let large = Hashtbl.length t.mm_large and live = t.stats.Astats.live_objects in
+    if !in_use + large = live then Ok ()
+    else fail "hoard: %d blocks in superblocks and %d large mappings, but %d live objects" !in_use large live
   with Bad m -> fail "%s" m
 
 let superblock_count t = t.nsuperblocks

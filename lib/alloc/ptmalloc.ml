@@ -33,6 +33,10 @@ type t = {
                                        creations that have not yet been
                                        appended — guards the cap across
                                        the time arena setup consumes *)
+  mutable next_aindex : int;        (* the number the next creation
+                                       claims; every one below it is
+                                       an arena's or a creation's in
+                                       flight, or was given up *)
   arena_init_cycles : int;
   probe_cycles : int;  (* a scan's try of one other arena *)
   owns_cycles : int;  (* [free]'s ownership test of one arena *)
@@ -66,6 +70,7 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_aren
     meta_phase = Rng.int (M.rng machine) 32;
     max_arenas;
     arenas_reserved = 1;
+    next_aindex = 1;
     arena_init_cycles = Costs.apply costs 2500;
     probe_cycles = Costs.apply costs costs.Costs.bin_probe;
     owns_cycles = Costs.apply costs 2;
@@ -105,6 +110,13 @@ let heap_bytes t =
       acc + (stop - base))
     0
 
+(* Give back the slot of a creation that failed. Its number comes back
+   too, unless a later creation has claimed one meanwhile: handing the
+   number out again would give two arenas one lock word. *)
+let unclaim t aindex =
+  t.arenas_reserved <- t.arenas_reserved - 1;
+  if t.next_aindex = aindex + 1 then t.next_aindex <- aindex
+
 (* Create a fresh arena, lock it, append it to the list, and return it
    with its mutex held. The lock is taken before the arena is published,
    as glibc's [_int_new_arena] does: [try_lock] charges its cycles before
@@ -119,17 +131,20 @@ let create_arena t ctx =
   match t.max_arenas with
   | Some cap when t.arenas_reserved >= cap -> None
   | Some _ | None -> (
-      let aindex = t.arenas_reserved in
-      t.arenas_reserved <- aindex + 1;
+      let aindex = t.next_aindex in
+      t.arenas_reserved <- t.arenas_reserved + 1;
+      t.next_aindex <- aindex + 1;
       M.work ctx t.arena_init_cycles;
       if t.meta_base < 0 then begin
         match M.mmap ctx ~len:4096 with
         | Some base -> if t.meta_base < 0 then t.meta_base <- base
-        | None -> Allocator.out_of_memory ~bytes:4096 "ptmalloc (arena metadata)"
+        | None ->
+            unclaim t aindex;
+            Allocator.out_of_memory ~bytes:4096 "ptmalloc (arena metadata)"
       end;
       match Dlheap.create_sub ctx ~costs:t.costs ~params:t.params ~stats:t.stats with
       | None ->
-          t.arenas_reserved <- t.arenas_reserved - 1;
+          unclaim t aindex;
           None
       | Some heap ->
           let arena =
@@ -260,7 +275,15 @@ let usable_size t user =
   in
   scan 0
 
+(* Every arena's heap, and no number given to two arenas: the number
+   places the arena's lock word. *)
 let validate t =
+  let shared = ref false in
+  for i = 1 to t.n_arenas - 1 do
+    for j = 0 to i - 1 do
+      if t.arenas.(i).aindex = t.arenas.(j).aindex then shared := true
+    done
+  done;
   let rec check i =
     if i >= t.n_arenas then Ok ()
     else
@@ -268,7 +291,7 @@ let validate t =
       | Ok () -> check (i + 1)
       | Error msg -> Error (Printf.sprintf "arena %d: %s" i msg)
   in
-  check 0
+  if !shared then Error "ptmalloc: two arenas share a number" else check 0
 
 (* --- mallopt / mallinfo (paper section 3: "an application can invoke
    mallopt(3) to enable some of these features") ------------------------ *)

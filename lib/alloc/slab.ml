@@ -158,9 +158,14 @@ let usable_size t user =
       | Some slab -> slab.cache_size
       | None -> invalid_arg "Slab.usable_size: unknown address")
 
+(* Besides each slab's own shape, the books: the objects in use in slabs
+   are the entries of [objects], and those plus the large mappings are
+   the objects callers hold. *)
 let validate t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let in_use = ref 0 in
   let check_slab cache expect_full slab =
+    in_use := !in_use + slab.in_use;
     let free = List.length slab.free_objs in
     if free + slab.in_use <> slab.capacity then
       fail "slab 0x%x: free %d + in_use %d <> capacity %d" slab.base free slab.in_use slab.capacity
@@ -181,7 +186,13 @@ let validate t =
           (fun s -> match check_slab cache true s with Error m -> raise (Bad m) | Ok () -> ())
           cache.full)
       t.caches;
-    Ok ()
+    let objects = Hashtbl.length t.objects
+    and large = Hashtbl.length t.mm_large
+    and live = t.stats.Astats.live_objects in
+    if !in_use <> objects then fail "slab: %d objects in use in slabs, %d in the object table" !in_use objects
+    else if objects + large <> live then
+      fail "slab: %d objects in slabs and %d large mappings, but %d live objects" objects large live
+    else Ok ()
   with Bad m -> Error m
 
 let cache_count t = Hashtbl.length t.caches

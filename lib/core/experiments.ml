@@ -59,7 +59,7 @@ let suite_registry =
             Some
               (fun () ->
                 let outcome = runner { Exp_common.quick; seed } in
-                { Mb_suite.Runner.print = (fun () -> Outcome.print outcome);
+                { Mb_suite.Runner.print = (fun () -> print_string (Outcome.to_string outcome));
                   ok = Outcome.passed outcome;
                 }));
   }
@@ -84,6 +84,6 @@ let run_all ?(echo = true) ?only opts =
   List.map
     (fun future ->
       let outcome = Mb_parallel.Pool.await pool future in
-      if echo then Outcome.print outcome;
+      if echo then print_string (Outcome.to_string outcome);
       outcome)
     futures

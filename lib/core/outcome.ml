@@ -30,5 +30,3 @@ let to_string t =
     t.checks;
   Buffer.add_char b '\n';
   Buffer.contents b
-
-let print t = print_string (to_string t)

@@ -27,8 +27,5 @@ val summary_line : t -> string
 (** One line: id, pass/fail counts. *)
 
 val to_string : t -> string
-(** The exact text {!print} emits: header, rendered body, check lines,
-    trailing blank line. Lets callers compare harness output without
-    capturing stdout. *)
-
-val print : t -> unit
+(** The outcome block the harness prints: header, rendered body, check
+    lines, trailing blank line. *)

@@ -188,7 +188,6 @@ and thread = {
   mutable spin_wins : int;
   mutable faults : int;
   mutable stack_addr : int;
-  mutable hooks : (unit -> unit) list;
   joiners : thread Queue.t;
   mutable lane : int;  (* engine pid: this thread's trace lane *)
 }
@@ -405,32 +404,37 @@ let thread_name th =
 
 (* --- scheduler ------------------------------------------------------- *)
 
-(* Give an idle CPU to the first ready thread, paying the switch cost as
-   CPU-busy time before the thread's continuation fires. *)
+(* Start a CPU tenure: [th] takes [cpu], and its first timer tick lands
+   at a random phase of the quantum, as hardware timer interrupts do.
+   Returns the switch cycles, charged here as CPU-busy time, that the
+   caller waits out before the thread runs. *)
+let[@inline] start_tenure m cpu th =
+  cpu.current <- th.tsome;
+  th.state <- Running;
+  th.on_cpu <- cpu.cpu_id;
+  th.hot.run_start_ns <- Engine.now m.engine;
+  th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
+  th.switches <- th.switches + 1;
+  m.ctx_switches <- m.ctx_switches + 1;
+  let switch = float_of_int m.config.ctx_switch_cycles in
+  m.mh.busy <- m.mh.busy +. switch;
+  th.hot.cpu_cycles <- th.hot.cpu_cycles +. switch;
+  switch
+
+(* Give an idle CPU to the first ready thread; its continuation fires
+   once the switch is paid. *)
 let dispatch m cpu =
   match cpu.current with
   | Some _ -> ()
   | None ->
       if not (Queue.is_empty m.ready) then begin
         let th = Queue.take m.ready in
-        cpu.current <- th.tsome;
-        th.state <- Running;
-        th.on_cpu <- cpu.cpu_id;
-        (* The first timer tick after a switch lands at a random phase of
-           the quantum, as hardware timer interrupts do. *)
-        th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
-        th.switches <- th.switches + 1;
-        m.ctx_switches <- m.ctx_switches + 1;
-        let switch = float_of_int m.config.ctx_switch_cycles in
-        m.mh.busy <- m.mh.busy +. switch;
-        th.hot.cpu_cycles <- th.hot.cpu_cycles +. switch;
+        let switch = start_tenure m cpu th in
         let resume = th.resume in
         if resume == no_resume then
           invalid_arg "Machine: dispatching a thread that never parked";
         th.resume <- no_resume;
-        let now = Engine.now m.engine in
-        th.hot.run_start_ns <- now;
-        ignore (Engine.at m.engine (now +. cycles_to_ns m switch) resume : Engine.handle)
+        ignore (Engine.at m.engine (Engine.now m.engine +. cycles_to_ns m switch) resume : Engine.handle)
       end
 
 let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
@@ -506,12 +510,7 @@ let rec consume th cycles =
     let q = th.hot.quantum_left in
     if cycles <= q then charge th m cycles q
     else begin
-      Engine.delay_pending m.engine (q *. m.mh.cycle_ns);
-      th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
-      m.mh.busy <- m.mh.busy +. q;
-      th.hot.quantum_left <- 0.;
-      if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
-      else preempt m th;
+      charge th m q q;
       consume th (cycles -. q)
     end
   end
@@ -530,18 +529,7 @@ let find_idle_cpu m =
 (* First scheduling of a brand-new thread. *)
 let acquire_cpu_initial m th =
   match find_idle_cpu m with
-  | Some cpu ->
-      cpu.current <- th.tsome;
-      th.state <- Running;
-      th.on_cpu <- cpu.cpu_id;
-      th.hot.run_start_ns <- Engine.now m.engine;
-      th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
-      th.switches <- th.switches + 1;
-      m.ctx_switches <- m.ctx_switches + 1;
-      let switch = float_of_int m.config.ctx_switch_cycles in
-      m.mh.busy <- m.mh.busy +. switch;
-      th.hot.cpu_cycles <- th.hot.cpu_cycles +. switch;
-      Engine.delay (cycles_to_ns m switch)
+  | Some cpu -> Engine.delay (cycles_to_ns m (start_tenure m cpu th))
   | None ->
       th.state <- Ready;
       Queue.push th m.ready;
@@ -1145,7 +1133,6 @@ let spawn p ?name body =
       spin_wins = 0;
       faults = 0;
       stack_addr = -1;
-      hooks = [];
       joiners = Queue.create ();
       lane = 0;
     }
@@ -1179,7 +1166,6 @@ let spawn p ?name body =
                  (Fault.Alloc_failure
                     { who = "Machine.spawn"; bytes = thread_stack_bytes }));
          body th;
-         List.iter (fun hook -> hook ()) (List.rev th.hooks);
          if th.stack_addr >= 0 then
            As.munmap p.pvm th.stack_addr ~len:thread_stack_bytes;
          th.hot.finish_ns <- Engine.now m.engine;
@@ -1189,8 +1175,6 @@ let spawn p ?name body =
          Queue.clear th.joiners;
          release_cpu m th));
   th
-
-let exit_hook th hook = th.hooks <- hook :: th.hooks
 
 let join th target =
   if target.state <> Finished then
@@ -1203,8 +1187,6 @@ let now th = Engine.now th.tproc.pm.engine
 let tid th = th.tid
 
 let proc th = th.tproc
-
-let machine th = th.tproc.pm
 
 let ctx_rng th = th.trng
 

@@ -176,8 +176,6 @@ val tid : ctx -> int
 
 val proc : ctx -> proc
 
-val machine : ctx -> t
-
 val ctx_rng : ctx -> Mb_prng.Rng.t
 (** Per-thread random stream. *)
 
@@ -224,10 +222,6 @@ val munmap : ctx -> int -> len:int -> unit
 
 val join : ctx -> thread -> unit
 (** Block until the target thread (of any process) exits. *)
-
-val exit_hook : ctx -> (unit -> unit) -> unit
-(** Register a callback to run (in simulation context) when the thread's
-    body returns; used by the workloads to sample statistics at exit. *)
 
 (** {1 Synchronization} *)
 

@@ -44,8 +44,6 @@ let cell t key =
       Hashtbl.replace t.counters key r;
       r
 
-let incr t key = if t.metrics then Stdlib.incr (cell t key)
-
 let add t key n = if t.metrics then (cell t key) := !(cell t key) + n
 
 let set t key v = if t.metrics then (cell t key) := v

@@ -50,13 +50,9 @@ val metering : t -> bool
 
 (** {1 Counters (metrics channel)} *)
 
-val incr : t -> string -> unit
-(** [incr t key] adds 1 to counter [key] (created at 0 on first use).
-    No-op when metrics are off. *)
-
 val add : t -> string -> int -> unit
-(** [add t key n] adds [n] to counter [key]. No-op when metrics are
-    off. *)
+(** [add t key n] adds [n] to counter [key] (created at 0 on first
+    use). No-op when metrics are off. *)
 
 val set : t -> string -> int -> unit
 (** [set t key v] overwrites counter [key] — used to snapshot counters

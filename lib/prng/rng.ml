@@ -77,15 +77,3 @@ let exponential t ~mean =
   (* Guard against log 0. *)
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

@@ -43,9 +43,3 @@ val jitter : t -> float -> float
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean; used by the
     server workload's inter-arrival times. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

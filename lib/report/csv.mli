@@ -1,17 +1,11 @@
 (** Minimal CSV export for data series, so figures can be re-plotted with
     external tooling. *)
 
-val escape : string -> string
-(** RFC-4180 quoting when the field contains commas, quotes or
-    newlines. *)
-
-val of_rows : string list list -> string
-(** Rows to CSV text (no trailing newline on the last row is NOT
-    guaranteed; each row ends with ['\n']). *)
-
 val of_series : Mb_stats.Series.t list -> string
 (** Wide format: first column [x], one [y] and [err] column pair per
-    series, rows joined on x (missing points are empty fields). *)
+    series, rows joined on x (missing points are empty fields). Each
+    row ends with ['\n'], and a field with a comma, quote or newline is
+    quoted as RFC 4180 says. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents]. *)

@@ -252,8 +252,6 @@ let suspend t register =
   t.pending_register <- register;
   Effect.perform Suspend
 
-let yield () = delay 0.
-
 let set_parked t pid =
   if not t.parked.(pid) then begin
     t.parked_count <- t.parked_count + 1;

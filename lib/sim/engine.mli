@@ -147,11 +147,6 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     not suspended raises [Invalid_argument]. The machine layer's lock
     spinner is the intended client. *)
 
-val yield : unit -> unit
-(** Re-enter the event queue at the current time: lets other processes
-    scheduled for "now" run first. Equivalent to [delay 0.] but conveys
-    intent. *)
-
 val flush_observations : t -> unit
 (** Snapshot the event queue's counters into the recorder:
     [sched.shard.pushes] (every event pushed), its two

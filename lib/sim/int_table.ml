@@ -135,13 +135,6 @@ let remove t key =
     shift_loop keys vals t.shift mask i ((i + 1) land mask)
   end
 
-let iter f t =
-  let keys = t.keys and vals = t.vals in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k <> empty_key then f k (Array.unsafe_get vals i)
-  done
-
 let fold f t init =
   let keys = t.keys and vals = t.vals in
   let acc = ref init in
@@ -150,8 +143,3 @@ let fold f t init =
     if k <> empty_key then acc := f k (Array.unsafe_get vals i) !acc
   done;
   !acc
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  Array.fill t.vals 0 (Array.length t.vals) (dummy ());
-  t.size <- 0

@@ -48,11 +48,5 @@ val remove : 'a t -> int -> unit
 (** Remove the binding of [key], if any. The vacated probe chain is
     compacted in place — no tombstones are left behind. *)
 
-val iter : (int -> 'a -> unit) -> 'a t -> unit
-(** Apply to every binding, in unspecified order. *)
-
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** Fold over every binding, in unspecified order. *)
-
-val clear : 'a t -> unit
-(** Drop every binding, keeping the current capacity. *)

@@ -18,11 +18,6 @@ val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed). [Error]
     messages carry the byte offset of the failure. *)
 
-val to_string : t -> string
-(** Renders the value on a single line. Numbers print with up to 12
-    significant digits, and integral values print without a decimal
-    point. *)
-
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the field's value; [None] on a missing
     field or a non-object. *)

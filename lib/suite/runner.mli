@@ -11,7 +11,7 @@
     share the pool. *)
 
 type exp_result = {
-  print : unit -> unit;  (** prints the outcome block, e.g. [Outcome.print] *)
+  print : unit -> unit;  (** prints the outcome block ({!Core.Outcome.to_string}) *)
   ok : bool;             (** all of the experiment's checks passed *)
 }
 

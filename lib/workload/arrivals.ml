@@ -54,13 +54,6 @@ let mean_rps = function
       ((burst_rps *. on_s) +. (base_rps *. off_s)) /. (on_s +. off_s)
   | Diurnal { low_rps; high_rps; _ } -> (low_rps +. high_rps) /. 2.
 
-let scale p f =
-  if f <= 0. then invalid_arg "Arrivals.scale: factor must be positive";
-  match p with
-  | Poisson { rate_rps } -> Poisson { rate_rps = rate_rps *. f }
-  | Bursty b -> Bursty { b with base_rps = b.base_rps *. f; burst_rps = b.burst_rps *. f }
-  | Diurnal d -> Diurnal { d with low_rps = d.low_rps *. f; high_rps = d.high_rps *. f }
-
 let to_string = function
   | Poisson { rate_rps } -> Printf.sprintf "poisson:%g" rate_rps
   | Bursty { base_rps; burst_rps; on_s; off_s } ->

@@ -39,9 +39,6 @@ val mean_rps : process -> float
 (** Long-run mean rate: the configured rate for Poisson, the
     duty-cycle-weighted mean for bursty, the midpoint for diurnal. *)
 
-val scale : process -> float -> process
-(** All rates multiplied by a positive factor — the load-sweep lever. *)
-
 val to_string : process -> string
 (** [poisson:RATE], [bursty:BASE:BURST:ON_S:OFF_S],
     [diurnal:LOW:HIGH:PERIOD_S] — accepted back by {!of_string}. *)

@@ -126,22 +126,3 @@ let run params =
 
 let paper_predictor ~threads ~rounds =
   14. +. (1.1 *. float_of_int threads *. float_of_int rounds) +. (127.6 *. float_of_int threads)
-
-(* Least squares for y = base + a*(t*r) + b*t with [base] fixed. *)
-let fit_predictor samples ~base =
-  let s11 = ref 0. and s12 = ref 0. and s22 = ref 0. and sy1 = ref 0. and sy2 = ref 0. in
-  List.iter
-    (fun (t, r, y) ->
-      let x1 = float_of_int (t * r) and x2 = float_of_int t in
-      let y = float_of_int y -. base in
-      s11 := !s11 +. (x1 *. x1);
-      s12 := !s12 +. (x1 *. x2);
-      s22 := !s22 +. (x2 *. x2);
-      sy1 := !sy1 +. (x1 *. y);
-      sy2 := !sy2 +. (x2 *. y))
-    samples;
-  let det = (!s11 *. !s22) -. (!s12 *. !s12) in
-  if det = 0. then invalid_arg "Bench2.fit_predictor: degenerate sample";
-  let a = ((!sy1 *. !s22) -. (!sy2 *. !s12)) /. det in
-  let b = ((!sy2 *. !s11) -. (!sy1 *. !s12)) /. det in
-  (a, b)

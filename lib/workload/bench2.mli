@@ -47,8 +47,3 @@ val run : params -> result
 
 val paper_predictor : threads:int -> rounds:int -> float
 (** The paper's fitted lower bound: [14 + 1.1*t*r + 127.6*t]. *)
-
-val fit_predictor : (int * int * int) list -> base:float -> float * float
-(** [fit_predictor samples ~base] takes [(threads, rounds, faults)]
-    observations and returns [(per_round_per_thread, per_thread)] for a
-    model [base + a*t*r + b*t] by least squares on the two slopes. *)

@@ -70,9 +70,6 @@ let samples_by probe op =
 
 let count probe = probe.n
 
-let count_by probe op =
-  List.fold_left (fun acc s -> if s.s_op = op then acc + 1 else acc) 0 probe.samples
-
 let ops = [ Malloc; Calloc; Realloc; Free ]
 
 let windows probe ~window_ns =

@@ -42,8 +42,6 @@ val samples_by : probe -> op -> (float * float) list
 
 val count : probe -> int
 
-val count_by : probe -> op -> int
-
 val ops : op list
 (** All ops, in a fixed report order. *)
 

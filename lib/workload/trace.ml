@@ -82,13 +82,6 @@ let validate t ~slots =
     t;
   match !bad with Some msg -> Error msg | None -> Ok ()
 
-let live_at_end t ~slots =
-  let full = Array.make slots false in
-  Array.iter
-    (function Alloc { slot; _ } -> full.(slot) <- true | Free { slot } -> full.(slot) <- false)
-    t;
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 full
-
 let replay alloc ctx t ~slots =
   let fault = M.ctx_fault ctx in
   let degraded = ref 0 in

@@ -48,9 +48,6 @@ val generate :
 val validate : t -> slots:int -> (unit, string) result
 (** Checks well-formedness (no double alloc/free, slots in range). *)
 
-val live_at_end : t -> slots:int -> int
-(** Number of slots left allocated when the trace ends. *)
-
 val replay : Mb_alloc.Allocator.t -> Mb_machine.Machine.ctx -> t -> slots:int -> int
 (** Runs the trace on an allocator, touching each allocation, and frees
     any slots still live at the end. Returns the number of trace

@@ -496,6 +496,65 @@ let test_ptmalloc_fresh_arena_locked () =
   check_valid alloc;
   Alcotest.(check int) "live zero" 0 alloc.A.stats.Core.Astats.live_bytes
 
+(* A failed mmap of the arena-metadata page gives back the arena number
+   it claimed. Once both threads hold their stacks, one maps the rest of
+   the mmap zone, and they contend until a malloc that tries to create
+   the first sub-arena raises. After the filler is unmapped, they
+   contend again, and the arena they create is number 1; it was 2 when
+   the failure kept the number it had claimed. *)
+let test_ptmalloc_failed_metadata_map () =
+  let m = M.create ~seed:1 config in
+  let p = M.create_proc m () in
+  let pt = Core.Ptmalloc.make p () in
+  let alloc = Core.Ptmalloc.allocator pt in
+  let second_up = M.Latch.create m and filled = M.Latch.create m and freed = M.Latch.create m in
+  let failures = ref 0 and tids = ref [] in
+  let contend ctx =
+    tids := M.tid ctx :: !tids;
+    while !failures = 0 do
+      match alloc.A.malloc ctx 128 with
+      | u -> alloc.A.free ctx u
+      | exception Core.Fault.Injector.Alloc_failure _ -> incr failures
+    done
+  and churn ctx =
+    for _ = 1 to 2_000 do
+      alloc.A.free ctx (alloc.A.malloc ctx 128)
+    done
+  in
+  (* Halving lengths down to a page leave no gap in the zone. *)
+  let fill ctx =
+    let rec go len acc =
+      if len < 4096 then acc
+      else match M.mmap ctx ~len with Some a -> go len ((a, len) :: acc) | None -> go (len / 2) acc
+    in
+    go (1 lsl 31) []
+  in
+  ignore
+    (M.spawn p ~name:"first" (fun ctx ->
+        M.Latch.wait second_up ctx;
+        let filler = fill ctx in
+        M.Latch.signal filled ctx;
+        contend ctx;
+        List.iter (fun (a, len) -> M.munmap ctx a ~len) filler;
+        M.Latch.signal freed ctx;
+        churn ctx)
+      : M.thread);
+  ignore
+    (M.spawn p ~name:"second" (fun ctx ->
+        M.Latch.signal second_up ctx;
+        M.Latch.wait filled ctx;
+        contend ctx;
+        M.Latch.wait freed ctx;
+        churn ctx)
+      : M.thread);
+  M.run m;
+  Alcotest.(check bool) "the metadata mmap failed" true (!failures > 0);
+  Alcotest.(check int) "one arena created" 2 (Core.Ptmalloc.arena_count pt);
+  Alcotest.(check (list (option int)))
+    "arenas 0 and 1" [ Some 0; Some 1 ]
+    (List.sort compare (List.map (Core.Ptmalloc.arena_of_thread pt) !tids));
+  check_valid alloc
+
 (* A raw [free] of a memalign'd address releases the chunk it was carved
    from, with nothing armed (the path that skips the origins probe while
    the table is empty) and with the checker armed. Some alignments
@@ -568,6 +627,8 @@ let suite =
         test_memalign_raw_free;
       Alcotest.test_case "ptmalloc: fresh arena locked before publish" `Quick
         test_ptmalloc_fresh_arena_locked;
+      Alcotest.test_case "ptmalloc: a failed metadata mmap gives its arena number back" `Quick
+        test_ptmalloc_failed_metadata_map;
       Alcotest.test_case "perthread: heap's mapped chunks and failed growths" `Quick
         test_perthread_reports_heap_counts;
       Alcotest.test_case "perthread: a dry refill keeps the blocks it took" `Quick

@@ -11,19 +11,14 @@ let allowlist =
     ("Allocator.copy_cost_cycles", "realloc's copy charge, priced on its own");
     ("Allocator.zero_cost_cycles", "calloc's zeroing charge, priced on its own");
     ("Arrivals.mean_rps", "the configured rate an arrival stream must approach");
-    ("Arrivals.scale", "rate scaling of an arrival process");
-    ("Bench2.fit_predictor", "the fault-predictor fit on synthetic samples");
     ("Coherence.flush_line", "a line's state after a flush");
     ("Coherence.line_of", "which line an address falls in");
-    ("Csv.escape", "RFC-4180 quoting, below of_series");
-    ("Csv.of_rows", "row rendering, below of_series");
     ("Dlheap.consolidate", "fastbin draining, run directly");
     ("Dlheap.fastbin_chunks", "chunks parked in fastbins");
     ("Dlheap.is_sub", "that a sub-heap is one");
     ("Dlheap.live_chunks", "that frees coalesce back into top");
     ("Engine.live", "processes still running after a run");
     ("Engine.stall_message", "the text a deadlock report carries");
-    ("Engine.yield", "interleaving order at one instant");
     ("Exp_common.quick_opts", "the quick registry the pins run");
     ("Experiments.all", "one test case per experiment");
     ("Experiments.find", "an experiment by id");
@@ -37,27 +32,17 @@ let allowlist =
     ("Hoard.held_bytes", "Hoard's blowup bound after a drain");
     ("Hoard.superblock_count", "superblock reuse");
     ("Hoard.transfers_to_global", "emptiness-driven transfers");
-    ("Int_table.clear", "a cleared table against Hashtbl");
-    ("Int_table.iter", "iteration against Hashtbl");
-    ("Json.to_string", "the suite JSON round trip");
-    ("Latency.count_by", "probe samples tagged per operation");
     ("Machine.Latch.is_set", "a latch's state");
     ("Machine.exact_jump", "the jitter stream's exact-cycles skip");
-    ("Machine.exit_hook", "exit hooks run in order");
     ("Machine.kernel_lock_contentions", "the big kernel lock's contention");
-    ("Machine.machine", "a thread's machine, to convert cycles");
     ("Machine.proc_multithreaded", "the sticky single-to-multi switch");
-    ("Outcome.to_string", "the quick registry's text, pinned by MD5");
     ("Perthread.cached_objects", "blocks parked in the per-thread caches");
     ("Perthread.global_lock_acquisitions", "the shared heap's lock amortization");
     ("Plan.all", "every fault plan, one property run each");
     ("Pool.jobs", "the pool's width");
     ("Ptmalloc.arena_of_thread", "a thread's cached arena");
     ("Recorder.counter", "one counter of a recorder");
-    ("Recorder.incr", "counter bumps");
     ("Rng.bits64", "stream identity per seed");
-    ("Rng.pick", "uniform picks");
-    ("Rng.shuffle", "shuffles are permutations");
     ("Serial.lock_acquisitions", "one lock per operation");
     ("Serial.lock_contentions", "no contention single-threaded");
     ("Server.default_open", "a small open-loop configuration");
@@ -66,7 +51,6 @@ let allowlist =
     ("Spec.to_string", "the suite spec round trip");
     ("Timing_wheel.length", "queue depth against a model");
     ("Timing_wheel.ring_length", "how much of the queue the ring holds");
-    ("Trace.live_at_end", "live slots at a trace's end");
     ("Trace_json.to_string", "the whole trace document, to parse it");
   ]
 

@@ -64,7 +64,7 @@ let test_realloc_cost_charged () =
       M.touch_range ctx user ~len:4096;
       let t0 = M.now ctx in
       let moved = A.realloc alloc ctx user 20_000 in
-      let elapsed_cycles = (M.now ctx -. t0) /. M.cycles_to_ns (M.machine ctx) 1.0 in
+      let elapsed_cycles = (M.now ctx -. t0) /. M.cycles_to_ns (M.proc_machine (M.proc ctx)) 1.0 in
       Alcotest.(check bool) "copy cost visible" true
         (elapsed_cycles >= float_of_int (A.copy_cost_cycles 4096));
       alloc.A.free ctx moved)

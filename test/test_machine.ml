@@ -290,17 +290,6 @@ let test_elapsed_requires_finish () =
   M.run m;
   Alcotest.(check bool) "finished now" true (M.elapsed_ns th >= 0.)
 
-let test_exit_hook_runs () =
-  let m = M.create two_cpu in
-  let p = M.create_proc m () in
-  let ran = ref [] in
-  ignore
-    (M.spawn p (fun ctx ->
-         M.exit_hook ctx (fun () -> ran := "first" :: !ran);
-         M.exit_hook ctx (fun () -> ran := "second" :: !ran)));
-  M.run m;
-  Alcotest.(check (list string)) "registration order" [ "first"; "second" ] (List.rev !ran)
-
 (* Scheduler conservation laws under random workloads. *)
 let prop_conservation =
   QCheck.Test.make ~name:"elapsed >= own work; busy >= total work; makespan >= work/cpus" ~count:40
@@ -723,7 +712,6 @@ let suite =
     Alcotest.test_case "asid isolation" `Quick test_asid_isolation;
     Alcotest.test_case "touch_range counts" `Quick test_touch_range_counts;
     Alcotest.test_case "elapsed requires finish" `Quick test_elapsed_requires_finish;
-    Alcotest.test_case "exit hooks" `Quick test_exit_hook_runs;
     Alcotest.test_case "create rejects bad clock" `Quick test_create_rejects_bad_clock;
     Alcotest.test_case "spin schedule pinned" `Quick test_spin_schedule_pinned;
     Alcotest.test_case "sleep_until past and NaN times" `Quick test_sleep_until_times;

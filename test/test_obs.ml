@@ -28,7 +28,7 @@ let drain_one () =
 let test_null_records_nothing () =
   let r = R.null in
   Alcotest.(check bool) "disabled" false (R.enabled r);
-  R.incr r "x";
+  R.add r "x" 1;
   R.add r "x" 5;
   R.span r ~lane:0 ~name:"s" ~ts_ns:0. ~dur_ns:1. ();
   R.instant r ~lane:0 ~name:"i" ~ts_ns:0. ();
@@ -38,9 +38,9 @@ let test_null_records_nothing () =
 
 let test_counter_arithmetic () =
   let r = R.create () in
-  R.incr r "b";
+  R.add r "b" 1;
   R.add r "a" 41;
-  R.incr r "a";
+  R.add r "a" 1;
   R.set r "c" 7;
   R.set r "c" 9;
   Alcotest.(check (list (pair string int)))

@@ -72,21 +72,6 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (abs_float (mean -. 3.0) < 0.15)
 
-let test_shuffle_is_permutation () =
-  let r = Rng.create ~seed:6 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
-
-let test_pick_membership () =
-  let r = Rng.create ~seed:8 in
-  let a = [| 3; 1; 4; 1; 5 |] in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "member" true (Array.exists (( = ) (Rng.pick r a)) a)
-  done
-
 let prop_int_bounds =
   QCheck.Test.make ~name:"int always in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -118,8 +103,6 @@ let suite =
     Alcotest.test_case "jitter range" `Quick test_jitter_range;
     Alcotest.test_case "jitter zero" `Quick test_jitter_zero;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-    Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
-    Alcotest.test_case "pick membership" `Quick test_pick_membership;
     QCheck_alcotest.to_alcotest prop_int_bounds;
     QCheck_alcotest.to_alcotest prop_mod_uniformity;
   ]

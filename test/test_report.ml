@@ -54,21 +54,17 @@ let test_plot_multi_series_glyphs () =
   Alcotest.(check bool) "first glyph" true (contains out "* = a");
   Alcotest.(check bool) "second glyph" true (contains out "o = b")
 
-let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Csv.escape "abc");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Csv.escape "a,b");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Csv.escape "a\"b")
-
-let test_csv_of_rows () =
-  Alcotest.(check string) "rows" "a,b\n1,2\n" (Csv.of_rows [ [ "a"; "b" ]; [ "1"; "2" ] ])
-
+(* Rows joined on x, missing points empty, and a label with a comma
+   and a quote quoted with the quote doubled. *)
 let test_csv_of_series () =
   let a = Series.make ~label:"a" [ (1., 10.); (2., 20.) ] in
-  let b = Series.make ~label:"b" [ (2., 7.) ] in
-  let out = Csv.of_series [ a; b ] in
-  Alcotest.(check bool) "header" true (contains out "x,a,a_err,b,b_err");
-  Alcotest.(check bool) "joined row" true (contains out "2,20,0,7,0");
-  Alcotest.(check bool) "missing empty" true (contains out "1,10,0,,")
+  let b = Series.make ~label:{|b,"q"|} [ (2., 7.) ] in
+  Alcotest.(check string) "csv"
+    {|x,a,a_err,"b,""q""","b,""q""_err"
+1,10,0,,
+2,20,0,7,0
+|}
+    (Csv.of_series [ a; b ])
 
 let suite =
   [ Alcotest.test_case "table renders" `Quick test_table_renders;
@@ -78,7 +74,5 @@ let suite =
     Alcotest.test_case "plot renders" `Quick test_plot_renders_data;
     Alcotest.test_case "plot empty" `Quick test_plot_empty;
     Alcotest.test_case "plot glyphs" `Quick test_plot_multi_series_glyphs;
-    Alcotest.test_case "csv escape" `Quick test_csv_escape;
-    Alcotest.test_case "csv rows" `Quick test_csv_of_rows;
     Alcotest.test_case "csv series" `Quick test_csv_of_series;
   ]

@@ -142,7 +142,7 @@ let test_runs_next () =
 let test_yield_lets_peers_run () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.spawn e (fun () -> log := "a0" :: !log; Engine.yield (); log := "a1" :: !log));
+  ignore (Engine.spawn e (fun () -> log := "a0" :: !log; Engine.delay 0.; log := "a1" :: !log));
   ignore (Engine.spawn e (fun () -> log := "b0" :: !log));
   Engine.run e;
   Alcotest.(check (list string)) "b interleaves" [ "a0"; "b0"; "a1" ] (List.rev !log)

@@ -98,17 +98,6 @@ let test_paper_predictor_formula () =
   Alcotest.(check (float 1e-9)) "t=7,r=80" (14. +. (1.1 *. 560.) +. (127.6 *. 7.))
     (B2.paper_predictor ~threads:7 ~rounds:80)
 
-let test_fit_predictor_recovers () =
-  (* synthesize y = 14 + 2*t*r + 100*t exactly *)
-  let samples =
-    List.concat_map
-      (fun t -> List.map (fun r -> (t, r, 14 + (2 * t * r) + (100 * t))) [ 1; 2; 5 ])
-      [ 1; 3; 7 ]
-  in
-  let a, b = B2.fit_predictor samples ~base:14. in
-  Alcotest.(check (float 1e-6)) "per round per thread" 2.0 a;
-  Alcotest.(check (float 1e-6)) "per thread" 100.0 b
-
 let small_b3 = { B3.default with B3.writes = 50_000; paper_writes = 50_000 }
 
 let test_bench3_aligned_is_clean () =
@@ -148,10 +137,6 @@ let test_trace_generation_valid () =
   | Error m -> Alcotest.fail m);
   Alcotest.(check int) "requested length" 5_000 (Array.length t)
 
-let test_trace_live_at_end () =
-  let t = [| Core.Trace.Alloc { slot = 0; size = 8 }; Alloc { slot = 1; size = 8 }; Free { slot = 0 } |] in
-  Alcotest.(check int) "one live" 1 (Core.Trace.live_at_end t ~slots:2)
-
 let test_trace_validate_rejects () =
   let bad = [| Core.Trace.Free { slot = 0 } |] in
   (match Core.Trace.validate bad ~slots:1 with
@@ -178,6 +163,8 @@ let test_trace_replay_drains () =
 
 (* --- latency probe ------------------------------------------------------ *)
 
+let count_by probe op = List.length (Core.Latency.samples_by probe op)
+
 let test_latency_probe_counts () =
   let m = M.create ~seed:1 { M.default_config with M.cpus = 1 } in
   let p = M.create_proc m () in
@@ -191,8 +178,8 @@ let test_latency_probe_counts () =
          done));
   M.run m;
   Alcotest.(check int) "malloc and free both sampled" 100 (Core.Latency.count probe);
-  Alcotest.(check int) "mallocs tagged" 50 (Core.Latency.count_by probe Core.Latency.Malloc);
-  Alcotest.(check int) "frees tagged" 50 (Core.Latency.count_by probe Core.Latency.Free);
+  Alcotest.(check int) "mallocs tagged" 50 (count_by probe Core.Latency.Malloc);
+  Alcotest.(check int) "frees tagged" 50 (count_by probe Core.Latency.Free);
   Alcotest.(check bool) "durations positive" true
     (List.for_all (fun (_, d) -> d > 0.) (Core.Latency.samples probe));
   let windows = Core.Latency.windows probe ~window_ns:1e6 in
@@ -214,12 +201,12 @@ let test_latency_probe_tags_derived_ops () =
          let a = Core.Latency.realloc probe alloc ctx a 512 in
          alloc.Core.Allocator.free ctx a));
   M.run m;
-  Alcotest.(check int) "one calloc sample" 1 (Core.Latency.count_by probe Core.Latency.Calloc);
-  Alcotest.(check int) "one realloc sample" 1 (Core.Latency.count_by probe Core.Latency.Realloc);
-  Alcotest.(check int) "inner malloc suppressed" 0 (Core.Latency.count_by probe Core.Latency.Malloc);
+  Alcotest.(check int) "one calloc sample" 1 (count_by probe Core.Latency.Calloc);
+  Alcotest.(check int) "one realloc sample" 1 (count_by probe Core.Latency.Realloc);
+  Alcotest.(check int) "inner malloc suppressed" 0 (count_by probe Core.Latency.Malloc);
   (* the one visible free is the caller's own; realloc's internal free
      (if the block moved) must not be recorded *)
-  Alcotest.(check int) "only the caller's free" 1 (Core.Latency.count_by probe Core.Latency.Free);
+  Alcotest.(check int) "only the caller's free" 1 (count_by probe Core.Latency.Free);
   let calloc_ns = List.map snd (Core.Latency.samples_by probe Core.Latency.Calloc) in
   Alcotest.(check bool) "calloc includes zeroing cost" true (List.for_all (fun d -> d > 0.) calloc_ns)
 
@@ -270,10 +257,6 @@ let test_arrivals_parse_roundtrip () =
       let p = Core.Arrivals.of_string s in
       Alcotest.(check string) "roundtrip" s (Core.Arrivals.to_string p))
     [ "poisson:50000"; "bursty:10000:100000:0.001:0.004"; "diurnal:10000:80000:0.01" ];
-  Alcotest.(check bool) "scale multiplies rate" true
-    (Core.Arrivals.mean_rps
-       (Core.Arrivals.scale (Core.Arrivals.Poisson { rate_rps = 100. }) 2.5)
-    = 250.);
   (match Core.Arrivals.of_string "nonesuch:1" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad spec accepted")
@@ -418,14 +401,12 @@ let suite =
     Alcotest.test_case "bench2 thread scaling" `Quick test_bench2_more_threads_more_faults;
     Alcotest.test_case "run labels tell runs apart" `Quick test_labels_tell_runs_apart;
     Alcotest.test_case "paper predictor formula" `Quick test_paper_predictor_formula;
-    Alcotest.test_case "fit predictor" `Quick test_fit_predictor_recovers;
     Alcotest.test_case "bench3 aligned clean" `Quick test_bench3_aligned_is_clean;
     Alcotest.test_case "bench3 small objects share" `Quick test_bench3_small_objects_share;
     Alcotest.test_case "bench3 sharing costs" `Quick test_bench3_sharing_costs_time;
     Alcotest.test_case "bench3 addresses" `Quick test_bench3_addresses_returned;
     Alcotest.test_case "bench3 sweep" `Quick test_bench3_sweep;
     Alcotest.test_case "trace generation valid" `Quick test_trace_generation_valid;
-    Alcotest.test_case "trace live_at_end" `Quick test_trace_live_at_end;
     Alcotest.test_case "trace validate rejects" `Quick test_trace_validate_rejects;
     QCheck_alcotest.to_alcotest prop_trace_always_valid;
     Alcotest.test_case "trace replay drains" `Quick test_trace_replay_drains;
